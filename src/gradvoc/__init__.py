@@ -20,13 +20,7 @@ from .schedule import (
     schedule_to_text,
     schedule_from_text,
 )
-from .diffusion import (
-    DiffusionPoint,
-    forward_diffuse,
-    noise_log_density_gradient,
-    loss_l1,
-    optimal_gaussian_epsilon,
-)
+from .diffusion import DiffusionPoint, forward_diffuse
 from .tensor import Tensor
 from .dsp import (
     Waveform,
@@ -46,7 +40,7 @@ from .dsp import (
     save_mel,
     load_mel,
 )
-from .net import ModelConfig, DenoiserModel, positional_encoding, save_model, load_model
+from .net import ModelConfig, DenoiserModel, positional_encoding
 from .sample import SynthRequest, SamplerError, sigma, reverse_step, synthesize
 from .train import (
     TrainConfig,

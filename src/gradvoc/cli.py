@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -73,15 +74,7 @@ SCHEDULE_PRESETS = {
 
 MEL_PROFILES = {
     "full": MelConfig,
-    "toy": lambda: MelConfig(
-        sample_rate=4000,
-        win_length=32,
-        hop_length=4,
-        n_fft=32,
-        n_mels=8,
-        fmin=50.0,
-        fmax=2000.0,
-    ),
+    "toy": MelConfig.toy,
 }
 
 MODEL_PROFILES = {
@@ -240,8 +233,6 @@ def _load_checkpoint(path):
         return load_state(_resolve(path, "GRADVOC_CHECKPOINT_ROOT"))
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {path}") from exc
-    except CheckpointError as exc:
-        raise DataError(str(exc)) from exc
 
 
 def _check_schedule_compat(meta_mode: str, trained: NoiseSchedule | None, requested):
@@ -342,6 +333,15 @@ def cmd_sweep(args) -> int:
             if line.strip() and not line.strip().startswith("#")
         ]
     else:
+        n, grid = args.iterations, len(SWEEP_GRID)
+        if n < 1:
+            raise UsageError("--iterations must be at least 1")
+        distinct = math.comb(grid + n - 1, n) if args.non_decreasing else grid**n
+        if args.budget > distinct:
+            raise UsageError(
+                f"--budget {args.budget} exceeds the {distinct} distinct "
+                f"{n}-step schedules on the sweep grid"
+            )
         seen = set()
         candidates = []
         while len(candidates) < args.budget:
@@ -430,11 +430,10 @@ def cmd_eval(args) -> int:
 
 
 def _metric_mel_config(sample_rate: int) -> MelConfig:
-    if sample_rate == 24000:
-        return MelConfig()
-    toy = MEL_PROFILES["toy"]()
-    if sample_rate == toy.sample_rate:
-        return toy
+    for profile in MEL_PROFILES.values():
+        cfg = profile()
+        if cfg.sample_rate == sample_rate:
+            return cfg
     raise DataError(f"no metric mel profile for sample rate {sample_rate}")
 
 
@@ -565,7 +564,7 @@ def main(argv=None) -> int:
     except (UsageError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, WavFormatError, FileNotFoundError) as exc:
+    except (DataError, WavFormatError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SamplerError, TrainError, FloatingPointError) as exc:

@@ -13,13 +13,14 @@ the log-mel MSE, cepstral-distance and pitch-error metrics.
 
 from __future__ import annotations
 
-import json
 import math
 import wave
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.fft import dct
+
+from .checkpoint import CheckpointError, load_tensors, save_tensors
 
 __all__ = [
     "Waveform",
@@ -97,6 +98,19 @@ class MelConfig:
             raise ValueError("fmax above Nyquist")
         if self.hop_length < 1 or self.win_length < 1:
             raise ValueError("window and hop must be positive")
+
+    @classmethod
+    def toy(cls) -> "MelConfig":
+        """4 kHz, 8-bin analysis matching ``ModelConfig.toy`` (4 samples per frame)."""
+        return cls(
+            sample_rate=4000,
+            win_length=32,
+            hop_length=4,
+            n_fft=32,
+            n_mels=8,
+            fmin=50.0,
+            fmax=2000.0,
+        )
 
     def metric_variant(self) -> "MelConfig":
         """Same analysis with the hop halved (the metric framing)."""
@@ -347,24 +361,22 @@ def wav_write(path, y: Waveform) -> None:
 
 
 def save_mel(path, mel: MelSpectrogram) -> None:
-    """Binary matrix interchange: config + dims header, little-endian float64."""
-    values = np.ascontiguousarray(mel.values, dtype="<f8")
-    header = json.dumps(
-        {"shape": list(values.shape), "config": mel.config.__dict__}
-    ).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(b"GVMEL1\n")
-        fh.write(np.array([len(header)], dtype="<i8").tobytes())
-        fh.write(header)
-        fh.write(values.tobytes())
+    """Write a tensor archive holding one float64 ``mel`` entry and its config."""
+    save_tensors(
+        path,
+        {"mel": np.asarray(mel.values, dtype=np.float64)},
+        meta={"mel_config": asdict(mel.config)},
+    )
 
 
 def load_mel(path) -> MelSpectrogram:
-    with open(path, "rb") as fh:
-        magic = fh.read(7)
-        if magic != b"GVMEL1\n":
-            raise WavFormatError(f"{path}: not a mel matrix file")
-        (hlen,) = np.frombuffer(fh.read(8), dtype="<i8")
-        header = json.loads(fh.read(int(hlen)).decode("ascii"))
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(header["shape"])
-    return MelSpectrogram(values=values.copy(), config=MelConfig(**header["config"]))
+    """Read a file written by ``save_mel``; raises CheckpointError otherwise."""
+    tensors, meta = load_tensors(path)
+    values = tensors.get("mel")
+    if values is None or values.ndim != 2 or "mel_config" not in meta:
+        raise CheckpointError(f"{path}: not a mel file (needs a 2-D mel and a mel_config)")
+    try:
+        config = MelConfig(**meta["mel_config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad mel_config: {exc}") from exc
+    return MelSpectrogram(values=values.astype(np.float64, copy=False), config=config)

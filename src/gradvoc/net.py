@@ -22,13 +22,12 @@ The exact op order inside UBlock/DBlock is frozen by golden hand-trace tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .checkpoint import save_tensors, load_tensors
 
 __all__ = [
     "ModelConfig",
@@ -37,8 +36,6 @@ __all__ = [
     "FiLM",
     "UBlock",
     "DBlock",
-    "save_model",
-    "load_model",
 ]
 
 
@@ -53,7 +50,7 @@ def _prod(xs) -> int:
 class ModelConfig:
     """Shapes and wiring of the denoiser.
 
-    Defaults are the base configuration (~15M parameters).  The DBlock
+    Defaults are the base configuration (17.23M parameters).  The DBlock
     factors/channels mirror the reversed tail of the UBlock stack so that
     every FiLM sees temporally aligned features.
     """
@@ -398,46 +395,6 @@ class DenoiserModel:
         """Inference-only forward returning a plain 1-D array."""
         return self.forward(y_noisy, mel, sqrt_alpha_bar).data[0].copy()
 
-
-def _config_meta(config: ModelConfig) -> dict:
-    return asdict(config)
-
-
-def _config_from_meta(meta: dict) -> ModelConfig:
-    def tup(v):
-        return tuple(tuple(e) if isinstance(e, list) else e for e in v)
-
-    kwargs = dict(meta)
-    for key in (
-        "upsample_factors",
-        "ublock_channels",
-        "dblock_channels",
-        "dblock_factors",
-        "ublock_dilations",
-        "dblock_dilations",
-    ):
-        kwargs[key] = tup(kwargs[key])
-    return ModelConfig(**kwargs)
-
-
-def save_model(path, model: DenoiserModel, extra_meta: dict | None = None) -> None:
-    meta = {"model_config": _config_meta(model.config)}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_tensors(path, {k: v.data for k, v in model.parameters().items()}, meta=meta)
-
-
-def load_model(path) -> tuple[DenoiserModel, dict]:
-    arrays, meta = load_tensors(path)
-    config = _config_from_meta(meta["model_config"])
-    model = DenoiserModel(config, seed=0)
-    params = model.parameters()
-    missing = set(params) ^ set(arrays)
-    if missing:
-        raise ValueError(f"checkpoint parameter set mismatch: {sorted(missing)}")
-    for name, param in params.items():
-        arr = arrays[name].astype(config.np_dtype)
-        if arr.shape != param.data.shape:
-            raise ValueError(f"shape mismatch for {name}")
-        param.data = arr
-    return model, meta
+    def output_length(self, mel) -> int:
+        """Waveform samples produced for a (mel bins, frames) conditioning."""
+        return int(np.shape(mel)[1]) * self.config.samples_per_frame

@@ -27,7 +27,7 @@ class SynthRequest:
 
     mel: np.ndarray
     inference_schedule: NoiseSchedule
-    model: object  # anything with predict(y_noisy, mel, sqrt_alpha_bar) -> ndarray
+    model: object  # has predict(y_noisy, mel, sqrt_alpha_bar) and output_length(mel)
     seed: int = 0
     emit_intermediates: bool = False
 
@@ -96,7 +96,7 @@ def synthesize(request: SynthRequest):
     model = request.model
     rng = np.random.default_rng(request.seed)
 
-    length = _output_length(model, mel)
+    length = model.output_length(mel)
     y = rng.standard_normal(length)
     snapshots = [y.copy()] if request.emit_intermediates else None
     for n in range(n_steps, 0, -1):
@@ -111,14 +111,3 @@ def synthesize(request: SynthRequest):
     if snapshots is not None:
         return y, snapshots
     return y
-
-
-def _output_length(model, mel: np.ndarray) -> int:
-    cfg = getattr(model, "config", None)
-    if cfg is not None and hasattr(cfg, "samples_per_frame"):
-        return int(mel.shape[1]) * int(cfg.samples_per_frame)
-    # oracle models used in tests carry an explicit output length instead
-    length = getattr(model, "output_length", None)
-    if length is None:
-        raise ValueError("model provides neither a config nor an output_length")
-    return int(length)

@@ -28,7 +28,6 @@ __all__ = [
     "downsample",
     "leaky_relu",
     "mean_abs",
-    "tsum",
     "orthogonal_init",
 ]
 
@@ -276,13 +275,6 @@ def mean_abs(x: Tensor) -> Tensor:
         _accumulate(x, (float(g) / n) * np.sign(x.data))
 
     return _result(np.mean(np.abs(x.data)), (x,), backward)
-
-
-def tsum(x: Tensor) -> Tensor:
-    def backward(g):
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    return _result(np.sum(x.data), (x,), backward)
 
 
 def orthogonal_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:

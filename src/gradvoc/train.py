@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import CheckpointError, load_tensors, save_tensors
 from .diffusion import forward_diffuse
 from .dsp import MelConfig, Waveform, mel_spectrogram
-from .net import DenoiserModel, _config_from_meta, _config_meta
+from .net import DenoiserModel, ModelConfig
 from .schedule import (
     NoiseSchedule,
     default_training_prior,
@@ -242,6 +242,12 @@ def run_training(
 
 
 # -- state persistence ---------------------------------------------------------
+# The only code that knows the checkpoint schema: a tensor archive of
+# param/<name> (plus adam_m/, adam_v/ moments) and the metadata below.
+
+# TrainConfig fields stored at the top level of the metadata, not under "train"
+_TOP_LEVEL_FIELDS = ("training_prior", "conditioning_mode", "discrete_schedule")
+_REQUIRED_META = ("model_config", "training_prior", "conditioning_mode", "train", "step")
 
 
 def save_state(path, state: TrainState, mel_cfg: MelConfig | None = None) -> None:
@@ -251,52 +257,75 @@ def save_state(path, state: TrainState, mel_cfg: MelConfig | None = None) -> Non
     config = state.config
     meta = {
         "step": state.step,
-        "model_config": _config_meta(state.model.config),
+        "model_config": asdict(state.model.config),
         "conditioning_mode": config.conditioning_mode,
         "training_prior": schedule_to_text(config.training_prior),
         "train": {
-            "batch_size": config.batch_size,
-            "segment_samples": config.segment_samples,
-            "learning_rate": config.learning_rate,
-            "adam_beta1": config.adam_beta1,
-            "adam_beta2": config.adam_beta2,
-            "adam_eps": config.adam_eps,
-            "clip_norm": config.clip_norm,
-            "max_steps": config.max_steps,
-            "seed": config.seed,
-            "checkpoint_every": config.checkpoint_every,
+            f.name: getattr(config, f.name)
+            for f in fields(TrainConfig)
+            if f.name not in _TOP_LEVEL_FIELDS
         },
     }
     if config.discrete_schedule is not None:
         meta["discrete_schedule"] = schedule_to_text(config.discrete_schedule)
     if mel_cfg is not None:
-        meta["mel_config"] = mel_cfg.__dict__
+        meta["mel_config"] = asdict(mel_cfg)
     save_tensors(path, tensors, meta=meta)
 
 
+def _config_from_meta(meta: dict) -> ModelConfig:
+    """ModelConfig from its JSON form, where tuples came back as lists."""
+
+    def tup(v):
+        return tuple(map(tup, v)) if isinstance(v, list) else v
+
+    return ModelConfig(**{k: tup(v) for k, v in meta.items()})
+
+
 def load_state(path) -> tuple[TrainState, MelConfig | None]:
+    """Restore a checkpoint written by ``save_state``.
+
+    Raises CheckpointError unless the archive carries every metadata key and
+    exactly the model's parameters, each with the model's shape.
+    """
     arrays, meta = load_tensors(path)
-    model = DenoiserModel(_config_from_meta(meta["model_config"]), seed=0)
+    missing = [key for key in _REQUIRED_META if key not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: not a model checkpoint (no {', '.join(missing)})")
+    try:
+        model = DenoiserModel(_config_from_meta(meta["model_config"]), seed=0)
+        discrete = meta.get("discrete_schedule")
+        config = TrainConfig(
+            training_prior=schedule_from_text(meta["training_prior"]),
+            conditioning_mode=meta["conditioning_mode"],
+            discrete_schedule=schedule_from_text(discrete) if discrete else None,
+            **meta["train"],
+        )
+        step = int(meta["step"])
+        mel_cfg = MelConfig(**meta["mel_config"]) if "mel_config" in meta else None
+    except (AttributeError, TypeError, ValueError, TrainError) as exc:
+        raise CheckpointError(f"{path}: bad checkpoint metadata: {exc}") from exc
+
     params = model.parameters()
-    dtype = model.config.np_dtype
-    adam_m, adam_v = {}, {}
+    groups = {"param": {}, "adam_m": {}, "adam_v": {}}
     for key, value in arrays.items():
         kind, _, name = key.partition("/")
-        if kind == "param":
-            params[name].data = value.astype(dtype)
-        elif kind == "adam_m":
-            adam_m[name] = value.astype(dtype)
-        elif kind == "adam_v":
-            adam_v[name] = value.astype(dtype)
-    discrete = meta.get("discrete_schedule")
-    config = TrainConfig(
-        training_prior=schedule_from_text(meta["training_prior"]),
-        conditioning_mode=meta["conditioning_mode"],
-        discrete_schedule=schedule_from_text(discrete) if discrete else None,
-        **meta["train"],
-    )
+        if kind not in groups or name not in params:
+            raise CheckpointError(f"{path}: unexpected entry {key!r} for this model")
+        if value.shape != params[name].shape:
+            raise CheckpointError(
+                f"{path}: {key} has shape {value.shape}, not {params[name].shape}"
+            )
+        groups[kind][name] = value.astype(model.config.np_dtype)
+    absent = sorted(set(params) - set(groups["param"]))
+    if absent:
+        raise CheckpointError(
+            f"{path}: {len(absent)} model parameter(s) missing, e.g. param/{absent[0]}"
+        )
+    for name, value in groups["param"].items():
+        params[name].data = value
     state = TrainState(
-        model=model, config=config, step=int(meta["step"]), adam_m=adam_m, adam_v=adam_v
+        model=model, config=config, step=step,
+        adam_m=groups["adam_m"], adam_v=groups["adam_v"],
     )
-    mel_cfg = MelConfig(**meta["mel_config"]) if "mel_config" in meta else None
     return state, mel_cfg

@@ -26,16 +26,7 @@ TRAIN_STEPS = 1000
 SEGMENT = 256
 
 
-def toy_mel() -> MelConfig:
-    return MelConfig(
-        sample_rate=TOY_SR,
-        win_length=32,
-        hop_length=4,
-        n_fft=32,
-        n_mels=8,
-        fmin=50.0,
-        fmax=2000.0,
-    )
+toy_mel = MelConfig.toy
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,7 @@ import pytest
 
 from gradvoc import tensor as T
 from gradvoc.cli import main as cli_main
-from gradvoc.diffusion import (
-    forward_diffuse,
-    noise_log_density_gradient,
-    optimal_gaussian_epsilon,
-)
+from gradvoc.diffusion import forward_diffuse
 from gradvoc.dsp import MelConfig, Waveform, ffe, ls_mse, mcd, mel_spectrogram, track_pitch
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.sample import SynthRequest, reverse_step, synthesize
@@ -27,6 +23,7 @@ from gradvoc.schedule import (
 )
 from gradvoc.tensor import Tensor
 
+from oracles import noise_log_density_gradient, optimal_gaussian_epsilon
 from test_dsp import ref_ls_mse, ref_mcd
 
 SIX_STEP_PRESET = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -113,7 +110,8 @@ def test_criterion_4_gaussian_oracle_sampling():
     mu, s2, n = 0.0, 1.0, 10_000
 
     class Oracle:
-        output_length = n
+        def output_length(self, mel):
+            return n
 
         def predict(self, y, mel, sab):
             return optimal_gaussian_epsilon(y, sab, mu, s2)

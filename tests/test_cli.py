@@ -13,11 +13,13 @@ from gradvoc.cli import (
     parse_kv_file,
     resolve_schedule,
 )
-from gradvoc.dsp import wav_read
+from gradvoc.checkpoint import load_tensors, save_tensors
+from gradvoc.dsp import MelConfig, wav_read
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import linear_schedule
 from gradvoc.train import TrainConfig, TrainState, save_state
 from conftest import SEGMENT
+from test_checkpoint import drop_param, extra_param, no_prior
 
 
 def test_parse_kv_file(tmp_path):
@@ -55,6 +57,53 @@ def test_missing_checkpoint_is_data_error(tmp_path):
         "--out", str(tmp_path / "o.wav"),
     ])
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing-param", "extra-param", "no-prior", "12-byte", "bad-mel-header", "ckpt-as-mel"],
+)
+def test_malformed_inputs_are_one_line_data_errors(case, corpus_dirs, tmp_path, capsys):
+    good = tmp_path / "good.ckpt"
+    state = TrainState(model=DenoiserModel(ModelConfig.toy(), seed=0), config=TrainConfig())
+    save_state(good, state, mel_cfg=MelConfig.toy())
+    ckpt = tmp_path / "bad.ckpt"
+    inp = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    edits = {"missing-param": drop_param, "extra-param": extra_param, "no-prior": no_prior}
+    if case in edits:
+        tensors, meta = load_tensors(good)
+        edits[case](tensors, meta)
+        save_tensors(ckpt, tensors, meta=meta)
+    elif case == "12-byte":
+        ckpt.write_bytes(good.read_bytes()[:12])
+    else:
+        ckpt = good
+        inp = tmp_path / "x.mel"
+        if case == "bad-mel-header":
+            inp.write_bytes(b"GVMEL1\n\x10\x00\x00\x00\x00\x00\x00\x00{not json")
+        else:
+            inp.write_bytes(good.read_bytes())
+    code = main([
+        "synth", "--checkpoint", str(ckpt), "--input", str(inp),
+        "--schedule", "manual6", "--out", str(tmp_path / "o.wav"),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_budget_beyond_distinct_candidates_is_usage_error(
+    toy_checkpoint, corpus_dirs, capsys
+):
+    # 54 grid values give 54 distinct 1-step schedules, so a budget of 60
+    # cannot be met (the dedupe loop used to spin forever here)
+    code = main([
+        "sweep", "--checkpoint", str(toy_checkpoint),
+        "--validation-dir", str(corpus_dirs[1]),
+        "--iterations", "1", "--budget", "60", "--refine-passes", "0",
+    ])
+    assert code == EXIT_USAGE
+    assert "54 distinct" in capsys.readouterr().err
 
 
 def test_train_command_and_loss_log(corpus_dirs, tmp_path):

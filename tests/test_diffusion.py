@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradvoc.diffusion import (
-    forward_diffuse,
-    loss_l1,
-    noise_log_density_gradient,
-    optimal_gaussian_epsilon,
-)
+from gradvoc.diffusion import forward_diffuse
+from oracles import loss_l1, noise_log_density_gradient, optimal_gaussian_epsilon
 
 
 def test_no_noise_at_unit_level():

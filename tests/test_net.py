@@ -13,11 +13,10 @@ from gradvoc.net import (
     FiLM,
     ModelConfig,
     UBlock,
-    load_model,
     positional_encoding,
-    save_model,
 )
 from gradvoc.tensor import Tensor
+from gradvoc.train import TrainConfig, TrainState, load_state, save_state
 
 BASE_PARAM_COUNT = 17_230_657  # frozen at first build; FiLM widths dominate
 TOY_PARAM_COUNT = 3_617
@@ -291,9 +290,10 @@ def test_full_model_finite_difference():
 def test_save_load_round_trip(tmp_path):
     model = DenoiserModel(ModelConfig.toy(), seed=5)
     path = tmp_path / "model.ckpt"
-    save_model(path, model, extra_meta={"note": "round trip"})
-    back, meta = load_model(path)
-    assert meta["note"] == "round trip"
+    save_state(path, TrainState(model=model, config=TrainConfig()))
+    state, mel_cfg = load_state(path)
+    back = state.model
+    assert mel_cfg is None and back.config == model.config
     rng = np.random.default_rng(15)
     y = rng.standard_normal(24)
     mel = rng.standard_normal((8, 6))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gradvoc.diffusion import forward_diffuse, optimal_gaussian_epsilon
+from gradvoc.diffusion import forward_diffuse
 from gradvoc.sample import SamplerError, SynthRequest, reverse_step, sigma, synthesize
 from gradvoc.schedule import linear_schedule, manual_schedule
+from oracles import optimal_gaussian_epsilon
 
 # independent plain-python evaluation of the posterior-variance formula at
 # n = 1000 for Linear(1e-4, 0.005, 1000)
@@ -20,7 +21,10 @@ class GaussianOracle:
     def __init__(self, mu, s2, output_length):
         self.mu = mu
         self.s2 = s2
-        self.output_length = output_length
+        self.length = output_length
+
+    def output_length(self, mel):
+        return self.length
 
     def predict(self, y_noisy, mel, sqrt_alpha_bar):
         return optimal_gaussian_epsilon(y_noisy, sqrt_alpha_bar, self.mu, self.s2)
@@ -31,7 +35,9 @@ class TrueNoiseOracle:
 
     def __init__(self, eps):
         self.eps = eps
-        self.output_length = len(eps)
+
+    def output_length(self, mel):
+        return len(self.eps)
 
     def predict(self, y_noisy, mel, sqrt_alpha_bar):
         return self.eps
@@ -171,7 +177,8 @@ def test_same_seed_bitwise_identical():
 
 def test_nonfinite_prediction_raises():
     class BadModel:
-        output_length = 8
+        def output_length(self, mel):
+            return 8
 
         def predict(self, y, mel, sab):
             return np.full(8, np.inf)

@@ -16,8 +16,8 @@ from gradvoc.tensor import (
     orthogonal_init,
     scale,
     sub,
-    tsum,
 )
+from oracles import tsum
 
 FD_STEP = 1e-6
 FD_TOL = 1e-5

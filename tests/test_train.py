@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gradvoc.diffusion import forward_diffuse, loss_l1, optimal_gaussian_epsilon
+from gradvoc.diffusion import forward_diffuse
 from gradvoc.dsp import Waveform
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import linear_schedule
@@ -23,6 +23,7 @@ from gradvoc.train import (
     train_step,
 )
 from conftest import SEGMENT, TOY_SR, toy_mel
+from oracles import loss_l1, optimal_gaussian_epsilon
 
 
 def fresh_state(seed=0, **overrides):
