@@ -8,7 +8,6 @@ metrics (LS-MSE, MCD, FFE) used to compare schedules.
 
 from .schedule import (
     NoiseSchedule,
-    NoiseLevelSample,
     ScheduleError,
     linear_schedule,
     fibonacci_schedule,
@@ -20,7 +19,7 @@ from .schedule import (
     schedule_to_text,
     schedule_from_text,
 )
-from .diffusion import DiffusionPoint, forward_diffuse
+from .diffusion import forward_diffuse
 from .tensor import Tensor
 from .dsp import (
     Waveform,

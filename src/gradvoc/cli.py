@@ -143,12 +143,13 @@ def parse_kv_file(path) -> dict[str, str]:
 
 
 def _get(kv: dict, key: str, cast, default=None, required=False, path="config"):
+    """Take ``key`` out of ``kv``; the keys left over were never read."""
     if key not in kv:
         if required:
             raise UsageError(f"{path}: missing required key {key!r}")
         return default
     try:
-        return cast(kv[key])
+        return cast(kv.pop(key))
     except (ValueError, ScheduleError) as exc:
         raise UsageError(f"{path}: bad value for {key!r}: {exc}") from exc
 
@@ -182,17 +183,20 @@ def cmd_train(args) -> int:
         default=default_training_prior(), path=path,
     )
 
-    config = TrainConfig(
-        training_prior=prior,
-        batch_size=_get(kv, "batch_size", int, default=4, path=path),
-        segment_samples=_get(kv, "segment_samples", int, default=256, path=path),
-        learning_rate=_get(kv, "learning_rate", float, default=1e-4, path=path),
-        max_steps=_get(kv, "max_steps", int, default=1000, path=path),
-        seed=_get(kv, "seed", int, default=0, path=path),
-        conditioning_mode=conditioning,
-        discrete_schedule=discrete,
-        checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
-    )
+    try:
+        config = TrainConfig(
+            training_prior=prior,
+            batch_size=_get(kv, "batch_size", int, default=4, path=path),
+            segment_samples=_get(kv, "segment_samples", int, default=256, path=path),
+            learning_rate=_get(kv, "learning_rate", float, default=1e-4, path=path),
+            max_steps=_get(kv, "max_steps", int, default=1000, path=path),
+            seed=_get(kv, "seed", int, default=0, path=path),
+            conditioning_mode=conditioning,
+            discrete_schedule=discrete,
+            checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
+        )
+    except TrainError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
     data_dir = _resolve(
         _get(kv, "data_dir", str, required=True, path=path), "GRADVOC_DATA_ROOT"
@@ -202,15 +206,13 @@ def cmd_train(args) -> int:
         "GRADVOC_CHECKPOINT_ROOT",
     )
     loss_log = _get(kv, "loss_log", str, default=None, path=path)
-
-    try:
-        dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)
-    except FileNotFoundError as exc:
-        raise DataError(str(exc)) from exc
-
     resume_path = _get(kv, "resume", str, default=None, path=path)
+    if kv:
+        raise UsageError(f"{path}: unknown or unused key {next(iter(kv))!r}")
+
+    dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)
     if resume_path:
-        state, saved_mel = load_state(_resolve(resume_path, "GRADVOC_CHECKPOINT_ROOT"))
+        state, saved_mel = _load_checkpoint(resume_path)
         if saved_mel is not None:
             mel_cfg = saved_mel
         state.config = replace(config, seed=state.config.seed)
@@ -255,12 +257,19 @@ def cmd_synth(args) -> int:
     if inp.suffix == ".wav":
         if mel_cfg is None:
             raise DataError("checkpoint carries no mel config; provide a .mel input")
-        mel = mel_spectrogram(wav_read(inp), mel_cfg)
+        wav = wav_read(inp)
+        try:
+            mel = mel_spectrogram(wav, mel_cfg)
+        except ValueError as exc:
+            raise DataError(f"{inp}: {exc}") from exc
     elif inp.suffix == ".mel":
         mel = load_mel(inp)
         mel_cfg = mel.config
     else:
         raise UsageError(f"unsupported input type {inp.suffix!r} (want .wav or .mel)")
+    bins = state.model.config.mel_bins
+    if mel.values.shape[0] != bins:
+        raise DataError(f"{inp}: {mel.values.shape[0]} mel bins, the model takes {bins}")
 
     request = SynthRequest(
         mel=mel.values,
@@ -287,13 +296,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _score_schedule(model, schedule, refs, mel_cfg, seed) -> float:
+def _score_schedule(model, schedule, refs, mels, mel_cfg, seed) -> float:
     scores = []
-    for i, ref in enumerate(refs):
-        mel = mel_spectrogram(ref, mel_cfg)
+    for i, (ref, mel) in enumerate(zip(refs, mels)):
         hyp = synthesize(
             SynthRequest(
-                mel=mel.values, inference_schedule=schedule, model=model, seed=seed + i
+                mel=mel, inference_schedule=schedule, model=model, seed=seed + i
             )
         )
         scores.append(ls_mse(ref, Waveform(hyp, ref.sample_rate), mel_cfg))
@@ -316,17 +324,19 @@ def cmd_sweep(args) -> int:
         )
     if mel_cfg is None:
         raise DataError("checkpoint carries no mel config")
+    validation_dir = _resolve(args.validation_dir, "GRADVOC_DATA_ROOT")
+    refs = load_corpus(validation_dir, sample_rate=mel_cfg.sample_rate)
     try:
-        refs = load_corpus(
-            _resolve(args.validation_dir, "GRADVOC_DATA_ROOT"),
-            sample_rate=mel_cfg.sample_rate,
-        )
-    except FileNotFoundError as exc:
-        raise DataError(str(exc)) from exc
+        mels = [mel_spectrogram(ref, mel_cfg).values for ref in refs]
+    except ValueError as exc:
+        raise DataError(f"{validation_dir}: {exc}") from exc
 
     rng = np.random.default_rng(args.seed)
     if args.candidates_file:
-        lines = Path(args.candidates_file).read_text().splitlines()
+        try:
+            lines = Path(args.candidates_file).read_text().splitlines()
+        except OSError as exc:
+            raise DataError(f"cannot read candidates file: {exc}") from exc
         candidates = [
             tuple(float(b) for b in resolve_schedule(line).betas)
             for line in lines
@@ -355,7 +365,7 @@ def cmd_sweep(args) -> int:
     def score(betas: tuple) -> float:
         if betas not in scored:
             scored[betas] = _score_schedule(
-                state.model, manual_schedule(betas), refs, mel_cfg, args.seed
+                state.model, manual_schedule(betas), refs, mels, mel_cfg, args.seed
             )
         return scored[betas]
 
@@ -420,7 +430,10 @@ def cmd_eval(args) -> int:
         hyp = wav_read(hyps[name])
         if cfg is None or cfg.sample_rate != ref.sample_rate:
             cfg = _metric_mel_config(ref.sample_rate)
-        row = (ls_mse(ref, hyp, cfg), mcd(ref, hyp, cfg), ffe(ref, hyp))
+        try:
+            row = (ls_mse(ref, hyp, cfg), mcd(ref, hyp, cfg), ffe(ref, hyp))
+        except ValueError as exc:
+            raise DataError(f"{name}: {exc}") from exc
         totals += row
         lines.append(f"{name},{row[0]!r},{row[1]!r},{row[2]!r}")
     means = totals / len(common)
@@ -497,6 +510,13 @@ def _emit(lines: list[str], out_path) -> None:
         sys.stdout.write(text)
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradvoc",
@@ -512,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".wav (mel is extracted) or .mel")
     p.add_argument("--schedule", required=True, help="preset name or schedule spec")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-intermediates", metavar="DIR", default=None)
     p.set_defaults(func=cmd_synth)
@@ -525,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine-passes", type=int, default=1)
     p.add_argument("--candidates-file", default=None,
                    help="fixed candidate list (one schedule spec per line)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--allow-decreasing", dest="non_decreasing", action="store_false")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -547,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--mel", choices=sorted(MEL_PROFILES), default="toy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_make_corpus)
 
     return parser

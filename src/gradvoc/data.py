@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import Waveform, wav_read, wav_write
+from .dsp import Waveform, WavFormatError, wav_read, wav_write
 
 __all__ = ["sine_utterance", "generate_corpus", "load_corpus"]
 
@@ -73,7 +73,7 @@ def load_corpus(directory, sample_rate: int | None = None) -> list[Waveform]:
     for path in paths:
         wav = wav_read(path)
         if sample_rate is not None and wav.sample_rate != sample_rate:
-            raise ValueError(
+            raise WavFormatError(
                 f"{path}: sample rate {wav.sample_rate} != expected {sample_rate}"
             )
         out.append(wav)

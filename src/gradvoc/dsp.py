@@ -124,10 +124,6 @@ class MelSpectrogram:
     values: np.ndarray
     config: MelConfig
 
-    @property
-    def n_frames(self) -> int:
-        return int(self.values.shape[1])
-
 
 @dataclass(frozen=True)
 class PitchConfig:
@@ -195,16 +191,10 @@ def mel_spectrogram(y: Waveform, cfg: MelConfig) -> MelSpectrogram:
     return MelSpectrogram(values=values, config=cfg)
 
 
-def mfcc(mel: MelSpectrogram, n_coeffs: int = 13, include_c0: bool = True) -> np.ndarray:
-    """Cepstral coefficients: orthonormal DCT-II over the log-mel bins.
-
-    Returns (n_coeffs x frames); with ``include_c0`` off, c0 is dropped and
-    coefficients 1..n_coeffs are returned instead (gain-invariant variant).
-    """
-    coeffs = dct(mel.values, type=2, norm="ortho", axis=0)
-    if include_c0:
-        return coeffs[:n_coeffs]
-    return coeffs[1 : n_coeffs + 1]
+def mfcc(mel: MelSpectrogram, n_coeffs: int = 13) -> np.ndarray:
+    """Cepstral coefficients c0..c(n_coeffs-1), (n_coeffs x frames): the
+    orthonormal DCT-II over the log-mel bins."""
+    return dct(mel.values, type=2, norm="ortho", axis=0)[:n_coeffs]
 
 
 def _metric_pair(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig):
@@ -230,17 +220,12 @@ def ls_mse(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig | None = None) -> fl
     return float(np.mean((a - b) ** 2))
 
 
-def mcd(
-    y_ref: Waveform,
-    y_hyp: Waveform,
-    cfg: MelConfig | None = None,
-    include_c0: bool = True,
-) -> float:
+def mcd(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig | None = None) -> float:
     """Mel cepstral distance over 13 MFCCs, frame-averaged."""
     cfg = (cfg or MelConfig()).metric_variant()
     ref, hyp = _metric_pair(y_ref, y_hyp, cfg)
-    ca = mfcc(mel_spectrogram(ref, cfg), include_c0=include_c0)
-    cb = mfcc(mel_spectrogram(hyp, cfg), include_c0=include_c0)
+    ca = mfcc(mel_spectrogram(ref, cfg))
+    cb = mfcc(mel_spectrogram(hyp, cfg))
     dist = np.sqrt(np.sum((ca - cb) ** 2, axis=0))
     return float(MCD_SCALE * np.mean(dist))
 

@@ -17,6 +17,12 @@ UBlock stage j is modulated by the DBlock-chain output whose temporal length
 matches that stage's post-upsample length; the noise embedding width equals
 the stage's channel count so FiLM can add it directly to the conv features.
 The exact op order inside UBlock/DBlock is frozen by golden hand-trace tests.
+
+Every layer is a ``Module``, whose ``parameters()`` finds the weights by
+walking the layer's attributes in assignment order: a ``Tensor`` is a
+parameter, an object with a ``parameters`` method is a sub-layer, and the
+items of a list ``xs`` are named ``x0``, ``x1``, ....  The walk fixes every
+parameter name, and the order in which checkpoints store them.
 """
 
 from __future__ import annotations
@@ -159,7 +165,23 @@ def positional_encoding(sqrt_alpha_bar: float, dim: int, scale: float) -> np.nda
     return np.concatenate([np.sin(angles), np.cos(angles)])
 
 
-class Conv1d:
+class Module:
+    """A layer whose parameters are found by walking its attributes."""
+
+    def parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[prefix + name] = value
+            elif hasattr(value, "parameters"):
+                out.update(value.parameters(f"{prefix}{name}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    out.update(item.parameters(f"{prefix}{name[:-1]}{i}."))
+        return out
+
+
+class Conv1d(Module):
     """Convolution layer with orthogonally initialized weights."""
 
     def __init__(
@@ -186,14 +208,8 @@ class Conv1d:
             x, self.weight, self.bias, stride=self.stride, dilation=self.dilation
         )
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}.bias"] = self.bias
-        return out
 
-
-class FiLM:
+class FiLM(Module):
     """Two-branch combiner producing per-channel scale and shift maps.
 
     The waveform-derived features go through a 3x1 conv and leaky ReLU, the
@@ -212,15 +228,8 @@ class FiLM:
         h = T.add_channel_bias(h, noise_embedding)
         return self.gamma_conv(h), self.xi_conv(h)
 
-    def parameters(self, prefix):
-        return {
-            **self.input_conv.parameters(f"{prefix}.input_conv"),
-            **self.gamma_conv.parameters(f"{prefix}.gamma_conv"),
-            **self.xi_conv.parameters(f"{prefix}.xi_conv"),
-        }
 
-
-class UBlock:
+class UBlock(Module):
     """Upsampling residual block with two FiLM-modulated residual stages.
 
     Main branch: LReLU, upsample, conv(d0), affine, LReLU, conv(d1); skip:
@@ -258,14 +267,8 @@ class UBlock:
         h = self.res2b(h)
         return T.add(first, h)
 
-    def parameters(self, prefix):
-        out = {}
-        for name in ("main1", "main2", "res2a", "res2b", "skip"):
-            out.update(getattr(self, name).parameters(f"{prefix}.{name}"))
-        return out
 
-
-class DBlock:
+class DBlock(Module):
     """Downsampling residual block: decimation plus three dilated convs,
     with an unbiased stride-f 1x1 skip."""
 
@@ -286,14 +289,8 @@ class DBlock:
         h = self.main3(T.leaky_relu(h, self.slope))
         return T.add(skip, h)
 
-    def parameters(self, prefix):
-        out = {}
-        for name in ("main1", "main2", "main3", "skip"):
-            out.update(getattr(self, name).parameters(f"{prefix}.{name}"))
-        return out
 
-
-class DenoiserModel:
+class DenoiserModel(Module):
     """Predicts the noise component of a diffused waveform.
 
     Inputs: the noisy waveform, the mel conditioning matrix, and the
@@ -341,21 +338,6 @@ class DenoiserModel:
             for j in range(n_up)
         ]
         self.post_conv = Conv1d(config.ublock_channels[-1], 1, 3, rng, dtype)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = self.pre_conv.parameters("pre_conv")
-        for i, block in enumerate(self.dblocks):
-            out.update(block.parameters(f"dblock{i}"))
-        out.update(self.mel_conv.parameters("mel_conv"))
-        for j, block in enumerate(self.ublocks):
-            out.update(block.parameters(f"ublock{j}"))
-        for j, film in enumerate(self.films):
-            out.update(film.parameters(f"film{j}"))
-        out.update(self.post_conv.parameters("post_conv"))
-        return out
-
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters().values())
 
     def forward(self, y_noisy, mel, sqrt_alpha_bar: float) -> Tensor:
         """Graph-building forward pass; returns a (1, T) tensor."""

@@ -86,7 +86,9 @@ def synthesize(request: SynthRequest):
     """Run the full reverse chain from standard normal noise.
 
     Returns the final waveform, or (waveform, [y_N, ..., y_0]) when
-    ``emit_intermediates`` is set.  Deterministic given the seed.
+    ``emit_intermediates`` is set.  Deterministic given the seed.  A chain
+    that diverges raises SamplerError naming the step, without numpy
+    overflow warnings.
     """
     schedule = request.inference_schedule
     n_steps = len(schedule)
@@ -99,15 +101,20 @@ def synthesize(request: SynthRequest):
     length = model.output_length(mel)
     y = rng.standard_normal(length)
     snapshots = [y.copy()] if request.emit_intermediates else None
-    for n in range(n_steps, 0, -1):
-        sqrt_abar = math.sqrt(float(schedule.alpha_bars[n - 1]))
-        eps = np.asarray(model.predict(y, mel, sqrt_abar), dtype=np.float64)
-        z = rng.standard_normal(length) if n > 1 else None
-        y = reverse_step(y, eps, schedule, n, z)
-        if not np.all(np.isfinite(y)):
-            raise SamplerError(f"non-finite signal after reverse step n={n}")
-        if snapshots is not None:
-            snapshots.append(y.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps, 0, -1):
+            sqrt_abar = math.sqrt(float(schedule.alpha_bars[n - 1]))
+            where = f"at reverse step n={n} (sqrt_alpha_bar={sqrt_abar:.6g})"
+            try:
+                eps = np.asarray(model.predict(y, mel, sqrt_abar), dtype=np.float64)
+            except FloatingPointError as exc:  # the network's non-finite output
+                raise SamplerError(f"{exc} {where}") from exc
+            z = rng.standard_normal(length) if n > 1 else None
+            y = reverse_step(y, eps, schedule, n, z)
+            if not np.all(np.isfinite(y)):
+                raise SamplerError(f"non-finite signal {where}")
+            if snapshots is not None:
+                snapshots.append(y.copy())
     if snapshots is not None:
         return y, snapshots
     return y

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "NoiseSchedule",
-    "NoiseLevelSample",
     "linear_schedule",
     "fibonacci_schedule",
     "manual_schedule",
@@ -85,14 +84,6 @@ class NoiseSchedule:
         return hash(self.betas.tobytes())
 
 
-@dataclass(frozen=True)
-class NoiseLevelSample:
-    """A continuous noise level drawn from the hierarchical training prior."""
-
-    sqrt_alpha_bar: float
-    segment_index: int
-
-
 def linear_schedule(beta_start: float, beta_end: float, n: int) -> NoiseSchedule:
     """Arithmetic progression of betas from ``beta_start`` to ``beta_end``.
 
@@ -140,7 +131,7 @@ def default_training_prior() -> NoiseSchedule:
 
 def sample_noise_level(
     training_prior: NoiseSchedule, rng: np.random.Generator
-) -> NoiseLevelSample:
+) -> float:
     """Hierarchically sample a continuous noise level sqrt(alpha_bar).
 
     A segment s is drawn uniformly from {1..S}, then the level uniformly from
@@ -153,7 +144,7 @@ def sample_noise_level(
     while True:
         value = lo + (hi - lo) * rng.random()
         if lo < value < hi:
-            return NoiseLevelSample(sqrt_alpha_bar=float(value), segment_index=s)
+            return float(value)
 
 
 def kl_terminal_diagnostic(schedule: NoiseSchedule, y0: np.ndarray) -> float:

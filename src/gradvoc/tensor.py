@@ -6,6 +6,10 @@ elementwise/reduction glue for the loss.  The computation graph is the
 implicit tape of parent links recorded on each result; ``backward`` replays
 it in reverse topological order.
 
+A tensor is tracked when its ``requires_grad`` is set: leaves set it by
+request, and an operation's result sets it, and records its parents, when
+any operand is tracked.  Untracked results keep no tape.
+
 A graph and its tensors belong to one execution context; parameter tensors
 may be shared read-only between contexts at synchronization points.
 """
@@ -57,9 +61,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Populate ``grad`` on every reachable tensor with requires_grad.
 
@@ -97,15 +98,13 @@ class Tensor:
 
 
 def _result(data, parents, backward):
-    track = any(p.requires_grad or p._parents for p in parents)
-    if not track:
+    if not any(p.requires_grad for p in parents):
         return Tensor(data)
-    out = Tensor(data, _parents=tuple(parents), _backward=backward)
-    return out
+    return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not (t.requires_grad or t._parents):
+    if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
@@ -215,7 +214,7 @@ def conv1d(
         _accumulate(weight, np.tensordot(g, patches, axes=([1], [2])))
         if bias is not None:
             _accumulate(bias, g.sum(axis=1))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             col = np.tensordot(weight.data, g, axes=([0], [0]))  # (C_in, K, T_out)
             gxp = np.zeros_like(xp)
             for k in range(kernel):
@@ -259,12 +258,11 @@ def downsample(x: Tensor, factor: int) -> Tensor:
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     if not (0.0 < slope < 1.0):
         raise ValueError("slope must be in (0, 1)")
-    mask = x.data >= 0.0  # subgradient at 0 taken as slope via strict > below
 
-    def backward(g):
+    def backward(g):  # the subgradient at 0 is taken as slope
         _accumulate(x, g * np.where(x.data > 0.0, 1.0, slope).astype(x.data.dtype))
 
-    return _result(np.where(mask, x.data, slope * x.data), (x,), backward)
+    return _result(np.maximum(x.data, slope * x.data), (x,), backward)
 
 
 def mean_abs(x: Tensor) -> Tensor:

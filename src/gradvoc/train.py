@@ -118,7 +118,7 @@ def make_batch(
 
 def _draw_noise_level(config: TrainConfig, rng: np.random.Generator) -> float:
     if config.conditioning_mode == "continuous":
-        return sample_noise_level(config.training_prior, rng).sqrt_alpha_bar
+        return sample_noise_level(config.training_prior, rng)
     sched = config.discrete_schedule
     n = int(rng.integers(1, len(sched) + 1))
     return float(np.sqrt(sched.alpha_bars[n - 1]))
@@ -130,8 +130,8 @@ def _batch_loss(model: DenoiserModel, batch, config: TrainConfig, rng) -> Tensor
     for idx, (y0, mel) in enumerate(batch):
         sqrt_abar = _draw_noise_level(config, rng)
         eps = rng.standard_normal(len(y0))
-        point = forward_diffuse(y0, sqrt_abar, eps)
-        pred = model.forward(point.y_noisy, mel, sqrt_abar)
+        y_noisy = forward_diffuse(y0, sqrt_abar, eps)
+        pred = model.forward(y_noisy, mel, sqrt_abar)
         target = Tensor(eps.reshape(1, -1).astype(model.config.np_dtype))
         item_loss = T.mean_abs(T.sub(pred, target))
         if not np.isfinite(item_loss.data):
@@ -151,7 +151,7 @@ def train_step(
     model = state.model
     params = model.parameters()
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
 
     loss = _batch_loss(model, batch, config, rng)
     loss.backward()

@@ -69,8 +69,8 @@ def test_criterion_2_diffusion_identities():
         y0 = rng.standard_normal(dim)
         eps = rng.standard_normal(dim)
         sab = float(rng.uniform(0.05, 0.999))
-        point = forward_diffuse(y0, sab, eps)
-        recon = (point.y_noisy - math.sqrt(1 - sab**2) * eps) / sab
+        y_noisy = forward_diffuse(y0, sab, eps)
+        recon = (y_noisy - math.sqrt(1 - sab**2) * eps) / sab
         worst_rt = max(worst_rt, float(np.max(np.abs(recon - y0))))
 
         # finite-difference gradient of the conditional log density in y_n
@@ -78,8 +78,8 @@ def test_criterion_2_diffusion_identities():
         step = 1e-6
         fd = np.empty(dim)
         for i in range(dim):
-            up = point.y_noisy.copy(); up[i] += step
-            dn = point.y_noisy.copy(); dn[i] -= step
+            up = y_noisy.copy(); up[i] += step
+            dn = y_noisy.copy(); dn[i] -= step
             fd[i] = (
                 -0.5 * np.sum((up - sab * y0) ** 2) / var
                 + 0.5 * np.sum((dn - sab * y0) ** 2) / var
@@ -99,8 +99,8 @@ def test_criterion_3_exact_recovery():
         s = manual_schedule([float(rng.uniform(1e-6, 0.999))])
         y0 = rng.standard_normal(int(rng.integers(1, 40)))
         eps = rng.standard_normal(y0.size)
-        point = forward_diffuse(y0, float(s.ell[1]), eps)
-        recon = reverse_step(point.y_noisy, eps, s, 1)
+        y_noisy = forward_diffuse(y0, float(s.ell[1]), eps)
+        recon = reverse_step(y_noisy, eps, s, 1)
         worst = max(worst, float(np.max(np.abs(recon - y0))))
     assert worst <= 1e-12
     print(f"criterion 3 PASS: exact recovery, worst error {worst:.2e}")

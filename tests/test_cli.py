@@ -14,7 +14,7 @@ from gradvoc.cli import (
     resolve_schedule,
 )
 from gradvoc.checkpoint import load_tensors, save_tensors
-from gradvoc.dsp import MelConfig, wav_read
+from gradvoc.dsp import MelConfig, MelSpectrogram, Waveform, save_mel, wav_read, wav_write
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import linear_schedule
 from gradvoc.train import TrainConfig, TrainState, save_state
@@ -90,6 +90,128 @@ def test_malformed_inputs_are_one_line_data_errors(case, corpus_dirs, tmp_path, 
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def untrained_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("untrained") / "seed0.ckpt"
+    state = TrainState(model=DenoiserModel(ModelConfig.toy(), seed=0), config=TrainConfig())
+    save_state(path, state, mel_cfg=MelConfig.toy())
+    return path
+
+
+def write_tone(path, n_samples, sample_rate=4000):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    t = np.arange(n_samples) / sample_rate
+    wav_write(path, Waveform(0.5 * np.sin(2 * np.pi * 200 * t), sample_rate))
+    return path
+
+
+def synth_argv(ckpt, inp, tmp_path):
+    return [
+        "synth", "--checkpoint", str(ckpt), "--input", str(inp),
+        "--schedule", "manual6", "--out", str(tmp_path / "o.wav"),
+    ]
+
+
+def sweep_argv(ckpt, validation_dir, *extra):
+    return ["sweep", "--checkpoint", str(ckpt), "--validation-dir", str(validation_dir),
+            "--iterations", "1", "--budget", "1", "--refine-passes", "0", *extra]
+
+
+def eval_argv(tmp_path, hyp_samples, hyp_rate):
+    write_tone(tmp_path / "ref" / "a.wav", 400)
+    write_tone(tmp_path / "hyp" / "a.wav", hyp_samples, hyp_rate)
+    return ["eval", "--ref-dir", str(tmp_path / "ref"), "--hyp-dir", str(tmp_path / "hyp")]
+
+
+def train_argv(tmp_path, data_dir, extra=""):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(
+        f"data_dir = {data_dir}\nmax_steps = 1\nbatch_size = 1\n"
+        f"checkpoint_dir = {tmp_path / 'ckpt'}\n{extra}"
+    )
+    return ["train", str(cfg)]
+
+
+def short_mel(tmp_path):
+    path = tmp_path / "five-bins.mel"
+    save_mel(path, MelSpectrogram(values=np.zeros((5, 6)), config=MelConfig.toy()))
+    return path
+
+
+# each builds (argv, text the one error line must contain) from the untrained
+# toy checkpoint, the held-out corpus directory and a scratch directory
+DATA_ERRORS = {
+    "eval-length": lambda ckpt, held, tmp: (eval_argv(tmp, 300, 4000), "a.wav"),
+    "eval-rate": lambda ckpt, held, tmp: (eval_argv(tmp, 2400, 24000), "a.wav"),
+    "train-rate": lambda ckpt, held, tmp: (
+        train_argv(tmp, write_tone(tmp / "data" / "a.wav", 2400, 24000).parent),
+        "sample rate"),
+    "train-resume-missing": lambda ckpt, held, tmp: (
+        train_argv(tmp, held, f"resume = {tmp / 'none.ckpt'}\n"), "checkpoint not found"),
+    "sweep-rate": lambda ckpt, held, tmp: (
+        sweep_argv(ckpt, write_tone(tmp / "val" / "a.wav", 2400, 24000).parent),
+        "sample rate"),
+    "sweep-short-wav": lambda ckpt, held, tmp: (
+        sweep_argv(ckpt, write_tone(tmp / "val" / "a.wav", 10).parent), "window"),
+    "synth-short-wav": lambda ckpt, held, tmp: (
+        synth_argv(ckpt, write_tone(tmp / "a.wav", 10), tmp), "window"),
+    "synth-mel-bins": lambda ckpt, held, tmp: (
+        synth_argv(ckpt, short_mel(tmp), tmp), "5 mel bins"),
+    "candidates-dir": lambda ckpt, held, tmp: (
+        sweep_argv(ckpt, held, "--candidates-file", str(tmp)), "candidates file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_ERRORS))
+def test_bad_data_is_one_line_data_error(case, untrained_ckpt, corpus_dirs, tmp_path, capsys):
+    argv, expected = DATA_ERRORS[case](untrained_ckpt, corpus_dirs[1], tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep", "make-corpus"])
+def test_negative_seed_is_usage_error(command, tmp_path, capsys):
+    argv = {
+        "synth": ["synth", "--checkpoint", "c", "--input", "x.wav", "--schedule", "manual6",
+                  "--out", "o.wav"],
+        "sweep": ["sweep", "--checkpoint", "c", "--validation-dir", "v"],
+        "make-corpus": ["make-corpus", "--out", str(tmp_path)],
+    }[command]
+    code = main(argv + ["--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"gradvoc {command}: error: argument --seed: seed must be >= 0, got -1"
+    ]
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [("learning_rte = 5\n", "'learning_rte'"), ("conditioning = foo\n", "'foo'")],
+)
+def test_bad_train_config_is_usage_error(extra, expected, corpus_dirs, tmp_path, capsys):
+    code = main(train_argv(tmp_path, corpus_dirs[0], extra))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+    assert not (tmp_path / "ckpt").exists()
+
+
+def test_divergent_chain_names_the_step(untrained_ckpt, corpus_dirs, tmp_path, capsys):
+    # the first training utterance (make-corpus's utt0000) drives this
+    # untrained net's reverse chain to overflow
+    inp = sorted(corpus_dirs[0].glob("*.wav"))[0]
+    code = main(synth_argv(untrained_ckpt, inp, tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "reverse step n=" in err and "sqrt_alpha_bar=" in err
 
 
 def test_sweep_budget_beyond_distinct_candidates_is_usage_error(

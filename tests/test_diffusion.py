@@ -13,19 +13,19 @@ from oracles import loss_l1, noise_log_density_gradient, optimal_gaussian_epsilo
 
 def test_no_noise_at_unit_level():
     y0 = np.array([0.3, -0.7, 1.1])
-    point = forward_diffuse(y0, 1.0, np.array([5.0, 5.0, 5.0]))
-    assert np.array_equal(point.y_noisy, y0)
+    y_noisy = forward_diffuse(y0, 1.0, np.array([5.0, 5.0, 5.0]))
+    assert np.array_equal(y_noisy, y0)
 
 
 def test_pure_noise_limit():
     eps = np.array([0.5, -0.25])
-    point = forward_diffuse(np.array([9.0, 9.0]), 1e-200, eps)
-    assert np.allclose(point.y_noisy, eps, atol=1e-12)
+    y_noisy = forward_diffuse(np.array([9.0, 9.0]), 1e-200, eps)
+    assert np.allclose(y_noisy, eps, atol=1e-12)
 
 
 def test_hand_worked_mix():
-    point = forward_diffuse(np.array([1.0, 0.0]), 0.6, np.array([0.0, 1.0]))
-    assert np.allclose(point.y_noisy, [0.6, 0.8], atol=1e-15)
+    y_noisy = forward_diffuse(np.array([1.0, 0.0]), 0.6, np.array([0.0, 1.0]))
+    assert np.allclose(y_noisy, [0.6, 0.8], atol=1e-15)
 
 
 def test_round_trip_reconstruction():
@@ -37,8 +37,8 @@ def test_round_trip_reconstruction():
         y0 = rng.standard_normal(dim)
         eps = rng.standard_normal(dim)
         sab = float(rng.uniform(0.05, 0.999999))
-        point = forward_diffuse(y0, sab, eps)
-        recon = (point.y_noisy - math.sqrt(1 - sab**2) * eps) / sab
+        y_noisy = forward_diffuse(y0, sab, eps)
+        recon = (y_noisy - math.sqrt(1 - sab**2) * eps) / sab
         worst = max(worst, float(np.max(np.abs(recon - y0))))
     assert worst <= 1e-12
 
@@ -72,7 +72,7 @@ def test_gradient_matches_finite_difference():
         eps = rng.standard_normal(dim)
         sab = float(rng.uniform(0.1, 0.99))
         var = 1 - sab**2
-        point = forward_diffuse(y0, sab, eps)
+        y_noisy = forward_diffuse(y0, sab, eps)
 
         def logp(y):
             return float(-0.5 * np.sum((y - sab * y0) ** 2) / var)
@@ -80,8 +80,8 @@ def test_gradient_matches_finite_difference():
         step = 1e-6
         fd = np.empty(dim)
         for i in range(dim):
-            up = point.y_noisy.copy(); up[i] += step
-            dn = point.y_noisy.copy(); dn[i] -= step
+            up = y_noisy.copy(); up[i] += step
+            dn = y_noisy.copy(); dn[i] -= step
             fd[i] = (logp(up) - logp(dn)) / (2 * step)
         got = noise_log_density_gradient(eps, sab**2)
         denom = np.maximum(np.abs(fd), 1e-8)

@@ -184,9 +184,10 @@ def test_base_forward_shape(base_model):
 
 
 def test_base_parameter_count(base_model):
-    assert base_model.num_parameters() == BASE_PARAM_COUNT
+    count = sum(p.data.size for p in base_model.parameters().values())
+    assert count == BASE_PARAM_COUNT
     # the intended scale for this configuration is roughly 15M parameters
-    assert 0.8 * 15e6 <= base_model.num_parameters() <= 1.4 * 15e6
+    assert 0.8 * 15e6 <= count <= 1.4 * 15e6
 
 
 def test_film_pairing_channels(base_model):
@@ -200,7 +201,7 @@ def test_film_pairing_channels(base_model):
 
 def test_toy_shape_contract():
     model = DenoiserModel(ModelConfig.toy(), seed=0)
-    assert model.num_parameters() == TOY_PARAM_COUNT
+    assert sum(p.data.size for p in model.parameters().values()) == TOY_PARAM_COUNT
     rng = np.random.default_rng(11)
     y = rng.standard_normal(24)
     mel = rng.standard_normal((8, 6))
@@ -209,6 +210,59 @@ def test_toy_shape_contract():
     # doubling the conditioning doubles the output length
     out2 = model.predict(np.concatenate([y, y]), np.concatenate([mel, mel], axis=1), 0.7)
     assert out2.shape == (48,)
+
+
+def _conv_names(prefix):
+    return [f"{prefix}.weight", f"{prefix}.bias"]
+
+
+# checkpoints store parameters under these names, in this order
+TOY_PARAM_NAMES = [
+    *_conv_names("pre_conv"),
+    *_conv_names("dblock0.main1"), *_conv_names("dblock0.main2"),
+    *_conv_names("dblock0.main3"), "dblock0.skip.weight",
+    *_conv_names("mel_conv"),
+    *[name for j in range(2) for name in (
+        *_conv_names(f"ublock{j}.main1"), *_conv_names(f"ublock{j}.main2"),
+        *_conv_names(f"ublock{j}.res2a"), *_conv_names(f"ublock{j}.res2b"),
+        f"ublock{j}.skip.weight",
+    )],
+    *[name for j in range(2) for name in (
+        *_conv_names(f"film{j}.input_conv"), *_conv_names(f"film{j}.gamma_conv"),
+        *_conv_names(f"film{j}.xi_conv"),
+    )],
+    *_conv_names("post_conv"),
+]
+
+
+def test_toy_parameter_names_and_order():
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    assert list(model.parameters()) == TOY_PARAM_NAMES
+
+
+class _Delegating:
+    """Wraps a block the way a profiler does: calls and attributes pass through."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __call__(self, *args):
+        return self._inner(*args)
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+
+def test_parameter_names_survive_delegating_wrappers():
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    before = model.parameters()
+    for attr in ("pre_conv", "mel_conv", "post_conv"):
+        setattr(model, attr, _Delegating(getattr(model, attr)))
+    for attr in ("dblocks", "films", "ublocks"):
+        setattr(model, attr, [_Delegating(b) for b in getattr(model, attr)])
+    after = model.parameters()
+    assert list(after) == TOY_PARAM_NAMES
+    assert all(after[name] is before[name] for name in TOY_PARAM_NAMES)
 
 
 def test_forward_rejects_misaligned_lengths():

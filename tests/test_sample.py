@@ -92,8 +92,8 @@ def test_exact_recovery_single_step():
         dim = int(rng.integers(1, 40))
         y0 = rng.standard_normal(dim)
         eps = rng.standard_normal(dim)
-        point = forward_diffuse(y0, float(s.ell[1]), eps)
-        recon = reverse_step(point.y_noisy, eps, s, 1)
+        y_noisy = forward_diffuse(y0, float(s.ell[1]), eps)
+        recon = reverse_step(y_noisy, eps, s, 1)
         worst = max(worst, float(np.max(np.abs(recon - y0))))
     assert worst <= 1e-12
 

@@ -123,8 +123,7 @@ def test_sample_support_single_segment():
     rng = np.random.default_rng(0)
     for _ in range(200):
         draw = sample_noise_level(s, rng)
-        assert 0.9 < draw.sqrt_alpha_bar < 1.0
-        assert draw.segment_index == 1
+        assert 0.9 < draw < 1.0
 
 
 def test_training_prior_support():
@@ -133,9 +132,7 @@ def test_training_prior_support():
     assert prior.betas[0] == 1e-6 and prior.betas[-1] == 0.01 and len(prior) == 1000
     lo = prior.ell[-1]
     rng = np.random.default_rng(1)
-    draws = np.array(
-        [sample_noise_level(prior, rng).sqrt_alpha_bar for _ in range(2000)]
-    )
+    draws = np.array([sample_noise_level(prior, rng) for _ in range(2000)])
     assert np.all(draws > lo) and np.all(draws < 1.0)
 
 
@@ -148,7 +145,7 @@ def test_sample_density_matches_piecewise_uniform():
     s = manual_schedule([0.19, 0.2, 0.3, 0.4])
     rng = np.random.default_rng(42)
     n = 200_000
-    draws = np.array([sample_noise_level(s, rng).sqrt_alpha_bar for _ in range(n)])
+    draws = np.array([sample_noise_level(s, rng) for _ in range(n)])
     edges = s.ell[::-1]  # ascending: ell_S .. ell_0
     counts, _ = np.histogram(draws, bins=edges)
     expected = n / len(s)
@@ -159,8 +156,8 @@ def test_sample_density_matches_piecewise_uniform():
 
 def test_sample_determinism():
     s = default_training_prior()
-    a = [sample_noise_level(s, np.random.default_rng(7)).sqrt_alpha_bar for _ in range(10)]
-    b = [sample_noise_level(s, np.random.default_rng(7)).sqrt_alpha_bar for _ in range(10)]
+    a = [sample_noise_level(s, np.random.default_rng(7)) for _ in range(10)]
+    b = [sample_noise_level(s, np.random.default_rng(7)) for _ in range(10)]
     assert a == b
 
 

@@ -109,8 +109,8 @@ def test_oracle_predictor_reaches_analytic_floor():
     n = 200_000
     y0 = mu + math.sqrt(s2) * rng.standard_normal(n)
     eps = rng.standard_normal(n)
-    point = forward_diffuse(y0, sab, eps)
-    pred = optimal_gaussian_epsilon(point.y_noisy, sab, mu, s2)
+    y_noisy = forward_diffuse(y0, sab, eps)
+    pred = optimal_gaussian_epsilon(y_noisy, sab, mu, s2)
     floor = math.sqrt(2 / math.pi * abar * s2 / (abar * s2 + 1 - abar))
     assert loss_l1(pred, eps) == pytest.approx(floor, rel=0.01)
 
