@@ -25,7 +25,6 @@ from .dsp import (
     Waveform,
     MelConfig,
     MelSpectrogram,
-    PitchConfig,
     WavFormatError,
     mel_spectrogram,
     mel_filterbank,
@@ -47,7 +46,6 @@ from .train import (
     TrainError,
     make_batch,
     train_step,
-    evaluate_loss,
     step_rng,
     run_training,
     save_state,

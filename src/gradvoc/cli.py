@@ -46,6 +46,8 @@ from .schedule import (
 )
 from .train import (
     TrainConfig,
+    TrainConfigError,
+    TrainDataError,
     TrainError,
     TrainState,
     load_state,
@@ -128,6 +130,8 @@ def parse_kv_file(path) -> dict[str, str]:
         text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a text file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -195,7 +199,7 @@ def cmd_train(args) -> int:
             discrete_schedule=discrete,
             checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
         )
-    except TrainError as exc:
+    except TrainConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
     data_dir = _resolve(
@@ -581,10 +585,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ScheduleError) as exc:
+    except (UsageError, ScheduleError, TrainConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, WavFormatError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, WavFormatError, CheckpointError, FileNotFoundError,
+            TrainDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SamplerError, TrainError, FloatingPointError) as exc:

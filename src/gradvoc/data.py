@@ -16,20 +16,17 @@ __all__ = ["sine_utterance", "generate_corpus", "load_corpus"]
 
 log = logging.getLogger(__name__)
 
+F0_RANGE = (100.0, 400.0)  # Hz, drawn uniformly per utterance
+N_HARMONICS = 3
 
-def sine_utterance(
-    rng: np.random.Generator,
-    n_samples: int,
-    sample_rate: int,
-    f0_range: tuple[float, float] = (100.0, 400.0),
-    n_harmonics: int = 3,
-) -> Waveform:
+
+def sine_utterance(rng: np.random.Generator, n_samples: int, sample_rate: int) -> Waveform:
     """One utterance: a harmonic stack at a random f0 with slow random
     amplitude envelopes per harmonic."""
-    f0 = rng.uniform(*f0_range)
+    f0 = rng.uniform(*F0_RANGE)
     t = np.arange(n_samples) / sample_rate
     signal = np.zeros(n_samples)
-    for h in range(1, n_harmonics + 1):
+    for h in range(1, N_HARMONICS + 1):
         # envelope: smooth positive modulation at a few hertz
         env_rate = rng.uniform(0.5, 3.0)
         env_phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -63,8 +60,8 @@ def generate_corpus(
     return paths
 
 
-def load_corpus(directory, sample_rate: int | None = None) -> list[Waveform]:
-    """Load every .wav in ``directory`` (sorted by name)."""
+def load_corpus(directory, sample_rate: int) -> list[Waveform]:
+    """Load every .wav in ``directory`` (sorted by name), each at ``sample_rate``."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.wav"))
     if not paths:
@@ -72,7 +69,7 @@ def load_corpus(directory, sample_rate: int | None = None) -> list[Waveform]:
     out = []
     for path in paths:
         wav = wav_read(path)
-        if sample_rate is not None and wav.sample_rate != sample_rate:
+        if wav.sample_rate != sample_rate:
             raise WavFormatError(
                 f"{path}: sample rate {wav.sample_rate} != expected {sample_rate}"
             )

@@ -26,7 +26,6 @@ __all__ = [
     "Waveform",
     "MelConfig",
     "MelSpectrogram",
-    "PitchConfig",
     "WavFormatError",
     "mel_spectrogram",
     "mel_filterbank",
@@ -42,6 +41,15 @@ __all__ = [
 ]
 
 MCD_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
+
+# pitch tracker (track_pitch) and FFE constants
+PITCH_FRAME_MS = 25.0
+PITCH_HOP_MS = 6.25
+PITCH_FMIN = 50.0
+PITCH_FMAX = 600.0
+VOICING_THRESHOLD = 0.3  # least peak normalized autocorrelation of a voiced frame
+ENERGY_FLOOR = 1e-4  # a frame with a lower RMS is unvoiced outright
+GPE_THRESHOLD = 0.2  # relative f0 deviation that counts as a gross pitch error
 
 
 class WavFormatError(ValueError):
@@ -125,19 +133,6 @@ class MelSpectrogram:
     config: MelConfig
 
 
-@dataclass(frozen=True)
-class PitchConfig:
-    """Normalized-autocorrelation pitch tracker constants."""
-
-    frame_ms: float = 25.0
-    hop_ms: float = 6.25
-    fmin: float = 50.0
-    fmax: float = 600.0
-    voicing_threshold: float = 0.3
-    gpe_threshold: float = 0.2
-    energy_floor: float = 1e-4
-
-
 def _hann(n: int) -> np.ndarray:
     # periodic Hann, the standard STFT analysis window
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -197,59 +192,58 @@ def mfcc(mel: MelSpectrogram, n_coeffs: int = 13) -> np.ndarray:
     return dct(mel.values, type=2, norm="ortho", axis=0)[:n_coeffs]
 
 
-def _metric_pair(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig):
+def _metric_pair(y_ref: Waveform, y_hyp: Waveform, hop: int):
     if y_ref.sample_rate != y_hyp.sample_rate:
         raise ValueError("sample rates differ")
     mismatch = abs(len(y_ref) - len(y_hyp))
-    if mismatch > cfg.hop_length:
-        raise ValueError(
-            f"length mismatch of {mismatch} samples exceeds one hop ({cfg.hop_length})"
-        )
+    if mismatch > hop:
+        raise ValueError(f"length mismatch of {mismatch} samples exceeds one hop ({hop})")
     n = min(len(y_ref), len(y_hyp))
     ref = Waveform(y_ref.samples[:n], y_ref.sample_rate)
     hyp = Waveform(y_hyp.samples[:n], y_hyp.sample_rate)
     return ref, hyp
 
 
-def ls_mse(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig | None = None) -> float:
+def ls_mse(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig) -> float:
     """Mean squared error between log-mel matrices under the metric framing."""
-    cfg = (cfg or MelConfig()).metric_variant()
-    ref, hyp = _metric_pair(y_ref, y_hyp, cfg)
+    cfg = cfg.metric_variant()
+    ref, hyp = _metric_pair(y_ref, y_hyp, cfg.hop_length)
     a = mel_spectrogram(ref, cfg).values
     b = mel_spectrogram(hyp, cfg).values
     return float(np.mean((a - b) ** 2))
 
 
-def mcd(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig | None = None) -> float:
+def mcd(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig) -> float:
     """Mel cepstral distance over 13 MFCCs, frame-averaged."""
-    cfg = (cfg or MelConfig()).metric_variant()
-    ref, hyp = _metric_pair(y_ref, y_hyp, cfg)
+    cfg = cfg.metric_variant()
+    ref, hyp = _metric_pair(y_ref, y_hyp, cfg.hop_length)
     ca = mfcc(mel_spectrogram(ref, cfg))
     cb = mfcc(mel_spectrogram(hyp, cfg))
     dist = np.sqrt(np.sum((ca - cb) ** 2, axis=0))
     return float(MCD_SCALE * np.mean(dist))
 
 
-def track_pitch(
-    y: Waveform, cfg: PitchConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _pitch_hop(sample_rate: int) -> int:
+    return int(round(PITCH_HOP_MS * sample_rate / 1000.0))
+
+
+def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (f0, voiced) via normalized autocorrelation peak picking.
 
-    f0 is 0.0 on unvoiced frames.  Frames below the energy floor are
-    unvoiced outright.
+    Frames of ``PITCH_FRAME_MS`` every ``PITCH_HOP_MS``; lags cover
+    ``PITCH_FMIN``..``PITCH_FMAX``.  f0 is 0.0 on unvoiced frames.  Frames
+    whose RMS is below ``ENERGY_FLOOR`` are unvoiced outright.
     """
-    cfg = cfg or PitchConfig()
     sr = y.sample_rate
-    win = int(round(cfg.frame_ms * sr / 1000.0))
-    hop = int(round(cfg.hop_ms * sr / 1000.0))
-    lag_min = max(int(sr / cfg.fmax), 1)
-    lag_max = min(int(sr / cfg.fmin), win - 1)
-    frames = _frame(y.samples, win, hop)
+    win = int(round(PITCH_FRAME_MS * sr / 1000.0))
+    lag_min = max(int(sr / PITCH_FMAX), 1)
+    lag_max = min(int(sr / PITCH_FMIN), win - 1)
+    frames = _frame(y.samples, win, _pitch_hop(sr))
     n_frames = frames.shape[0]
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     for i, frame in enumerate(frames):
-        if np.sqrt(np.mean(frame**2)) < cfg.energy_floor:
+        if np.sqrt(np.mean(frame**2)) < ENERGY_FLOOR:
             continue
         frame = frame - frame.mean()
         e0 = float(frame @ frame)
@@ -264,7 +258,7 @@ def track_pitch(
             if denom > 0.0:
                 corr[k] = float(a @ b) / denom
         best_r = float(corr.max())
-        if best_r > cfg.voicing_threshold:
+        if best_r > VOICING_THRESHOLD:
             # lag multiples of the true period score almost identically, so
             # take the shortest lag within a whisker of the maximum to avoid
             # octave-down errors
@@ -274,36 +268,17 @@ def track_pitch(
     return f0, voiced
 
 
-def ffe(
-    y_ref: Waveform,
-    y_hyp: Waveform,
-    cfg: PitchConfig | None = None,
-) -> float:
-    """F0 frame error: voicing mismatches plus >20% pitch deviations.
+def ffe(y_ref: Waveform, y_hyp: Waveform) -> float:
+    """F0 frame error: voicing mismatches plus gross pitch errors (voiced in
+    both, f0 off by more than ``GPE_THRESHOLD``).
 
     Asymmetric: the reference supplies the ground-truth voicing decisions.
     """
-    cfg = cfg or PitchConfig()
-    if y_ref.sample_rate != y_hyp.sample_rate:
-        raise ValueError("sample rates differ")
-    hop = int(round(cfg.hop_ms * y_ref.sample_rate / 1000.0))
-    mismatch = abs(len(y_ref) - len(y_hyp))
-    if mismatch > hop:
-        raise ValueError(
-            f"length mismatch of {mismatch} samples exceeds one hop ({hop})"
-        )
-    n = min(len(y_ref), len(y_hyp))
-    f0_ref, v_ref = track_pitch(Waveform(y_ref.samples[:n], y_ref.sample_rate), cfg)
-    f0_hyp, v_hyp = track_pitch(Waveform(y_hyp.samples[:n], y_hyp.sample_rate), cfg)
-    m = min(f0_ref.size, f0_hyp.size)
-    f0_ref, v_ref, f0_hyp, v_hyp = f0_ref[:m], v_ref[:m], f0_hyp[:m], v_hyp[:m]
-    voicing_err = v_ref != v_hyp
-    both = v_ref & v_hyp
-    gross = np.zeros(m, dtype=bool)
-    gross[both] = (
-        np.abs(f0_hyp[both] - f0_ref[both]) > cfg.gpe_threshold * f0_ref[both]
-    )
-    return float(np.mean(voicing_err | gross))
+    ref, hyp = _metric_pair(y_ref, y_hyp, _pitch_hop(y_ref.sample_rate))
+    f0_ref, v_ref = track_pitch(ref)
+    f0_hyp, v_hyp = track_pitch(hyp)
+    gross = v_ref & v_hyp & (np.abs(f0_hyp - f0_ref) > GPE_THRESHOLD * f0_ref)
+    return float(np.mean((v_ref != v_hyp) | gross))
 
 
 # -- file I/O ------------------------------------------------------------------
@@ -318,8 +293,9 @@ def wav_read(path) -> Waveform:
             rate = wf.getframerate()
             declared = wf.getnframes()
             raw = wf.readframes(declared)
-    except (wave.Error, EOFError) as exc:
-        raise WavFormatError(f"{path}: not a readable WAV file: {exc}") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:  # the last two carry no message
+        reason = str(exc) or "a header or chunk runs past the end of the file"
+        raise WavFormatError(f"{path}: not a readable WAV file: {reason}") from exc
     if len(raw) != declared * channels * width:
         raise WavFormatError(
             f"{path}: truncated data chunk ({len(raw)} bytes for "
@@ -327,6 +303,8 @@ def wav_read(path) -> Waveform:
         )
     if channels != 1:
         raise WavFormatError(f"{path}: {channels}-channel audio unsupported (mono only)")
+    if rate < 1:
+        raise WavFormatError(f"{path}: sample rate {rate} is not positive")
     if width != 2:
         raise WavFormatError(
             f"{path}: {8 * width}-bit encoding unsupported (16-bit PCM only)"

@@ -33,6 +33,11 @@ class ScheduleError(ValueError):
     """Invalid schedule construction or query."""
 
 
+# Longest linear schedule accepted; the paper's longest is the 1000-step
+# training prior, and each array of a 10**6-step schedule holds 8 MB.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Immutable beta sequence with derived alpha, alpha_bar and ell arrays.
@@ -42,8 +47,6 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    kind: str = "manual"
-    params: tuple = ()
     alphas: np.ndarray = field(init=False)
     alpha_bars: np.ndarray = field(init=False)
     ell: np.ndarray = field(init=False)
@@ -87,7 +90,8 @@ class NoiseSchedule:
 def linear_schedule(beta_start: float, beta_end: float, n: int) -> NoiseSchedule:
     """Arithmetic progression of betas from ``beta_start`` to ``beta_end``.
 
-    ``n == 1`` degenerates to the single entry ``beta_start``.
+    ``n == 1`` degenerates to the single entry ``beta_start``; ``n`` above
+    ``MAX_STEPS`` is rejected before anything is allocated.
     """
     if not (math.isfinite(beta_start) and math.isfinite(beta_end)):
         raise ScheduleError("endpoints must be finite")
@@ -95,13 +99,9 @@ def linear_schedule(beta_start: float, beta_end: float, n: int) -> NoiseSchedule
         raise ScheduleError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    if n < 1:
-        raise ScheduleError("n must be >= 1")
-    if n == 1:
-        betas = np.array([beta_start], dtype=np.float64)
-    else:
-        betas = np.linspace(beta_start, beta_end, n, dtype=np.float64)
-    return NoiseSchedule(betas, kind="linear", params=(beta_start, beta_end, n))
+    if not 1 <= n <= MAX_STEPS:
+        raise ScheduleError(f"n must be in [1, {MAX_STEPS}], got {n}")
+    return NoiseSchedule(np.linspace(beta_start, beta_end, n, dtype=np.float64))
 
 
 def fibonacci_schedule(n: int) -> NoiseSchedule:
@@ -109,19 +109,19 @@ def fibonacci_schedule(n: int) -> NoiseSchedule:
     if n < 2:
         raise ScheduleError("fibonacci schedule needs n >= 2")
     # run the recurrence in exact integer units of 1e-6 so entries match the
-    # hand-unrolled sequence bit for bit
+    # hand-unrolled sequence bit for bit; the entries pass 1 at n = 30, so
+    # the range check inside the loop also bounds its length
     units = [1, 2]
     while len(units) < n:
         units.append(units[-1] + units[-2])
-    betas = np.array(units, dtype=np.float64) * 1e-6
-    if betas[-1] >= 1.0:
-        raise ScheduleError(f"fibonacci schedule exceeds the (0, 1) range at n={n}")
-    return NoiseSchedule(betas, kind="fibonacci", params=(n,))
+        if units[-1] * 1e-6 >= 1.0:
+            raise ScheduleError(f"fibonacci schedule exceeds the (0, 1) range at n={n}")
+    return NoiseSchedule(np.array(units, dtype=np.float64) * 1e-6)
 
 
 def manual_schedule(betas) -> NoiseSchedule:
     """Wrap an explicit beta sequence verbatim."""
-    return NoiseSchedule(np.asarray(betas, dtype=np.float64), kind="manual")
+    return NoiseSchedule(np.asarray(betas, dtype=np.float64))
 
 
 def default_training_prior() -> NoiseSchedule:
@@ -173,22 +173,16 @@ def kl_terminal_diagnostic(schedule: NoiseSchedule, y0: np.ndarray) -> float:
 
 # -- serialization ------------------------------------------------------------
 #
-# Plain-text key-value format: `kind`, `params` and the explicit beta list at
-# full decimal precision, one beta per line.
+# Plain-text key-value format: the explicit beta list at full decimal
+# precision, one `beta = ...` line per step.  Files written by older versions
+# also hold `kind` and `params` lines; the reader skips them.
 
 
 def schedule_to_text(schedule: NoiseSchedule) -> str:
-    lines = [
-        f"kind = {schedule.kind}",
-        "params = " + ",".join(repr(float(p)) for p in schedule.params),
-    ]
-    lines += [f"beta = {float(beta)!r}" for beta in schedule.betas]
-    return "\n".join(lines) + "\n"
+    return "".join(f"beta = {float(beta)!r}\n" for beta in schedule.betas)
 
 
 def schedule_from_text(text: str) -> NoiseSchedule:
-    kind = "manual"
-    params: tuple = ()
     betas = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -198,17 +192,16 @@ def schedule_from_text(text: str) -> NoiseSchedule:
             raise ScheduleError(f"malformed schedule line: {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "kind":
-            kind = value
-        elif key == "params":
-            params = tuple(float(v) for v in value.split(",") if v)
-        elif key == "beta":
-            betas.append(float(value))
-        else:
+        if key == "beta":
+            try:
+                betas.append(float(value))
+            except ValueError:
+                raise ScheduleError(f"malformed beta value: {value!r}") from None
+        elif key not in ("kind", "params"):
             raise ScheduleError(f"unknown schedule key: {key!r}")
     if not betas:
         raise ScheduleError("schedule text contains no beta entries")
-    return NoiseSchedule(np.asarray(betas, dtype=np.float64), kind=kind, params=params)
+    return NoiseSchedule(np.asarray(betas, dtype=np.float64))
 
 
 def parse_schedule_spec(spec: str) -> NoiseSchedule:
@@ -222,8 +215,14 @@ def parse_schedule_spec(spec: str) -> NoiseSchedule:
     """
     spec = spec.strip()
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="ascii") as fh:
-            return schedule_from_text(fh.read())
+        try:
+            with open(spec[1:], "r", encoding="ascii") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise  # a missing file is a data error, not a malformed spec
+        except (OSError, ValueError) as exc:  # a directory, a null byte, non-ASCII
+            raise ScheduleError(f"cannot read schedule file {spec[1:]!r}: {exc}") from exc
+        return schedule_from_text(text)
     try:
         return _parse_inline_spec(spec)
     except (ValueError, TypeError) as exc:

@@ -33,14 +33,22 @@ from .schedule import (
 )
 from .tensor import Tensor
 
-__all__ = ["TrainConfig", "TrainState", "TrainError", "make_batch", "train_step",
-           "evaluate_loss", "run_training", "save_state", "load_state"]
+__all__ = ["TrainConfig", "TrainState", "TrainError", "TrainConfigError", "TrainDataError",
+           "make_batch", "train_step", "run_training", "save_state", "load_state"]
 
 log = logging.getLogger(__name__)
 
 
 class TrainError(RuntimeError):
-    """Non-finite loss or inconsistent training configuration."""
+    """Training cannot go on: a non-finite loss, or one of the subclasses below."""
+
+
+class TrainConfigError(TrainError):
+    """A setting out of range, or one the model or mel analysis cannot use."""
+
+
+class TrainDataError(TrainError):
+    """A dataset with no utterance one segment long."""
 
 
 @dataclass
@@ -60,10 +68,15 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
+        for key, least in (("batch_size", 1), ("segment_samples", 1), ("max_steps", 0),
+                           ("seed", 0), ("checkpoint_every", 0)):
+            value = getattr(self, key)
+            if value < least:
+                raise TrainConfigError(f"{key} must be >= {least}, got {value}")
         if self.conditioning_mode not in ("continuous", "discrete"):
-            raise TrainError(f"unknown conditioning mode {self.conditioning_mode!r}")
+            raise TrainConfigError(f"unknown conditioning mode {self.conditioning_mode!r}")
         if self.conditioning_mode == "discrete" and self.discrete_schedule is None:
-            raise TrainError("discrete conditioning requires a schedule")
+            raise TrainConfigError("discrete conditioning requires a schedule")
 
 
 @dataclass
@@ -87,13 +100,15 @@ def make_batch(
     Utterances shorter than one segment are skipped with a warning.
     """
     if not dataset:
-        raise TrainError("empty dataset")
+        raise TrainDataError("empty dataset")
     hop = mel_cfg.hop_length
     if segment_samples % hop != 0:
-        raise TrainError(
+        raise TrainConfigError(
             f"segment of {segment_samples} samples not divisible by hop {hop}"
         )
-    usable = []
+    usable = [utt for utt in dataset if len(utt) >= segment_samples]
+    if not usable:
+        raise TrainDataError("no utterance is at least one segment long")
     for utt in dataset:
         if len(utt) < segment_samples:
             log.warning(
@@ -101,10 +116,6 @@ def make_batch(
                 utt.duration,
                 segment_samples,
             )
-            continue
-        usable.append(utt)
-    if not usable:
-        raise TrainError("no utterance is at least one segment long")
     batch = []
     for _ in range(batch_size):
         utt = usable[int(rng.integers(len(usable)))]
@@ -183,14 +194,6 @@ def train_step(
     return state, float(loss.data)
 
 
-def evaluate_loss(
-    model: DenoiserModel, batch, config: TrainConfig, seed: int = 12345
-) -> float:
-    """Loss on a fixed batch with fixed noise draws; no parameter update."""
-    rng = np.random.default_rng(seed)
-    return float(_batch_loss(model, batch, config, rng).data)
-
-
 def step_rng(seed: int, step: int) -> np.random.Generator:
     """Generator for one training step, derived from (seed, step)."""
     return np.random.default_rng([seed, step])
@@ -207,12 +210,12 @@ def run_training(
     config = state.config
     spf = state.model.config.samples_per_frame
     if config.segment_samples % spf != 0:
-        raise TrainError(
+        raise TrainConfigError(
             f"segment_samples {config.segment_samples} not divisible by the "
             f"model's {spf} samples per mel frame"
         )
     if mel_cfg.hop_length != spf:
-        raise TrainError(
+        raise TrainConfigError(
             f"mel hop {mel_cfg.hop_length} != model samples-per-frame {spf}"
         )
     log_fh = open(loss_log_path, "a") if loss_log_path else None
@@ -234,7 +237,8 @@ def run_training(
                 and config.checkpoint_every
                 and state.step % config.checkpoint_every == 0
             ):
-                save_state(Path(checkpoint_dir) / f"step{state.step:07d}.ckpt", state)
+                ckpt = Path(checkpoint_dir) / f"step{state.step:07d}.ckpt"
+                save_state(ckpt, state, mel_cfg=mel_cfg)
     finally:
         if log_fh:
             log_fh.close()

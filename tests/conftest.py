@@ -14,12 +14,12 @@ from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.train import (
     TrainConfig,
     TrainState,
-    evaluate_loss,
     make_batch,
     save_state,
     step_rng,
     train_step,
 )
+from oracles import evaluate_loss
 
 TOY_SR = 4000
 TRAIN_STEPS = 1000
@@ -46,12 +46,12 @@ def corpus_dirs(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def train_set(corpus_dirs):
-    return load_corpus(corpus_dirs[0])
+    return load_corpus(corpus_dirs[0], TOY_SR)
 
 
 @pytest.fixture(scope="session")
 def held_set(corpus_dirs):
-    return load_corpus(corpus_dirs[1])
+    return load_corpus(corpus_dirs[1], TOY_SR)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Reference functions that only the tests use.
 
-Closed-form quantities of the diffusion process and a plain sum reduction
-for autodiff checks; the library itself never needs them.
+Closed-form quantities of the diffusion process, a plain sum reduction for
+autodiff checks and a fixed-noise batch loss; the library itself never
+needs them.
 """
 
 import math
@@ -9,6 +10,7 @@ import math
 import numpy as np
 
 from gradvoc.tensor import Tensor, _accumulate, _result
+from gradvoc.train import _batch_loss
 
 
 def noise_log_density_gradient(epsilon: np.ndarray, alpha_bar: float) -> np.ndarray:
@@ -66,3 +68,9 @@ def tsum(x: Tensor) -> Tensor:
         _accumulate(x, np.full_like(x.data, float(g)))
 
     return _result(np.sum(x.data), (x,), backward)
+
+
+def evaluate_loss(model, batch, config, seed: int = 12345) -> float:
+    """Loss on a fixed batch with fixed noise draws; no parameter update."""
+    rng = np.random.default_rng(seed)
+    return float(_batch_loss(model, batch, config, rng).data)

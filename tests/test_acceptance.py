@@ -252,8 +252,8 @@ def test_criterion_8_metric_sanity():
     sr = 24000
     t = np.arange(int(0.5 * sr)) / sr
     ref = Waveform(0.5 * np.sin(2 * np.pi * 200 * t), sr)
-    assert ls_mse(ref, ref) == 0.0
-    assert mcd(ref, ref) == 0.0
+    assert ls_mse(ref, ref, MelConfig()) == 0.0
+    assert mcd(ref, ref, MelConfig()) == 0.0
     assert ffe(ref, ref) == 0.0
 
     shifted = Waveform(0.5 * np.sin(2 * np.pi * 300 * t), sr)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradvoc.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    DataError,
     UsageError,
     main,
     parse_kv_file,
@@ -107,10 +110,10 @@ def write_tone(path, n_samples, sample_rate=4000):
     return path
 
 
-def synth_argv(ckpt, inp, tmp_path):
+def synth_argv(ckpt, inp, tmp_path, schedule="manual6"):
     return [
         "synth", "--checkpoint", str(ckpt), "--input", str(inp),
-        "--schedule", "manual6", "--out", str(tmp_path / "o.wav"),
+        "--schedule", schedule, "--out", str(tmp_path / "o.wav"),
     ]
 
 
@@ -192,7 +195,10 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra, expected",
-    [("learning_rte = 5\n", "'learning_rte'"), ("conditioning = foo\n", "'foo'")],
+    [("learning_rte = 5\n", "'learning_rte'"), ("conditioning = foo\n", "'foo'"),
+     ("batch_size = 0\n", "batch_size"), ("batch_size = -2\n", "batch_size"),
+     ("seed = -1\n", "seed"), ("segment_samples = 0\n", "segment_samples"),
+     ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps")],
 )
 def test_bad_train_config_is_usage_error(extra, expected, corpus_dirs, tmp_path, capsys):
     code = main(train_argv(tmp_path, corpus_dirs[0], extra))
@@ -201,6 +207,53 @@ def test_bad_train_config_is_usage_error(extra, expected, corpus_dirs, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
     assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, code, expected",
+    [("segment_samples = 255\n", EXIT_USAGE, "samples per mel frame"),
+     ("segment_samples = 8000\n", EXIT_DATA, "at least one segment long")],
+)
+def test_segment_the_model_or_corpus_cannot_use(extra, code, expected, corpus_dirs,
+                                                 tmp_path, capsys):
+    assert main(train_argv(tmp_path, corpus_dirs[0], extra)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_periodic_checkpoint_synthesizes_from_wav(corpus_dirs, tmp_path):
+    assert main(train_argv(tmp_path, corpus_dirs[0], "checkpoint_every = 1\n")) == EXIT_OK
+    ckpt = tmp_path / "ckpt" / "step0000001.ckpt"
+    inp = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    # a short, high-noise schedule keeps this barely trained net's chain finite
+    assert main(synth_argv(ckpt, inp, tmp_path, "linear(0.1,0.5,3)")) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [("fibonacci(2000)", EXIT_USAGE), ("linear(1e-4,0.5,100000000000)", EXIT_USAGE),
+     ("@{dir}", EXIT_USAGE), ("@{dir}/abc.txt", EXIT_USAGE), ("@{dir}/accent.txt", EXIT_USAGE),
+     ("@{dir}/none.txt", EXIT_DATA)],
+)
+def test_bad_schedule_spec_is_one_line_error(spec, code, tmp_path, capsys):
+    (tmp_path / "abc.txt").write_text("beta = abc\n")
+    (tmp_path / "accent.txt").write_bytes("beta = 0.1 \u00e9\n".encode())
+    assert main(["inspect-schedule", spec.format(dir=tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.binary(max_size=60) | st.text(max_size=60).map(str.encode))
+def test_any_config_bytes_parse_or_raise_cli_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(content)
+    try:
+        parsed = parse_kv_file(path)
+    except (UsageError, DataError):
+        return
+    assert all(key and "=" not in key for key in parsed)
 
 
 def test_divergent_chain_names_the_step(untrained_ckpt, corpus_dirs, tmp_path, capsys):

@@ -5,14 +5,16 @@ implementation written independently of the library code paths.
 """
 
 import math
+import struct
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradvoc.dsp import (
     MelConfig,
-    PitchConfig,
     Waveform,
     WavFormatError,
     ffe,
@@ -153,8 +155,8 @@ def test_too_short_signal_rejected():
 
 def test_metrics_zero_on_identical():
     y = tone(220)
-    assert ls_mse(y, y) == 0.0
-    assert mcd(y, y) == 0.0
+    assert ls_mse(y, y, MelConfig()) == 0.0
+    assert mcd(y, y, MelConfig()) == 0.0
     assert ffe(y, y) == 0.0
 
 
@@ -182,7 +184,7 @@ def test_mcd_noise_ordering():
     sine = tone(220)
     noise = Waveform(0.5 * rng.standard_normal(len(sine)), SR)
     shifted = Waveform(np.roll(sine.samples, 7), SR)
-    assert mcd(sine, noise) > mcd(sine, shifted) > 0
+    assert mcd(sine, noise, MelConfig()) > mcd(sine, shifted, MelConfig()) > 0
 
 
 def test_mcd_gain_offset_only_in_c0():
@@ -191,7 +193,7 @@ def test_mcd_gain_offset_only_in_c0():
     rng = np.random.default_rng(3)
     ref = Waveform(0.5 * rng.standard_normal(int(0.3 * SR)), SR)
     scaled = Waveform(0.25 * ref.samples, SR)
-    assert mcd(ref, scaled) > 0.1
+    assert mcd(ref, scaled, MelConfig()) > 0.1
     cfg = MelConfig().metric_variant()
     ca = mfcc(mel_spectrogram(ref, cfg))
     cb = mfcc(mel_spectrogram(scaled, cfg))
@@ -201,10 +203,10 @@ def test_mcd_gain_offset_only_in_c0():
 def test_metric_length_mismatch_policy():
     y = tone(220)
     near = Waveform(y.samples[:-10], SR)  # within one hop: trimmed
-    assert ls_mse(y, near) == pytest.approx(0.0, abs=1e-12)
+    assert ls_mse(y, near, MelConfig()) == pytest.approx(0.0, abs=1e-12)
     far = Waveform(y.samples[:-400], SR)  # beyond one metric hop (150)
     with pytest.raises(ValueError):
-        ls_mse(y, far)
+        ls_mse(y, far, MelConfig())
 
 
 # -- pitch ---------------------------------------------------------------------------
@@ -278,6 +280,52 @@ def test_wav_rejects_stereo(tmp_path):
         w.writeframes(b"\x00\x00\x00\x00" * 64)
     with pytest.raises(WavFormatError):
         wav_read(path)
+
+
+def wav_bytes(channels=1, rate=SR, width=2, fmt_size=16, data=b"\x00\x00" * 8):
+    """A RIFF/WAVE file built field by field, so each field can be wrong."""
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * channels * width % 2**32,
+                      channels * width % 2**16, 8 * width % 2**16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", fmt_size) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize(
+    "fields", [{"rate": 0}, {"fmt_size": 77}, {"width": 1}, {"channels": 0}],
+    ids=["zero-rate", "chunk-past-end", "8-bit", "no-channels"],
+)
+def test_wav_rejects_bad_header_fields(fields, tmp_path):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(wav_bytes(**fields))
+    with pytest.raises(WavFormatError):
+        wav_read(path)
+
+
+@st.composite
+def wav_like(draw):
+    """Arbitrary bytes, or a WAV header with arbitrary fields, maybe cut short."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    data = wav_bytes(
+        channels=draw(st.integers(0, 3)),
+        rate=draw(st.sampled_from([0, 1, SR, 2**32 - 1])),
+        width=draw(st.integers(0, 4)),
+        fmt_size=draw(st.sampled_from([0, 14, 16, 18, 77, 2**32 - 1])),
+        data=draw(st.binary(max_size=24)),
+    )
+    return data[: draw(st.integers(0, len(data)))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=wav_like())
+def test_any_bytes_read_or_raise_wav_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+    path.write_bytes(data)
+    try:
+        wav_read(path)
+    except WavFormatError:
+        pass
 
 
 def test_mel_file_round_trip(tmp_path):

@@ -1,12 +1,14 @@
 """Noise schedule construction, noise-level sampling, and diagnostics."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradvoc.checkpoint import load_tensors
 from gradvoc.schedule import (
     NoiseSchedule,
     ScheduleError,
@@ -128,7 +130,6 @@ def test_sample_support_single_segment():
 
 def test_training_prior_support():
     prior = default_training_prior()
-    assert prior.kind == "linear"
     assert prior.betas[0] == 1e-6 and prior.betas[-1] == 0.01 and len(prior) == 1000
     lo = prior.ell[-1]
     rng = np.random.default_rng(1)
@@ -194,7 +195,6 @@ def test_text_round_trip():
               manual_schedule([0.1, 0.2])):
         back = schedule_from_text(schedule_to_text(s))
         assert np.array_equal(back.betas, s.betas)
-        assert back.kind == s.kind
 
 
 def test_parse_spec_forms(tmp_path):
@@ -212,3 +212,79 @@ def test_parse_spec_rejects_garbage():
     for bad in ("linear(1,2)", "unknown(3)", "", "manual()"):
         with pytest.raises(ScheduleError):
             parse_schedule_spec(bad)
+
+
+def test_text_holds_only_beta_lines():
+    text = schedule_to_text(linear_schedule(1e-4, 0.05, 3))
+    assert text == "beta = 0.0001\nbeta = 0.02505\nbeta = 0.05\n"
+
+
+def test_text_with_kind_and_params_lines_still_reads():
+    older = "kind = linear\nparams = 0.0001,0.05,3.0\n" + schedule_to_text(
+        linear_schedule(1e-4, 0.05, 3)
+    )
+    assert schedule_from_text(older) == linear_schedule(1e-4, 0.05, 3)
+    assert schedule_from_text("beta = 0.1\nparams = x\n").betas.tolist() == [0.1]
+    # the committed benchmark checkpoint was written in that older form
+    _, meta = load_tensors(Path(__file__).parent.parent / "perfbench" / "sweep-toy.ckpt")
+    assert meta["training_prior"].startswith("kind = linear\nparams = ")
+    assert schedule_from_text(meta["training_prior"]) == default_training_prior()
+
+
+@pytest.mark.parametrize(
+    "spec", ["fibonacci(2000)", "linear(1e-4,0.5,100000000000)", "linear(1e-4,0.5,1000001)"],
+)
+def test_oversized_specs_are_schedule_errors(spec):
+    with pytest.raises(ScheduleError):
+        parse_schedule_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"beta = abc\n", "beta = 0.1 \u00e9\n".encode()],
+)
+def test_unreadable_schedule_file_is_schedule_error(content, tmp_path):
+    path = tmp_path  # None: the directory itself
+    if content is not None:
+        path = tmp_path / "s.txt"
+        path.write_bytes(content)
+    with pytest.raises(ScheduleError):
+        parse_schedule_spec(f"@{path}")
+
+
+def test_missing_schedule_file_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        parse_schedule_spec(f"@{tmp_path / 'none.txt'}")
+
+
+# step counts stay small: an unbounded recurrence would take the machine's memory
+inline_specs = st.text(max_size=40) | st.builds(
+    "{}({})".format,
+    st.sampled_from(["linear", "fibonacci", "manual", "Linear", "", " manual "]),
+    st.lists(st.integers(-5, 5000).map(str) | st.floats().map(repr) | st.text(max_size=4),
+             max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=inline_specs)
+def test_any_inline_spec_parses_or_raises_schedule_error(spec):
+    if spec.strip().startswith("@"):
+        return
+    try:
+        parse_schedule_spec(spec)
+    except ScheduleError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.binary(max_size=80) | st.lists(
+    st.sampled_from(["beta = 0.1", "beta = 1e-4", "beta = x", "kind = linear",
+                     "params = 1,2", "# c", "", "beta=", "=", "beta = nan", "noise"]),
+    max_size=6).map(lambda lines: "\n".join(lines).encode()))
+def test_any_schedule_file_parses_or_raises_schedule_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz-schedule.txt"
+    path.write_bytes(content)
+    try:
+        parse_schedule_spec(f"@{path}")
+    except ScheduleError:
+        pass

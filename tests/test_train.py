@@ -14,7 +14,6 @@ from gradvoc.train import (
     TrainConfig,
     TrainError,
     TrainState,
-    evaluate_loss,
     load_state,
     make_batch,
     run_training,
@@ -23,7 +22,7 @@ from gradvoc.train import (
     train_step,
 )
 from conftest import SEGMENT, TOY_SR, toy_mel
-from oracles import loss_l1, optimal_gaussian_epsilon
+from oracles import evaluate_loss, loss_l1, optimal_gaussian_epsilon
 
 
 def fresh_state(seed=0, **overrides):
