@@ -224,7 +224,6 @@ def cmd_train(args) -> int:
         model = DenoiserModel(model_cfg, seed=config.seed)
         state = TrainState(model=model, config=config)
 
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     state = run_training(
         state, dataset, mel_cfg, loss_log_path=loss_log, checkpoint_dir=ckpt_dir
     )
@@ -291,11 +290,11 @@ def cmd_synth(args) -> int:
         for i, snap in enumerate(snapshots):
             wav_write(
                 outdir / f"iter{total - i:03d}.wav",
-                Waveform(np.clip(snap, -1, 1), mel_cfg.sample_rate),
+                Waveform(snap, mel_cfg.sample_rate),
             )
     else:
         waveform = result
-    wav_write(args.out, Waveform(np.clip(waveform, -1, 1), mel_cfg.sample_rate))
+    wav_write(args.out, Waveform(waveform, mel_cfg.sample_rate))
     print(f"wrote {args.out} ({len(waveform)} samples, {len(schedule)} iterations)")
     return EXIT_OK
 
@@ -310,13 +309,6 @@ def _score_schedule(model, schedule, refs, mels, mel_cfg, seed) -> float:
         )
         scores.append(ls_mse(ref, Waveform(hyp, ref.sample_rate), mel_cfg))
     return float(np.mean(scores))
-
-
-def _random_candidate(rng, n, non_decreasing) -> tuple[float, ...]:
-    betas = tuple(float(rng.choice(SWEEP_GRID)) for _ in range(n))
-    if non_decreasing:
-        betas = tuple(sorted(betas))
-    return betas
 
 
 def cmd_sweep(args) -> int:
@@ -350,7 +342,7 @@ def cmd_sweep(args) -> int:
         n, grid = args.iterations, len(SWEEP_GRID)
         if n < 1:
             raise UsageError("--iterations must be at least 1")
-        distinct = math.comb(grid + n - 1, n) if args.non_decreasing else grid**n
+        distinct = math.comb(grid + n - 1, n)
         if args.budget > distinct:
             raise UsageError(
                 f"--budget {args.budget} exceeds the {distinct} distinct "
@@ -358,8 +350,8 @@ def cmd_sweep(args) -> int:
             )
         seen = set()
         candidates = []
-        while len(candidates) < args.budget:
-            cand = _random_candidate(rng, args.iterations, args.non_decreasing)
+        while len(candidates) < args.budget:  # non-decreasing schedules from the grid
+            cand = tuple(sorted(float(rng.choice(SWEEP_GRID)) for _ in range(n)))
             if cand not in seen:
                 seen.add(cand)
                 candidates.append(cand)
@@ -385,7 +377,7 @@ def cmd_sweep(args) -> int:
                     trial = list(best)
                     trial[pos] = value
                     trial = tuple(trial)
-                    if args.non_decreasing and list(trial) != sorted(trial):
+                    if list(trial) != sorted(trial):
                         continue
                     if score(trial) < scored[best]:
                         best = trial
@@ -550,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates-file", default=None,
                    help="fixed candidate list (one schedule spec per line)")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--allow-decreasing", dest="non_decreasing", action="store_false")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

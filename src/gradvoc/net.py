@@ -45,26 +45,26 @@ __all__ = [
 ]
 
 
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= int(x)
-    return out
+# Fixed by the architecture rather than configured.
+DBLOCK_DILATIONS = (1, 2, 4)
+POSITIONAL_SCALE = 5000.0
+LEAKY_SLOPE = 0.2  # value inherited from the GAN generator lineage
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Shapes and wiring of the denoiser.
 
-    Defaults are the base configuration (17.23M parameters).  The DBlock
-    factors/channels mirror the reversed tail of the UBlock stack so that
-    every FiLM sees temporally aligned features.
+    Defaults are the base configuration (17.23M parameters).  The UBlock
+    stack defines the model: the DBlock factors and channels are derived as
+    the reversed tail of the UBlock factors and channels, so that every FiLM
+    sees temporally aligned features.  Every DBlock uses the dilations
+    ``DBLOCK_DILATIONS``, the noise embedding sits at ``POSITIONAL_SCALE``
+    times the noise level, and every leaky ReLU has slope ``LEAKY_SLOPE``.
     """
 
     upsample_factors: tuple = (5, 5, 3, 2, 2)
     ublock_channels: tuple = (512, 512, 256, 128, 128)
-    dblock_channels: tuple = (128, 128, 256, 512)
-    dblock_factors: tuple = (2, 2, 3, 5)
     ublock_dilations: tuple = (
         (1, 2, 4, 8),
         (1, 2, 4, 8),
@@ -72,63 +72,50 @@ class ModelConfig:
         (1, 2, 1, 2),
         (1, 2, 1, 2),
     )
-    dblock_dilations: tuple = (1, 2, 4)
     mel_bins: int = 128
     pre_conv_channels: int = 32
     mel_conv_channels: int = 768
-    positional_scale: float = 5000.0
-    leaky_slope: float = 0.2  # value inherited from the GAN generator lineage
     dtype: str = "float32"
 
     def __post_init__(self):
         n_up = len(self.upsample_factors)
+        if n_up < 1:
+            raise ValueError("need at least one UBlock")
         if len(self.ublock_channels) != n_up or len(self.ublock_dilations) != n_up:
             raise ValueError("ublock channel/dilation lists must match factor count")
-        if len(self.dblock_channels) != n_up - 1 or len(self.dblock_factors) != n_up - 1:
-            raise ValueError("need exactly one DBlock per UBlock after the first")
-        # temporal alignment: the DBlock chain prefix products must mirror the
-        # UBlock suffix products, otherwise FiLM shapes cannot line up
-        for j in range(1, n_up + 1):
-            if _prod(self.dblock_factors[: n_up - j]) != _prod(
-                self.upsample_factors[j:]
-            ):
-                raise ValueError(
-                    "dblock_factors misaligned with upsample_factors "
-                    f"(stage {j}); use the reversed tail of the UBlock factors"
-                )
+        dilations = [d for ds in self.ublock_dilations for d in ds]
+        if not all(isinstance(v, int) and v >= 1 for v in (*self.upsample_factors, *dilations)):
+            raise ValueError("upsample factors and dilations must be integers >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 
     @property
+    def dblock_channels(self) -> tuple:
+        return tuple(reversed(self.ublock_channels[1:]))
+
+    @property
+    def dblock_factors(self) -> tuple:
+        return tuple(reversed(self.upsample_factors[1:]))
+
+    @property
     def samples_per_frame(self) -> int:
-        return _prod(self.upsample_factors)
+        return math.prod(self.upsample_factors)
 
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
     @classmethod
-    def large(cls, base: "ModelConfig | None" = None) -> "ModelConfig":
-        """Double every UBlock/DBlock: each original block is followed by a
-        same-channel block that does not resample, and all UBlocks use the
-        (1, 2, 4, 8) dilation pattern."""
-        base = base or cls()
+    def large(cls) -> "ModelConfig":
+        """Double every UBlock (and so every DBlock): each base block is
+        followed by a same-channel block that does not resample, and all
+        UBlocks use the (1, 2, 4, 8) dilation pattern."""
+        base = cls()
         up = tuple(f for factor in base.upsample_factors for f in (factor, 1))
-        channels = tuple(c for ch in base.ublock_channels for c in (ch, ch))
-        dil = tuple((1, 2, 4, 8) for _ in up)
         return cls(
             upsample_factors=up,
-            ublock_channels=channels,
-            dblock_channels=tuple(reversed(channels[1:])),
-            dblock_factors=tuple(reversed(up[1:])),
-            ublock_dilations=dil,
-            dblock_dilations=base.dblock_dilations,
-            mel_bins=base.mel_bins,
-            pre_conv_channels=base.pre_conv_channels,
-            mel_conv_channels=base.mel_conv_channels,
-            positional_scale=base.positional_scale,
-            leaky_slope=base.leaky_slope,
-            dtype=base.dtype,
+            ublock_channels=tuple(c for ch in base.ublock_channels for c in (ch, ch)),
+            ublock_dilations=tuple((1, 2, 4, 8) for _ in up),
         )
 
     @classmethod
@@ -137,8 +124,6 @@ class ModelConfig:
         return cls(
             upsample_factors=(2, 2),
             ublock_channels=(8, 8),
-            dblock_channels=(8,),
-            dblock_factors=(2,),
             ublock_dilations=((1, 2, 4, 8), (1, 2, 1, 2)),
             mel_bins=8,
             pre_conv_channels=4,
@@ -217,14 +202,13 @@ class FiLM(Module):
     gamma and xi at the modulated stage's channel count.
     """
 
-    def __init__(self, c_in, c_out, rng, dtype, slope=0.2):
-        self.slope = slope
+    def __init__(self, c_in, c_out, rng, dtype):
         self.input_conv = Conv1d(c_in, c_out, 3, rng, dtype)
         self.gamma_conv = Conv1d(c_out, c_out, 3, rng, dtype)
         self.xi_conv = Conv1d(c_out, c_out, 3, rng, dtype)
 
     def __call__(self, features: Tensor, noise_embedding: Tensor):
-        h = T.leaky_relu(self.input_conv(features), self.slope)
+        h = T.leaky_relu(self.input_conv(features), LEAKY_SLOPE)
         h = T.add_channel_bias(h, noise_embedding)
         return self.gamma_conv(h), self.xi_conv(h)
 
@@ -237,9 +221,8 @@ class UBlock(Module):
     affine, LReLU, conv(d2), affine, LReLU, conv(d3).
     """
 
-    def __init__(self, c_in, c_out, factor, dilations, rng, dtype, slope=0.2):
+    def __init__(self, c_in, c_out, factor, dilations, rng, dtype):
         self.factor = factor
-        self.slope = slope
         d0, d1, d2, d3 = dilations
         self.main1 = Conv1d(c_in, c_out, 3, rng, dtype, dilation=d0)
         self.main2 = Conv1d(c_out, c_out, 3, rng, dtype, dilation=d1)
@@ -252,18 +235,18 @@ class UBlock(Module):
 
     def __call__(self, x: Tensor, gamma: Tensor, xi: Tensor) -> Tensor:
         skip = self.skip(T.nearest_upsample(x, self.factor))
-        h = T.leaky_relu(x, self.slope)
+        h = T.leaky_relu(x, LEAKY_SLOPE)
         h = T.nearest_upsample(h, self.factor)
         h = self.main1(h)
         h = self._affine(h, gamma, xi)
-        h = T.leaky_relu(h, self.slope)
+        h = T.leaky_relu(h, LEAKY_SLOPE)
         h = self.main2(h)
         first = T.add(skip, h)
         h = self._affine(first, gamma, xi)
-        h = T.leaky_relu(h, self.slope)
+        h = T.leaky_relu(h, LEAKY_SLOPE)
         h = self.res2a(h)
         h = self._affine(h, gamma, xi)
-        h = T.leaky_relu(h, self.slope)
+        h = T.leaky_relu(h, LEAKY_SLOPE)
         h = self.res2b(h)
         return T.add(first, h)
 
@@ -272,9 +255,8 @@ class DBlock(Module):
     """Downsampling residual block: decimation plus three dilated convs,
     with an unbiased stride-f 1x1 skip."""
 
-    def __init__(self, c_in, c_out, factor, dilations, rng, dtype, slope=0.2):
+    def __init__(self, c_in, c_out, factor, dilations, rng, dtype):
         self.factor = factor
-        self.slope = slope
         d0, d1, d2 = dilations
         self.main1 = Conv1d(c_in, c_out, 3, rng, dtype, dilation=d0)
         self.main2 = Conv1d(c_out, c_out, 3, rng, dtype, dilation=d1)
@@ -284,9 +266,9 @@ class DBlock(Module):
     def __call__(self, y: Tensor) -> Tensor:
         skip = self.skip(y)
         h = T.downsample(y, self.factor)
-        h = self.main1(T.leaky_relu(h, self.slope))
-        h = self.main2(T.leaky_relu(h, self.slope))
-        h = self.main3(T.leaky_relu(h, self.slope))
+        h = self.main1(T.leaky_relu(h, LEAKY_SLOPE))
+        h = self.main2(T.leaky_relu(h, LEAKY_SLOPE))
+        h = self.main3(T.leaky_relu(h, LEAKY_SLOPE))
         return T.add(skip, h)
 
 
@@ -301,7 +283,6 @@ class DenoiserModel(Module):
         self.config = config
         rng = np.random.default_rng(seed)
         dtype = config.np_dtype
-        slope = config.leaky_slope
         n_up = len(config.upsample_factors)
 
         self.pre_conv = Conv1d(1, config.pre_conv_channels, 5, rng, dtype)
@@ -311,10 +292,9 @@ class DenoiserModel(Module):
                 chain[i],
                 chain[i + 1],
                 config.dblock_factors[i],
-                config.dblock_dilations,
+                DBLOCK_DILATIONS,
                 rng,
                 dtype,
-                slope,
             )
             for i in range(n_up - 1)
         ]
@@ -328,13 +308,12 @@ class DenoiserModel(Module):
                 config.ublock_dilations[j],
                 rng,
                 dtype,
-                slope,
             )
             for j in range(n_up)
         ]
         # FiLM for UBlock j reads the DBlock-chain output at index n_up-1-j
         self.films = [
-            FiLM(chain[n_up - 1 - j], config.ublock_channels[j], rng, dtype, slope)
+            FiLM(chain[n_up - 1 - j], config.ublock_channels[j], rng, dtype)
             for j in range(n_up)
         ]
         self.post_conv = Conv1d(config.ublock_channels[-1], 1, 3, rng, dtype)
@@ -364,7 +343,7 @@ class DenoiserModel(Module):
         u = self.mel_conv(Tensor(x))
         for j, (ublock, film) in enumerate(zip(self.ublocks, self.films)):
             emb = positional_encoding(
-                sqrt_alpha_bar, self.config.ublock_channels[j], cfg.positional_scale
+                sqrt_alpha_bar, self.config.ublock_channels[j], POSITIONAL_SCALE
             ).astype(dtype)
             gamma, xi = film(chain[n_up - 1 - j], Tensor(emb))
             u = ublock(u, gamma, xi)

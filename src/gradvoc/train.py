@@ -23,7 +23,7 @@ from . import tensor as T
 from .checkpoint import CheckpointError, load_tensors, save_tensors
 from .diffusion import forward_diffuse
 from .dsp import MelConfig, Waveform, mel_spectrogram
-from .net import DenoiserModel, ModelConfig
+from .net import DBLOCK_DILATIONS, LEAKY_SLOPE, POSITIONAL_SCALE, DenoiserModel, ModelConfig
 from .schedule import (
     NoiseSchedule,
     default_training_prior,
@@ -37,6 +37,12 @@ __all__ = ["TrainConfig", "TrainState", "TrainError", "TrainConfigError", "Train
            "make_batch", "train_step", "run_training", "save_state", "load_state"]
 
 log = logging.getLogger(__name__)
+
+# Adam moment decays and epsilon, and the global gradient-norm clip
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLIP_NORM = 1.0
 
 
 class TrainError(RuntimeError):
@@ -57,10 +63,6 @@ class TrainConfig:
     batch_size: int = 4
     segment_samples: int = 7200
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float = 1.0  # global gradient-norm clip
     max_steps: int = 1000
     seed: int = 0
     conditioning_mode: str = "continuous"  # or "discrete"
@@ -88,6 +90,20 @@ class TrainState:
     adam_v: dict = field(default_factory=dict)
 
 
+def _usable_utterances(dataset: list[Waveform], segment_samples: int) -> list[Waveform]:
+    """The utterances at least one segment long; warns once per shorter one."""
+    if not dataset:
+        raise TrainDataError("empty dataset")
+    usable = [utt for utt in dataset if len(utt) >= segment_samples]
+    if not usable:
+        raise TrainDataError("no utterance is at least one segment long")
+    for utt in dataset:
+        if len(utt) < segment_samples:
+            log.warning("skipping %0.3fs utterance shorter than one %d-sample segment",
+                        utt.duration, segment_samples)
+    return usable
+
+
 def make_batch(
     dataset: list[Waveform],
     rng: np.random.Generator,
@@ -99,23 +115,12 @@ def make_batch(
 
     Utterances shorter than one segment are skipped with a warning.
     """
-    if not dataset:
-        raise TrainDataError("empty dataset")
     hop = mel_cfg.hop_length
     if segment_samples % hop != 0:
         raise TrainConfigError(
             f"segment of {segment_samples} samples not divisible by hop {hop}"
         )
-    usable = [utt for utt in dataset if len(utt) >= segment_samples]
-    if not usable:
-        raise TrainDataError("no utterance is at least one segment long")
-    for utt in dataset:
-        if len(utt) < segment_samples:
-            log.warning(
-                "skipping %0.3fs utterance shorter than one %d-sample segment",
-                utt.duration,
-                segment_samples,
-            )
+    usable = _usable_utterances(dataset, segment_samples)
     batch = []
     for _ in range(batch_size):
         utt = usable[int(rng.integers(len(usable)))]
@@ -173,11 +178,11 @@ def train_step(
         if p.grad is not None:
             sq += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = np.sqrt(sq)
-    clip = min(1.0, config.clip_norm / norm) if norm > config.clip_norm else 1.0
+    clip = min(1.0, CLIP_NORM / norm) if norm > CLIP_NORM else 1.0
 
     state.step += 1
     t = state.step
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         if p.grad is None:
             continue
@@ -189,7 +194,7 @@ def train_step(
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
         p.data = p.data - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.adam_eps
+            np.sqrt(v_hat) + ADAM_EPS
         )
     return state, float(loss.data)
 
@@ -206,7 +211,7 @@ def run_training(
     loss_log_path=None,
     checkpoint_dir=None,
 ) -> TrainState:
-    """Drive train_step up to config.max_steps, logging loss as CSV."""
+    """Check the segment and dataset, then train to config.max_steps, logging loss as CSV."""
     config = state.config
     spf = state.model.config.samples_per_frame
     if config.segment_samples % spf != 0:
@@ -218,6 +223,9 @@ def run_training(
         raise TrainConfigError(
             f"mel hop {mel_cfg.hop_length} != model samples-per-frame {spf}"
         )
+    usable = _usable_utterances(dataset, config.segment_samples)
+    if checkpoint_dir:
+        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
     log_fh = open(loss_log_path, "a") if loss_log_path else None
     if log_fh and state.step == 0:
         log_fh.write("step,loss,wall_time_s\n")
@@ -226,7 +234,7 @@ def run_training(
         while state.step < config.max_steps:
             rng = step_rng(config.seed, state.step + 1)
             batch = make_batch(
-                dataset, rng, config.batch_size, config.segment_samples, mel_cfg
+                usable, rng, config.batch_size, config.segment_samples, mel_cfg
             )
             state, loss = train_step(state, batch, rng)
             if log_fh:
@@ -277,13 +285,32 @@ def save_state(path, state: TrainState, mel_cfg: MelConfig | None = None) -> Non
     save_tensors(path, tensors, meta=meta)
 
 
-def _config_from_meta(meta: dict) -> ModelConfig:
-    """ModelConfig from its JSON form, where tuples came back as lists."""
+# Keys that archives written before these settings were derived or fixed still
+# carry.  Each must hold the value in use: the config's property of that name
+# (the DBlock lists), or else the constant given here.
+_RETIRED = {
+    ModelConfig: {"dblock_channels": None, "dblock_factors": None,
+                  "dblock_dilations": DBLOCK_DILATIONS, "positional_scale": POSITIONAL_SCALE,
+                  "leaky_slope": LEAKY_SLOPE},
+    TrainConfig: {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
+                  "clip_norm": CLIP_NORM},
+}
+
+
+def _config_from_meta(cls, meta: dict, **extra):
+    """``cls`` from its JSON form, where tuples came back as lists."""
 
     def tup(v):
         return tuple(map(tup, v)) if isinstance(v, list) else v
 
-    return ModelConfig(**{k: tup(v) for k, v in meta.items()})
+    values = {k: tup(v) for k, v in meta.items()}
+    retired = {k: values.pop(k) for k in _RETIRED[cls] if k in values}
+    config = cls(**values, **extra)
+    for key, value in retired.items():
+        expected = getattr(config, key, _RETIRED[cls][key])
+        if value != expected:
+            raise ValueError(f"{key} = {value!r}, but this version uses {expected!r}")
+    return config
 
 
 def load_state(path) -> tuple[TrainState, MelConfig | None]:
@@ -297,13 +324,13 @@ def load_state(path) -> tuple[TrainState, MelConfig | None]:
     if missing:
         raise CheckpointError(f"{path}: not a model checkpoint (no {', '.join(missing)})")
     try:
-        model = DenoiserModel(_config_from_meta(meta["model_config"]), seed=0)
+        model = DenoiserModel(_config_from_meta(ModelConfig, meta["model_config"]), seed=0)
         discrete = meta.get("discrete_schedule")
-        config = TrainConfig(
+        config = _config_from_meta(
+            TrainConfig, meta["train"],
             training_prior=schedule_from_text(meta["training_prior"]),
             conditioning_mode=meta["conditioning_mode"],
             discrete_schedule=schedule_from_text(discrete) if discrete else None,
-            **meta["train"],
         )
         step = int(meta["step"])
         mel_cfg = MelConfig(**meta["mel_config"]) if "mel_config" in meta else None

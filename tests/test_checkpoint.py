@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,8 +164,8 @@ def test_meta_field_order(toy_ckpt):
     assert list(meta) == ["step", "model_config", "conditioning_mode", "training_prior",
                           "train", "mel_config"]
     assert list(meta["train"]) == [
-        "batch_size", "segment_samples", "learning_rate", "adam_beta1", "adam_beta2",
-        "adam_eps", "clip_norm", "max_steps", "seed", "checkpoint_every",
+        "batch_size", "segment_samples", "learning_rate", "max_steps", "seed",
+        "checkpoint_every",
     ]
 
 
@@ -219,15 +220,97 @@ def bad_model_config(tensors, meta):
     meta["model_config"]["dblock_factors"] = [3]
 
 
+def negative_factors(tensors, meta):
+    meta["model_config"]["upsample_factors"] = [-2, -2]
+
+
+def fractional_factor(tensors, meta):
+    meta["model_config"]["upsample_factors"] = [2.5, 2]
+
+
+def zero_dilation(tensors, meta):
+    meta["model_config"]["ublock_dilations"][0] = [0, 2, 4, 8]
+
+
 @pytest.mark.parametrize(
     "edit",
     [drop_param, extra_param, wrong_shape, wrong_moment_shape, stray_entry, no_prior,
-     bad_train_field, bad_model_config],
+     bad_train_field, bad_model_config, negative_factors, fractional_factor, zero_dilation],
 )
 def test_load_state_rejects_mismatched_checkpoint(toy_ckpt, tmp_path, edit):
     bad = rewrite(toy_ckpt, tmp_path / "bad.ckpt", edit)
     with pytest.raises(CheckpointError):
         load_state(bad)
+
+
+# the fixture the sweep-toy benchmark loads: 400 steps of seed-0 toy training,
+# written before the DBlock lists were derived and the optimizer settings fixed
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "sweep-toy.ckpt"
+
+
+def test_benchmark_fixture_loads():
+    state, mel_cfg = load_state(FIXTURE)
+    assert state.model.config == ModelConfig.toy()
+    assert mel_cfg == MelConfig.toy()
+    assert state.step == 400
+    assert state.config == TrainConfig(
+        batch_size=4, segment_samples=256, learning_rate=2e-3, max_steps=400, seed=0
+    )
+
+
+def fixed_slope(tensors, meta):
+    meta["model_config"]["leaky_slope"] = 0.1
+
+
+def fixed_eps(tensors, meta):
+    meta["train"]["adam_eps"] = 1e-6
+
+
+@pytest.mark.parametrize("edit", [fixed_slope, fixed_eps])
+def test_retired_key_must_hold_the_fixed_value(tmp_path, edit):
+    with pytest.raises(CheckpointError, match="this version uses"):
+        load_state(rewrite(FIXTURE, tmp_path / "bad.ckpt", edit))
+
+
+def older_schema(tensors, meta):
+    """The metadata as archives written before this schema carried it."""
+    model = meta["model_config"]
+    meta["model_config"] = {
+        "upsample_factors": model["upsample_factors"],
+        "ublock_channels": model["ublock_channels"],
+        "dblock_channels": [8],
+        "dblock_factors": [2],
+        "ublock_dilations": model["ublock_dilations"],
+        "dblock_dilations": [1, 2, 4],
+        "mel_bins": model["mel_bins"],
+        "pre_conv_channels": model["pre_conv_channels"],
+        "mel_conv_channels": model["mel_conv_channels"],
+        "positional_scale": 5000.0,
+        "leaky_slope": 0.2,
+        "dtype": model["dtype"],
+    }
+    train = meta["train"]
+    meta["train"] = {
+        "batch_size": train["batch_size"],
+        "segment_samples": train["segment_samples"],
+        "learning_rate": train["learning_rate"],
+        "adam_beta1": 0.9,
+        "adam_beta2": 0.999,
+        "adam_eps": 1e-8,
+        "clip_norm": 1.0,
+        "max_steps": train["max_steps"],
+        "seed": train["seed"],
+        "checkpoint_every": train["checkpoint_every"],
+    }
+
+
+def test_older_schema_loads_identically(toy_ckpt, tmp_path):
+    old = rewrite(toy_ckpt, tmp_path / "old.ckpt", older_schema)
+    (state, mel_cfg), (back, back_mel) = load_state(toy_ckpt), load_state(old)
+    assert back.model.config == state.model.config and back.config == state.config
+    assert back_mel == mel_cfg and back.step == state.step
+    for name, p in state.model.parameters().items():
+        assert np.array_equal(back.model.parameters()[name].data, p.data)
 
 
 def test_load_state_rejects_mel_file(tmp_path):

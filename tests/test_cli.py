@@ -19,7 +19,7 @@ from gradvoc.cli import (
 from gradvoc.checkpoint import load_tensors, save_tensors
 from gradvoc.dsp import MelConfig, MelSpectrogram, Waveform, save_mel, wav_read, wav_write
 from gradvoc.net import DenoiserModel, ModelConfig
-from gradvoc.schedule import linear_schedule
+from gradvoc.schedule import kl_terminal_diagnostic, linear_schedule
 from gradvoc.train import TrainConfig, TrainState, save_state
 from conftest import SEGMENT
 from test_checkpoint import drop_param, extra_param, no_prior
@@ -220,6 +220,7 @@ def test_segment_the_model_or_corpus_cannot_use(extra, code, expected, corpus_di
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_periodic_checkpoint_synthesizes_from_wav(corpus_dirs, tmp_path):
@@ -425,6 +426,40 @@ def test_inspect_schedule_fibonacci_rows(tmp_path):
     assert table[1].startswith("1,1e-06,")
     assert table[2].startswith("2,2e-06,")
     assert table[3].startswith("3,3e-06,")
+
+
+def test_inspect_schedule_kl_of_a_wav(tmp_path):
+    wav = write_tone(tmp_path / "y0.wav", 400)
+    out = tmp_path / "f.csv"
+    assert main(["inspect-schedule", "fibonacci25", "--y0", str(wav), "--out", str(out)]) == EXIT_OK
+    line = next(l for l in out.read_text().splitlines() if "terminal_kl_per_dim" in l)
+    y0 = wav_read(wav).samples
+    expected = kl_terminal_diagnostic(resolve_schedule("fibonacci25"), y0) / y0.size
+    assert float(line.split(" = ")[1]) == expected
+
+
+def test_env_roots_resolve_relative_paths(corpus_dirs, tmp_path, monkeypatch):
+    """Relative data and checkpoint paths resolve under the two root variables,
+    not under the working directory."""
+    data_root = corpus_dirs[0].parent
+    monkeypatch.setenv("GRADVOC_DATA_ROOT", str(data_root))
+    monkeypatch.setenv("GRADVOC_CHECKPOINT_ROOT", str(tmp_path / "runs"))
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data_dir = {corpus_dirs[0].name}\nmax_steps = 1\nbatch_size = 1\n"
+                   "checkpoint_dir = toy\n")
+    assert main(["train", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "runs" / "toy" / "final.ckpt").exists()
+
+    cands = tmp_path / "cands.txt"
+    cands.write_text("linear(0.1,0.5,3)\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--checkpoint", "toy/final.ckpt",
+                 "--validation-dir", corpus_dirs[1].name,
+                 "--candidates-file", str(cands), "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 3
+    assert list((tmp_path / "cwd").iterdir()) == []
 
 
 def test_inspect_schedule_warnings(tmp_path, capsys):

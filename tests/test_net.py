@@ -1,6 +1,7 @@
 """Denoiser architecture: blocks, conditioning, shapes, and serialization."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -296,15 +297,14 @@ def test_large_config_alignment():
 
 
 def test_config_rejects_misaligned_factors():
-    with pytest.raises(ValueError):
-        ModelConfig(
-            upsample_factors=(2, 2),
-            ublock_channels=(8, 8),
-            dblock_channels=(8,),
-            dblock_factors=(3,),
-            ublock_dilations=((1, 2, 4, 8), (1, 2, 1, 2)),
-            mel_bins=8,
-        )
+    """The UBlock lists must match the factors; the DBlock lists derive from them."""
+    toy = asdict(ModelConfig.toy())
+    for field, value in [("ublock_channels", (8,)), ("ublock_channels", (8, 8, 8)),
+                         ("ublock_dilations", ((1, 2, 4, 8),))]:
+        with pytest.raises(ValueError):
+            ModelConfig(**{**toy, field: value})
+    with pytest.raises(ValueError, match="at least one UBlock"):
+        ModelConfig(**{**toy, "upsample_factors": (), "ublock_channels": (), "ublock_dilations": ()})
 
 
 def test_full_model_finite_difference():

@@ -80,6 +80,18 @@ def test_short_utterances_skipped_with_warning(train_set, toy_mel_config, caplog
         make_batch([short], np.random.default_rng(0), 2, SEGMENT, toy_mel_config)
 
 
+def test_run_warns_once_per_short_utterance(train_set, toy_mel_config, caplog):
+    short = Waveform(np.zeros(100), TOY_SR)
+    config = TrainConfig(batch_size=1, segment_samples=SEGMENT, max_steps=3)
+    state = TrainState(model=DenoiserModel(ModelConfig.toy(), seed=0), config=config)
+    with caplog.at_level("WARNING"):
+        state = run_training(state, [train_set[0], short], toy_mel_config)
+    assert state.step == 3
+    assert [rec.message for rec in caplog.records if "skipping" in rec.message] == [
+        "skipping 0.025s utterance shorter than one 256-sample segment"
+    ]
+
+
 # -- objective floors ----------------------------------------------------------------
 
 
