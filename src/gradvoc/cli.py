@@ -338,10 +338,10 @@ def cmd_sweep(args) -> int:
             for line in lines
             if line.strip() and not line.strip().startswith("#")
         ]
+        if not candidates:
+            raise UsageError(f"{args.candidates_file}: no candidate schedules")
     else:
         n, grid = args.iterations, len(SWEEP_GRID)
-        if n < 1:
-            raise UsageError("--iterations must be at least 1")
         distinct = math.comb(grid + n - 1, n)
         if args.budget > distinct:
             raise UsageError(
@@ -485,12 +485,15 @@ def cmd_inspect_schedule(args) -> int:
 
 
 def cmd_make_corpus(args) -> int:
-    mel_cfg = MEL_PROFILES[args.mel]()
+    rate = MEL_PROFILES[args.mel]().sample_rate
+    if not 1 <= args.duration * rate < math.inf:
+        raise UsageError(f"--duration must be finite and >= one sample ({1 / rate:g} s), "
+                         f"got {args.duration}")
     paths = generate_corpus(
         _resolve(args.out, "GRADVOC_DATA_ROOT"),
         n_utterances=args.count,
-        n_samples=int(args.duration * mel_cfg.sample_rate),
-        sample_rate=mel_cfg.sample_rate,
+        n_samples=int(args.duration * rate),
+        sample_rate=rate,
         seed=args.seed,
     )
     print(f"wrote {len(paths)} utterances to {args.out}")
@@ -506,11 +509,14 @@ def _emit(lines: list[str], out_path) -> None:
         sys.stdout.write(text)
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def _at_least(least: int, name: str):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".wav (mel is extracted) or .mel")
     p.add_argument("--schedule", required=True, help="preset name or schedule spec")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-intermediates", metavar="DIR", default=None)
     p.set_defaults(func=cmd_synth)
@@ -536,12 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="search short inference schedules by LS-MSE")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--validation-dir", required=True)
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--budget", type=int, default=24)
+    p.add_argument("--iterations", type=_at_least(1, "iterations"), default=6)
+    p.add_argument("--budget", type=_at_least(1, "budget"), default=24)
     p.add_argument("--refine-passes", type=int, default=1)
     p.add_argument("--candidates-file", default=None,
                    help="fixed candidate list (one schedule spec per line)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -559,10 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-corpus", help="generate the bundled synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=16)
+    p.add_argument("--count", type=_at_least(1, "count"), default=16)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--mel", choices=sorted(MEL_PROFILES), default="toy")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=0)
     p.set_defaults(func=cmd_make_corpus)
 
     return parser

@@ -21,8 +21,9 @@ The exact op order inside UBlock/DBlock is frozen by golden hand-trace tests.
 Every layer is a ``Module``, whose ``parameters()`` finds the weights by
 walking the layer's attributes in assignment order: a ``Tensor`` is a
 parameter, an object with a ``parameters`` method is a sub-layer, and the
-items of a list ``xs`` are named ``x0``, ``x1``, ....  The walk fixes every
-parameter name, and the order in which checkpoints store them.
+items of a list ``xs`` are named ``x0``, ``x1``, ....  Layers declare only
+shapes; the walk fixes every parameter name, the order in which checkpoints
+store them, and the order in which ``init_weights`` draws their values.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "FiLM",
     "UBlock",
     "DBlock",
+    "init_weights",
 ]
 
 
@@ -83,9 +85,11 @@ class ModelConfig:
             raise ValueError("need at least one UBlock")
         if len(self.ublock_channels) != n_up or len(self.ublock_dilations) != n_up:
             raise ValueError("ublock channel/dilation lists must match factor count")
-        dilations = [d for ds in self.ublock_dilations for d in ds]
-        if not all(isinstance(v, int) and v >= 1 for v in (*self.upsample_factors, *dilations)):
-            raise ValueError("upsample factors and dilations must be integers >= 1")
+        sizes = (*self.upsample_factors, *(d for ds in self.ublock_dilations for d in ds),
+                 *self.ublock_channels, self.mel_bins, self.pre_conv_channels,
+                 self.mel_conv_channels)
+        if not all(isinstance(v, int) and v >= 1 for v in sizes):
+            raise ValueError("factors, dilations, channels and mel bins must be integers >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 
@@ -167,31 +171,29 @@ class Module:
 
 
 class Conv1d(Module):
-    """Convolution layer with orthogonally initialized weights."""
+    """Convolution layer.  Its weight (c_out, c_in, kernel) and bias (c_out,)
+    start as placeholders that hold no memory, zero-stride views of one zero,
+    until ``init_weights`` draws them or a checkpoint load replaces them."""
 
-    def __init__(
-        self,
-        c_in: int,
-        c_out: int,
-        kernel: int,
-        rng: np.random.Generator,
-        dtype,
-        bias: bool = True,
-        stride: int = 1,
-        dilation: int = 1,
-    ):
+    def __init__(self, c_in: int, c_out: int, kernel: int, bias: bool = True,
+                 stride: int = 1, dilation: int = 1):
         self.stride = stride
         self.dilation = dilation
-        w = T.orthogonal_init((c_out, c_in, kernel), rng, dtype=dtype)
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = (
-            Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True) if bias else None
-        )
+        self.weight = Tensor(np.broadcast_to(0.0, (c_out, c_in, kernel)), requires_grad=True)
+        self.bias = Tensor(np.broadcast_to(0.0, c_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d(
             x, self.weight, self.bias, stride=self.stride, dilation=self.dilation
         )
+
+
+def init_weights(module: Module, rng: np.random.Generator, dtype) -> None:
+    """Draw every parameter of ``module`` in walk order: weights (3-D) get
+    orthogonal values, biases (1-D) zeros."""
+    for p in module.parameters().values():
+        p.data = (T.orthogonal_init(p.shape, rng, dtype=dtype) if p.data.ndim == 3
+                  else np.zeros(p.shape, dtype=dtype))
 
 
 class FiLM(Module):
@@ -202,10 +204,10 @@ class FiLM(Module):
     gamma and xi at the modulated stage's channel count.
     """
 
-    def __init__(self, c_in, c_out, rng, dtype):
-        self.input_conv = Conv1d(c_in, c_out, 3, rng, dtype)
-        self.gamma_conv = Conv1d(c_out, c_out, 3, rng, dtype)
-        self.xi_conv = Conv1d(c_out, c_out, 3, rng, dtype)
+    def __init__(self, c_in, c_out):
+        self.input_conv = Conv1d(c_in, c_out, 3)
+        self.gamma_conv = Conv1d(c_out, c_out, 3)
+        self.xi_conv = Conv1d(c_out, c_out, 3)
 
     def __call__(self, features: Tensor, noise_embedding: Tensor):
         h = T.leaky_relu(self.input_conv(features), LEAKY_SLOPE)
@@ -221,14 +223,14 @@ class UBlock(Module):
     affine, LReLU, conv(d2), affine, LReLU, conv(d3).
     """
 
-    def __init__(self, c_in, c_out, factor, dilations, rng, dtype):
+    def __init__(self, c_in, c_out, factor, dilations):
         self.factor = factor
         d0, d1, d2, d3 = dilations
-        self.main1 = Conv1d(c_in, c_out, 3, rng, dtype, dilation=d0)
-        self.main2 = Conv1d(c_out, c_out, 3, rng, dtype, dilation=d1)
-        self.res2a = Conv1d(c_out, c_out, 3, rng, dtype, dilation=d2)
-        self.res2b = Conv1d(c_out, c_out, 3, rng, dtype, dilation=d3)
-        self.skip = Conv1d(c_in, c_out, 1, rng, dtype, bias=False)
+        self.main1 = Conv1d(c_in, c_out, 3, dilation=d0)
+        self.main2 = Conv1d(c_out, c_out, 3, dilation=d1)
+        self.res2a = Conv1d(c_out, c_out, 3, dilation=d2)
+        self.res2b = Conv1d(c_out, c_out, 3, dilation=d3)
+        self.skip = Conv1d(c_in, c_out, 1, bias=False)
 
     def _affine(self, x, gamma, xi):
         return T.add(T.mul(gamma, x), xi)
@@ -255,13 +257,13 @@ class DBlock(Module):
     """Downsampling residual block: decimation plus three dilated convs,
     with an unbiased stride-f 1x1 skip."""
 
-    def __init__(self, c_in, c_out, factor, dilations, rng, dtype):
+    def __init__(self, c_in, c_out, factor, dilations):
         self.factor = factor
         d0, d1, d2 = dilations
-        self.main1 = Conv1d(c_in, c_out, 3, rng, dtype, dilation=d0)
-        self.main2 = Conv1d(c_out, c_out, 3, rng, dtype, dilation=d1)
-        self.main3 = Conv1d(c_out, c_out, 3, rng, dtype, dilation=d2)
-        self.skip = Conv1d(c_in, c_out, 1, rng, dtype, bias=False, stride=factor)
+        self.main1 = Conv1d(c_in, c_out, 3, dilation=d0)
+        self.main2 = Conv1d(c_out, c_out, 3, dilation=d1)
+        self.main3 = Conv1d(c_out, c_out, 3, dilation=d2)
+        self.skip = Conv1d(c_in, c_out, 1, bias=False, stride=factor)
 
     def __call__(self, y: Tensor) -> Tensor:
         skip = self.skip(y)
@@ -279,44 +281,29 @@ class DenoiserModel(Module):
     continuous noise level; output has the waveform's length.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
+        """``seed=None`` draws nothing: a checkpoint load fills the placeholders."""
         self.config = config
-        rng = np.random.default_rng(seed)
-        dtype = config.np_dtype
         n_up = len(config.upsample_factors)
 
-        self.pre_conv = Conv1d(1, config.pre_conv_channels, 5, rng, dtype)
+        self.pre_conv = Conv1d(1, config.pre_conv_channels, 5)
         chain = [config.pre_conv_channels, *config.dblock_channels]
         self.dblocks = [
-            DBlock(
-                chain[i],
-                chain[i + 1],
-                config.dblock_factors[i],
-                DBLOCK_DILATIONS,
-                rng,
-                dtype,
-            )
+            DBlock(chain[i], chain[i + 1], config.dblock_factors[i], DBLOCK_DILATIONS)
             for i in range(n_up - 1)
         ]
-        self.mel_conv = Conv1d(config.mel_bins, config.mel_conv_channels, 3, rng, dtype)
+        self.mel_conv = Conv1d(config.mel_bins, config.mel_conv_channels, 3)
         u_in = [config.mel_conv_channels, *config.ublock_channels[:-1]]
         self.ublocks = [
-            UBlock(
-                u_in[j],
-                config.ublock_channels[j],
-                config.upsample_factors[j],
-                config.ublock_dilations[j],
-                rng,
-                dtype,
-            )
+            UBlock(u_in[j], config.ublock_channels[j], config.upsample_factors[j],
+                   config.ublock_dilations[j])
             for j in range(n_up)
         ]
         # FiLM for UBlock j reads the DBlock-chain output at index n_up-1-j
-        self.films = [
-            FiLM(chain[n_up - 1 - j], config.ublock_channels[j], rng, dtype)
-            for j in range(n_up)
-        ]
-        self.post_conv = Conv1d(config.ublock_channels[-1], 1, 3, rng, dtype)
+        self.films = [FiLM(chain[n_up - 1 - j], config.ublock_channels[j]) for j in range(n_up)]
+        self.post_conv = Conv1d(config.ublock_channels[-1], 1, 3)
+        if seed is not None:
+            init_weights(self, np.random.default_rng(seed), config.np_dtype)
 
     def forward(self, y_noisy, mel, sqrt_alpha_bar: float) -> Tensor:
         """Graph-building forward pass; returns a (1, T) tensor."""

@@ -284,8 +284,7 @@ def orthogonal_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.nda
     shape = tuple(int(s) for s in shape)
     if len(shape) < 1 or any(s <= 0 for s in shape):
         raise ValueError(f"invalid shape {shape}")
-    rows = shape[0]
-    cols = int(np.prod(shape[1:])) if len(shape) > 1 else 1
+    rows, cols = shape[0], math.prod(shape[1:])
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)

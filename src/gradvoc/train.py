@@ -75,6 +75,8 @@ class TrainConfig:
             value = getattr(self, key)
             if value < least:
                 raise TrainConfigError(f"{key} must be >= {least}, got {value}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise TrainConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
         if self.conditioning_mode not in ("continuous", "discrete"):
             raise TrainConfigError(f"unknown conditioning mode {self.conditioning_mode!r}")
         if self.conditioning_mode == "discrete" and self.discrete_schedule is None:
@@ -211,7 +213,7 @@ def run_training(
     loss_log_path=None,
     checkpoint_dir=None,
 ) -> TrainState:
-    """Check the segment and dataset, then train to config.max_steps, logging loss as CSV."""
+    """Check the segment, corpus and log directory, then train, logging loss as CSV."""
     config = state.config
     spf = state.model.config.samples_per_frame
     if config.segment_samples % spf != 0:
@@ -225,7 +227,12 @@ def run_training(
         )
     usable = _usable_utterances(dataset, config.segment_samples)
     if checkpoint_dir:
-        Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        ckpt_dir = Path(checkpoint_dir).resolve()
+        # the loss log's directory must exist, or be one this mkdir makes
+        log_dir = Path(loss_log_path).resolve().parent if loss_log_path else None
+        if log_dir and not (log_dir.is_dir() or log_dir in (ckpt_dir, *ckpt_dir.parents)):
+            raise FileNotFoundError(f"loss_log {loss_log_path}: no directory {log_dir}")
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
     log_fh = open(loss_log_path, "a") if loss_log_path else None
     if log_fh and state.step == 0:
         log_fh.write("step,loss,wall_time_s\n")
@@ -324,7 +331,7 @@ def load_state(path) -> tuple[TrainState, MelConfig | None]:
     if missing:
         raise CheckpointError(f"{path}: not a model checkpoint (no {', '.join(missing)})")
     try:
-        model = DenoiserModel(_config_from_meta(ModelConfig, meta["model_config"]), seed=0)
+        model = DenoiserModel(_config_from_meta(ModelConfig, meta["model_config"]), seed=None)
         discrete = meta.get("discrete_schedule")
         config = _config_from_meta(
             TrainConfig, meta["train"],

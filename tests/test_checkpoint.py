@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradvoc.checkpoint import CheckpointError, load_tensors, save_tensors
+from gradvoc.cli import EXIT_DATA, main
 from gradvoc.dsp import MelConfig, MelSpectrogram, load_mel, save_mel
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import linear_schedule
@@ -241,6 +243,31 @@ def test_load_state_rejects_mismatched_checkpoint(toy_ckpt, tmp_path, edit):
     bad = rewrite(toy_ckpt, tmp_path / "bad.ckpt", edit)
     with pytest.raises(CheckpointError):
         load_state(bad)
+
+
+def oversized(tensors, meta):
+    meta["model_config"]["ublock_channels"] = [4096, 4096]
+
+
+def test_oversized_model_config_is_refused_before_allocating(toy_ckpt, corpus_dirs, tmp_path,
+                                                             capsys):
+    # this config implies gigabytes of weights; the toy arrays do not match
+    # their shapes, and that shows before any of them is allocated or drawn
+    bad = rewrite(toy_ckpt, tmp_path / "big.ckpt", oversized)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="shape"):
+            load_state(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    inp = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    code = main(["synth", "--checkpoint", str(bad), "--input", str(inp),
+                 "--schedule", "manual6", "--out", str(tmp_path / "o.wav")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # the fixture the sweep-toy benchmark loads: 400 steps of seed-0 toy training,

@@ -198,7 +198,9 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
     [("learning_rte = 5\n", "'learning_rte'"), ("conditioning = foo\n", "'foo'"),
      ("batch_size = 0\n", "batch_size"), ("batch_size = -2\n", "batch_size"),
      ("seed = -1\n", "seed"), ("segment_samples = 0\n", "segment_samples"),
-     ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps")],
+     ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps"),
+     ("learning_rate = 0\n", "learning_rate"), ("learning_rate = -1\n", "learning_rate"),
+     ("learning_rate = inf\n", "learning_rate"), ("learning_rate = nan\n", "learning_rate")],
 )
 def test_bad_train_config_is_usage_error(extra, expected, corpus_dirs, tmp_path, capsys):
     code = main(train_argv(tmp_path, corpus_dirs[0], extra))
@@ -280,6 +282,42 @@ def test_sweep_budget_beyond_distinct_candidates_is_usage_error(
     ])
     assert code == EXIT_USAGE
     assert "54 distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, expected", [
+    (["--iterations", "1", "--budget", "0"], "argument --budget: budget must be >= 1, got 0"),
+    (["--iterations", "1", "--budget", "-3"], "argument --budget: budget must be >= 1, got -3"),
+    (["--candidates-file", "comments.txt"], "comments.txt: no candidate schedules"),
+])
+def test_sweep_with_nothing_to_score_is_usage_error(
+    extra, expected, toy_checkpoint, corpus_dirs, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "comments.txt").write_text("# no schedules here\n\n")
+    code = main(["sweep", "--checkpoint", str(toy_checkpoint),
+                 "--validation-dir", str(corpus_dirs[1]), "--refine-passes", "0", *extra])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert code == EXIT_USAGE
+    assert len(errors) == 1 and errors[0].endswith(expected)
+
+
+@pytest.mark.parametrize("log_dir", ["nodir", "ckpt"])
+def test_loss_log_directory_is_checked_before_the_checkpoint_directory(
+    log_dir, corpus_dirs, tmp_path, capsys
+):
+    # a log inside the checkpoint directory that training makes is fine;
+    # a log in a directory that nothing makes leaves no checkpoint directory
+    log = tmp_path / log_dir / "loss.csv"
+    code = main(train_argv(tmp_path, corpus_dirs[0], f"loss_log = {log}\n"))
+    err = capsys.readouterr().err
+    if log_dir == "ckpt":
+        assert code == EXIT_OK
+        assert log.read_text().splitlines()[0] == "step,loss,wall_time_s"
+    else:
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "loss_log" in err
+        assert not (tmp_path / "ckpt").exists()
 
 
 def test_train_command_and_loss_log(corpus_dirs, tmp_path):
@@ -483,3 +521,26 @@ def test_make_corpus(tmp_path):
     wavs = sorted(out.glob("*.wav"))
     assert len(wavs) == 2
     assert wav_read(wavs[0]).sample_rate == 4000
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_make_corpus_with_no_utterances_is_usage_error(count, tmp_path, capsys):
+    out = tmp_path / "c"
+    code = main(["make-corpus", "--out", str(out), "--count", count])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"gradvoc make-corpus: error: argument --count: count must be >= 1, got {count}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf", "1e-6"])
+def test_make_corpus_with_no_samples_is_usage_error(duration, tmp_path, capsys):
+    out = tmp_path / "c"
+    code = main(["make-corpus", "--out", str(out), "--duration", duration])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == (f"error: --duration must be finite and >= one sample (0.00025 s), "
+                   f"got {float(duration)}\n")
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """Denoiser architecture: blocks, conditioning, shapes, and serialization."""
 
+import hashlib
 import math
 from dataclasses import asdict
 
@@ -14,6 +15,7 @@ from gradvoc.net import (
     FiLM,
     ModelConfig,
     UBlock,
+    init_weights,
     positional_encoding,
 )
 from gradvoc.tensor import Tensor
@@ -83,21 +85,24 @@ def test_encoding_rejects_bad_args():
 
 def test_film_zero_inputs_zero_outputs():
     rng = np.random.default_rng(0)
-    film = FiLM(4, 6, rng, np.float64)
+    film = FiLM(4, 6)
+    init_weights(film, rng, np.float64)
     gamma, xi = film(Tensor(np.zeros((4, 10))), Tensor(np.zeros(6)))
     # biases are zero-initialized, so the whole map is linear and vanishes
     assert np.allclose(gamma.data, 0.0, atol=0) and np.allclose(xi.data, 0.0, atol=0)
 
 
 def test_film_output_channels_match_modulated_stage():
-    film = FiLM(3, 8, np.random.default_rng(1), np.float64)
+    film = FiLM(3, 8)
+    init_weights(film, np.random.default_rng(1), np.float64)
     gamma, xi = film(Tensor(np.ones((3, 12))), Tensor(np.ones(8)))
     assert gamma.shape == (8, 12) and xi.shape == (8, 12)
 
 
 def test_neutral_affine_is_identity():
     x = Tensor(np.random.default_rng(2).standard_normal((4, 9)))
-    block = UBlock(4, 4, 1, (1, 2, 1, 2), np.random.default_rng(3), np.float64)
+    block = UBlock(4, 4, 1, (1, 2, 1, 2))
+    init_weights(block, np.random.default_rng(3), np.float64)
     out = block._affine(x, Tensor(np.ones((4, 9))), Tensor(np.zeros((4, 9))))
     assert np.array_equal(out.data, x.data)
 
@@ -111,7 +116,8 @@ def test_ublock_hand_trace_identity_wiring():
     main = x, skip = x, first sum = 2x; the second residual reproduces 2x,
     so the output is 4x.  Hand-traced on a 3-sample signal.
     """
-    block = UBlock(1, 1, 1, (1, 1, 1, 1), np.random.default_rng(4), np.float64)
+    block = UBlock(1, 1, 1, (1, 1, 1, 1))
+    init_weights(block, np.random.default_rng(4), np.float64)
     for conv in (block.main1, block.main2, block.res2a, block.res2b, block.skip):
         make_identity(conv)
     x = np.array([[0.1, 0.7, 0.4]])
@@ -121,7 +127,8 @@ def test_ublock_hand_trace_identity_wiring():
 
 
 def test_ublock_upsamples_by_factor():
-    block = UBlock(3, 2, 5, (1, 2, 4, 8), np.random.default_rng(5), np.float64)
+    block = UBlock(3, 2, 5, (1, 2, 4, 8))
+    init_weights(block, np.random.default_rng(5), np.float64)
     out = block(
         Tensor(np.random.default_rng(6).standard_normal((3, 7))),
         Tensor(np.ones((2, 35))),
@@ -131,7 +138,8 @@ def test_ublock_upsamples_by_factor():
 
 
 def test_ublock_dilations_honored():
-    block = UBlock(2, 2, 1, (1, 2, 4, 8), np.random.default_rng(7), np.float64)
+    block = UBlock(2, 2, 1, (1, 2, 4, 8))
+    init_weights(block, np.random.default_rng(7), np.float64)
     got = (block.main1.dilation, block.main2.dilation,
            block.res2a.dilation, block.res2b.dilation)
     assert got == (1, 2, 4, 8)
@@ -152,7 +160,8 @@ def test_conv_dilation_receptive_span():
 
 
 def test_dblock_hand_trace_identity_wiring():
-    block = DBlock(1, 1, 1, (1, 1, 1), np.random.default_rng(8), np.float64)
+    block = DBlock(1, 1, 1, (1, 1, 1))
+    init_weights(block, np.random.default_rng(8), np.float64)
     for conv in (block.main1, block.main2, block.main3, block.skip):
         make_identity(conv)
     x = np.array([[0.2, 0.5, 0.1, 0.9]])
@@ -161,7 +170,8 @@ def test_dblock_hand_trace_identity_wiring():
 
 
 def test_dblock_zero_input_zero_output():
-    block = DBlock(3, 5, 2, (1, 2, 4), np.random.default_rng(9), np.float64)
+    block = DBlock(3, 5, 2, (1, 2, 4))
+    init_weights(block, np.random.default_rng(9), np.float64)
     out = block(Tensor(np.zeros((3, 12))))
     assert np.allclose(out.data, 0.0, atol=0)
 
@@ -239,6 +249,45 @@ TOY_PARAM_NAMES = [
 def test_toy_parameter_names_and_order():
     model = DenoiserModel(ModelConfig.toy(), seed=0)
     assert list(model.parameters()) == TOY_PARAM_NAMES
+
+
+# sha256 over the name, dtype, shape and bytes of every seed-0 toy parameter in
+# walk order, recorded when each layer drew its own weights at construction:
+# a change in draw order or in the init policy shows here
+TOY_WEIGHTS_SHA256 = {
+    "float32": "2822f4ebfb3e11ab7a609aeb7651f79d89b5bc5317ed175816617c06c4a8c037",
+    "float64": "2f06424c3fc97f08ffdc3dda2f1dbc93f58898827ee10220c49549cdad79f4bb",
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(TOY_WEIGHTS_SHA256))
+def test_seed0_toy_weights_are_pinned(dtype):
+    digest = hashlib.sha256()
+    for name, p in DenoiserModel(ModelConfig.toy(dtype), seed=0).parameters().items():
+        digest.update(f"{name}|{p.data.dtype.str}|{p.data.shape}|".encode())
+        digest.update(np.ascontiguousarray(p.data).tobytes())
+    assert digest.hexdigest() == TOY_WEIGHTS_SHA256[dtype]
+
+
+def test_loading_draws_no_weights(base_model, tmp_path, monkeypatch):
+    path = tmp_path / "base.ckpt"
+    save_state(path, TrainState(model=base_model, config=TrainConfig()))
+    calls = []
+    draw = T.orthogonal_init
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(T, "orthogonal_init", counted)
+    DenoiserModel(ModelConfig.toy(), seed=0)
+    assert len(calls) == sum(name.endswith(".weight") for name in TOY_PARAM_NAMES)
+    calls.clear()
+    state, _ = load_state(path)
+    assert calls == []
+    loaded = state.model.parameters()
+    for name, p in base_model.parameters().items():
+        assert np.array_equal(loaded[name].data, p.data), name
 
 
 class _Delegating:
