@@ -251,6 +251,15 @@ def _check_schedule_compat(meta_mode: str, trained: NoiseSchedule | None, reques
 
 
 def cmd_synth(args) -> int:
+    # refuse destinations that cannot be written before the chain runs
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise DataError(f"--out {out}: not a file name in an existing directory")
+    inter = args.emit_intermediates
+    if inter is not None:
+        nearest = next(p for p in (Path(inter), *Path(inter).parents) if p.exists())
+        if not nearest.is_dir():
+            raise DataError(f"--emit-intermediates {inter}: {nearest} is not a directory")
     state, mel_cfg = _load_checkpoint(args.checkpoint)
     schedule = resolve_schedule(args.schedule)
     _check_schedule_compat(
@@ -279,12 +288,12 @@ def cmd_synth(args) -> int:
         inference_schedule=schedule,
         model=state.model,
         seed=args.seed,
-        emit_intermediates=args.emit_intermediates is not None,
+        emit_intermediates=inter is not None,
     )
     result = synthesize(request)
     if request.emit_intermediates:
         waveform, snapshots = result
-        outdir = Path(args.emit_intermediates)
+        outdir = Path(inter)
         outdir.mkdir(parents=True, exist_ok=True)
         total = len(snapshots) - 1
         for i, snap in enumerate(snapshots):
@@ -585,8 +594,7 @@ def main(argv=None) -> int:
     except (UsageError, ScheduleError, TrainConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, WavFormatError, CheckpointError, FileNotFoundError,
-            TrainDataError) as exc:
+    except (DataError, WavFormatError, CheckpointError, OSError, TrainDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SamplerError, TrainError, FloatingPointError) as exc:

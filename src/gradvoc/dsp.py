@@ -316,7 +316,9 @@ def wav_read(path) -> Waveform:
 def wav_write(path, y: Waveform) -> None:
     """Write 16-bit PCM mono; samples are clipped to [-1, 1] first."""
     quantized = np.round(np.clip(y.samples, -1.0, 1.0) * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    # open the file first: wave.open(path) leaves a half-built Wave_write behind
+    # when the path cannot be opened, and its __del__ prints a stray traceback
+    with open(path, "wb") as f, wave.open(f, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(y.sample_rate)

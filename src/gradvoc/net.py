@@ -340,8 +340,13 @@ class DenoiserModel(Module):
         return out
 
     def predict(self, y_noisy, mel, sqrt_alpha_bar: float) -> np.ndarray:
-        """Inference-only forward returning a plain 1-D array."""
-        return self.forward(y_noisy, mel, sqrt_alpha_bar).data[0].copy()
+        """Inference: ``forward`` under ``tensor.no_grad``, as a plain 1-D array.
+
+        Records no tape, so each activation is freed as soon as no later layer
+        needs it; the values are those of the tracked ``forward``.
+        """
+        with T.no_grad():
+            return self.forward(y_noisy, mel, sqrt_alpha_bar).data[0].copy()
 
     def output_length(self, mel) -> int:
         """Waveform samples produced for a (mel bins, frames) conditioning."""

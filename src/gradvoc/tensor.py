@@ -10,18 +10,29 @@ A tensor is tracked when its ``requires_grad`` is set: leaves set it by
 request, and an operation's result sets it, and records its parents, when
 any operand is tracked.  Untracked results keep no tape.
 
+Inside ``with no_grad():`` no operation records a tape, whatever its
+operands' ``requires_grad``: every result is untracked, so each activation
+is freed as soon as nothing refers to it, instead of living until the
+graph is dropped.  Inference runs this way; leaving the block (also by an
+exception) restores the previous mode.  Like a graph, the mode belongs to
+one execution context: a thread in the block does not stop another from
+recording.
+
 A graph and its tensors belong to one execution context; parameter tensors
 may be shared read-only between contexts at synchronization points.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -36,6 +47,7 @@ __all__ = [
 ]
 
 _CONV_KERNEL_SIZES = (1, 3, 5)
+_TRACKING = contextvars.ContextVar("gradvoc_tracking", default=True)
 
 
 class Tensor:
@@ -97,8 +109,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous mode returns on exit."""
+    token = _TRACKING.set(False)
+    try:
+        yield
+    finally:
+        _TRACKING.reset(token)
+
+
 def _result(data, parents, backward):
-    if not any(p.requires_grad for p in parents):
+    if not (_TRACKING.get() and any(p.requires_grad for p in parents)):
         return Tensor(data)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 

@@ -364,6 +364,49 @@ def test_synth_emit_intermediates(toy_checkpoint, corpus_dirs, tmp_path):
     assert wav_read(tmp_path / "o.wav").samples.shape == (4000,)
 
 
+# each gives (--out, --emit-intermediates or None) under a scratch directory
+# holding the file "file"
+BAD_DESTINATIONS = {
+    "out-no-dir": lambda tmp: (tmp / "nodir" / "o.wav", None),
+    "out-under-file": lambda tmp: (tmp / "file" / "o.wav", None),
+    "out-is-dir": lambda tmp: (tmp, None),
+    "intermediates-is-file": lambda tmp: (tmp / "o.wav", tmp / "file"),
+    "intermediates-under-file": lambda tmp: (tmp / "o.wav", tmp / "file" / "inter"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DESTINATIONS))
+def test_bad_destination_fails_before_synthesis(case, untrained_ckpt, corpus_dirs, tmp_path,
+                                                monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    out, inter = BAD_DESTINATIONS[case](tmp_path)
+    argv = synth_argv(untrained_ckpt, sorted(corpus_dirs[1].glob("*.wav"))[0], tmp_path)
+    argv[argv.index("--out") + 1] = str(out)
+    if inter is not None:
+        argv += ["--emit-intermediates", str(inter)]
+    calls, predict = [], DenoiserModel.predict
+    monkeypatch.setattr(DenoiserModel, "predict",
+                        lambda self, *a: calls.append(a) or predict(self, *a))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect-schedule"])
+def test_unwritable_output_is_one_line_data_error(command, corpus_dirs, tmp_path, capsys):
+    """An OSError other than a missing file also maps to exit 2 and one line."""
+    argv = {
+        "eval": ["eval", "--ref-dir", str(corpus_dirs[1]), "--hyp-dir", str(corpus_dirs[1])],
+        "inspect-schedule": ["inspect-schedule", "manual6"],
+    }[command]
+    code = main(argv + ["--out", str(tmp_path)])  # a directory: IsADirectoryError
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_synth_refuses_schedule_change_on_discrete_checkpoint(
     toy_mel_config, corpus_dirs, tmp_path
 ):

@@ -4,8 +4,10 @@ Each metric is cross-checked against a deliberately naive reference
 implementation written independently of the library code paths.
 """
 
+import gc
 import math
 import struct
+import sys
 import wave
 
 import numpy as np
@@ -259,6 +261,16 @@ def test_wav_round_trip_quantization_bound(tmp_path):
     assert back.sample_rate == SR
     assert len(back) == len(ramp)
     assert np.max(np.abs(back.samples - ramp.samples)) <= 2.0**-15
+
+
+def test_wav_write_to_missing_directory_raises_cleanly(tmp_path, monkeypatch):
+    """The open fails before any Wave_write exists, so no __del__ traceback follows."""
+    ignored = []
+    monkeypatch.setattr(sys, "unraisablehook", ignored.append)
+    with pytest.raises(FileNotFoundError):
+        wav_write(tmp_path / "nodir" / "a.wav", tone(220, seconds=0.01))
+    gc.collect()
+    assert ignored == []
 
 
 def test_wav_rejects_truncated_file(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -19,7 +20,7 @@ from gradvoc.net import (
     positional_encoding,
 )
 from gradvoc.tensor import Tensor
-from gradvoc.train import TrainConfig, TrainState, load_state, save_state
+from gradvoc.train import TrainConfig, TrainState, load_state, save_state, train_step
 
 BASE_PARAM_COUNT = 17_230_657  # frozen at first build; FiLM widths dominate
 TOY_PARAM_COUNT = 3_617
@@ -335,6 +336,85 @@ def test_no_cross_input_state():
     seen_after_a = model.predict(b, mel, 0.4)
     fresh = DenoiserModel(cfg, seed=3).predict(b, mel, 0.4)
     assert np.array_equal(seen_after_a, fresh)
+
+
+# -- tape-free inference against the tracked forward -------------------------------
+
+
+def toy_input(frames, seed=16):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(4 * frames), rng.standard_normal((8, frames))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_predict_equals_tracked_forward(dtype):
+    model = DenoiserModel(ModelConfig.toy(dtype=dtype), seed=2)
+    y, mel = toy_input(6)
+    got = model.predict(y, mel, 0.7)
+    want = model.forward(y, mel, 0.7).data[0]
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_predict_records_no_tape(monkeypatch):
+    made = []
+    untraced = T._result
+
+    def recording(data, parents, backward):
+        made.append(untraced(data, parents, backward))
+        return made[-1]
+
+    monkeypatch.setattr(T, "_result", recording)
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    y, mel = toy_input(6)
+    model.forward(y, mel, 0.5)
+    assert made and all(t.requires_grad and t._parents for t in made)
+    n_ops = len(made)
+    made.clear()
+    model.predict(y, mel, 0.5)
+    assert len(made) == n_ops
+    assert not any(t.requires_grad or t._parents or t._backward for t in made)
+
+
+def test_failed_predict_leaves_training_tracked():
+    """A predict that raises inside the untracked mode still restores tracking."""
+    y, mel = toy_input(6)
+    batch = [(y, mel)]
+
+    def step(model):
+        state = TrainState(model=model, config=TrainConfig())
+        _, loss = train_step(state, batch, np.random.default_rng(17))
+        return loss, {k: p.grad.copy() for k, p in model.parameters().items()}
+
+    fresh_loss, fresh_grads = step(DenoiserModel(ModelConfig.toy(), seed=0))
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    bad_mel = mel.copy()
+    bad_mel[3, 2] = np.nan
+    with pytest.raises(FloatingPointError):
+        model.predict(y, bad_mel, 0.5)
+    loss, grads = step(model)
+    assert loss == fresh_loss
+    assert list(grads) == list(fresh_grads)
+    assert all(np.array_equal(grads[k], fresh_grads[k]) for k in grads)
+
+
+def test_predict_keeps_no_activations_alive():
+    """A long predict peaks well under the tracked forward on the same input."""
+    model = DenoiserModel(ModelConfig.toy(dtype="float64"), seed=0)
+    y, mel = toy_input(1000)
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    tracked = traced_peak(lambda: model.forward(y, mel, 0.5))
+    untracked = traced_peak(lambda: model.predict(y, mel, 0.5))
+    assert untracked < 0.35 * tracked, (untracked, tracked)
 
 
 def test_large_config_alignment():

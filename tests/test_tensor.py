@@ -13,6 +13,7 @@ from gradvoc.tensor import (
     mean_abs,
     mul,
     nearest_upsample,
+    no_grad,
     orthogonal_init,
     scale,
     sub,
@@ -206,6 +207,28 @@ def test_no_grad_tracking_without_request():
     x = Tensor(np.ones((2, 2)))
     y = add(x, x)
     assert y._parents == ()
+
+
+def test_no_grad_results_are_untracked_even_from_tracked_operands():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        y = mul(add(x, x), x)
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert np.array_equal(y.data, np.full((2, 2), 2.0))
+    assert add(x, x).requires_grad  # tracking is back after the block
+
+
+def test_no_grad_restores_the_previous_mode():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(FloatingPointError):
+        with no_grad():
+            raise FloatingPointError("inside the block")
+    assert add(x, x).requires_grad
+    with no_grad():
+        with no_grad():
+            pass
+        assert not add(x, x).requires_grad  # the inner exit keeps the outer mode
+    assert add(x, x).requires_grad
 
 
 # -- orthogonal init ---------------------------------------------------------------
