@@ -18,7 +18,7 @@ import wave
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.fft import dct
+from scipy.fft import dct, irfft, next_fast_len, rfft
 
 from .checkpoint import CheckpointError, load_tensors, save_tensors
 
@@ -48,8 +48,9 @@ PITCH_HOP_MS = 6.25
 PITCH_FMIN = 50.0
 PITCH_FMAX = 600.0
 VOICING_THRESHOLD = 0.3  # least peak normalized autocorrelation of a voiced frame
-ENERGY_FLOOR = 1e-4  # a frame with a lower RMS is unvoiced outright
+ENERGY_FLOOR = 1e-4  # a frame whose mean-removed RMS is lower is unvoiced outright
 GPE_THRESHOLD = 0.2  # relative f0 deviation that counts as a gross pitch error
+_PITCH_BLOCK = 32  # frames that track_pitch scores at once
 
 
 class WavFormatError(ValueError):
@@ -231,40 +232,46 @@ def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (f0, voiced) via normalized autocorrelation peak picking.
 
     Frames of ``PITCH_FRAME_MS`` every ``PITCH_HOP_MS``; lags cover
-    ``PITCH_FMIN``..``PITCH_FMAX``.  f0 is 0.0 on unvoiced frames.  Frames
-    whose RMS is below ``ENERGY_FLOOR`` are unvoiced outright.
+    ``PITCH_FMIN``..``PITCH_FMAX``.  Each frame has its mean removed; a frame
+    whose mean-removed RMS is below ``ENERGY_FLOOR`` is unvoiced outright.
+    A lag scores a.b / sqrt(a.a * b.b), where a and b are the frame without
+    its last and first ``lag`` samples.  A frame is voiced when its best
+    score exceeds ``VOICING_THRESHOLD``, and its f0 is the sample rate over
+    the shortest lag scoring within 2 % of that best (lag multiples of the
+    true period score almost identically, so this avoids octave-down
+    errors).  f0 is 0.0 on unvoiced frames.
+
+    Frames are scored ``_PITCH_BLOCK`` at a time: the a.b products of every
+    lag come from one FFT autocorrelation per frame, and a.a and b.b from
+    forward and reverse cumulative sums of the squared frame.  Blocks keep
+    the FFT buffers small beside the frame matrix.
     """
     sr = y.sample_rate
     win = int(round(PITCH_FRAME_MS * sr / 1000.0))
     lag_min = max(int(sr / PITCH_FMAX), 1)
     lag_max = min(int(sr / PITCH_FMIN), win - 1)
+    lags = np.arange(lag_min, lag_max + 1)
+    ends = win - 1 - lags  # a.a and b.b each sum win - lag squared samples
+    n_fft = next_fast_len(win + lag_max, real=True)  # no circular wrap up to lag_max
     frames = _frame(y.samples, win, _pitch_hop(sr))
-    n_frames = frames.shape[0]
-    f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    for i, frame in enumerate(frames):
-        if np.sqrt(np.mean(frame**2)) < ENERGY_FLOOR:
-            continue
-        frame = frame - frame.mean()
-        e0 = float(frame @ frame)
-        if e0 <= 0.0:
-            continue
-        lags = np.arange(lag_min, lag_max + 1)
-        corr = np.full(lags.size, -1.0)
-        for k, lag in enumerate(lags):
-            a = frame[:-lag]
-            b = frame[lag:]
-            denom = math.sqrt(float(a @ a) * float(b @ b))
-            if denom > 0.0:
-                corr[k] = float(a @ b) / denom
-        best_r = float(corr.max())
-        if best_r > VOICING_THRESHOLD:
-            # lag multiples of the true period score almost identically, so
-            # take the shortest lag within a whisker of the maximum to avoid
-            # octave-down errors
-            near = np.flatnonzero(corr >= best_r - 0.02 * abs(best_r))
-            voiced[i] = True
-            f0[i] = sr / float(lags[near[0]])
+    f0 = np.zeros(frames.shape[0])
+    voiced = np.zeros(frames.shape[0], dtype=bool)
+    for start in range(0, frames.shape[0], _PITCH_BLOCK):
+        block = slice(start, start + _PITCH_BLOCK)
+        x = frames[block] - frames[block].mean(axis=1, keepdims=True)
+        sq = x**2
+        spectrum = rfft(x, n_fft, axis=1)
+        ab = irfft(spectrum.real**2 + spectrum.imag**2, n_fft, axis=1)[:, lags]
+        aa = np.cumsum(sq, axis=1)[:, ends]
+        bb = np.cumsum(sq[:, ::-1], axis=1)[:, ends]
+        denom = np.sqrt(aa * bb)
+        corr = np.full(ab.shape, -1.0)
+        np.divide(ab, denom, out=corr, where=denom > 0.0)
+        best = corr.max(axis=1)
+        shortest = np.argmax(corr >= (best - 0.02 * np.abs(best))[:, None], axis=1)
+        hit = (np.sqrt(np.mean(sq, axis=1)) >= ENERGY_FLOOR) & (best > VOICING_THRESHOLD)
+        voiced[block] = hit
+        f0[block] = np.where(hit, sr / lags[shortest], 0.0)
     return f0, voiced
 
 

@@ -1,14 +1,24 @@
 """Reference functions that only the tests use.
 
 Closed-form quantities of the diffusion process, a plain sum reduction for
-autodiff checks and a fixed-noise batch loss; the library itself never
-needs them.
+autodiff checks, a fixed-noise batch loss and the per-lag loop pitch
+tracker; the library itself never needs them.
 """
 
 import math
 
 import numpy as np
 
+from gradvoc.dsp import (
+    ENERGY_FLOOR,
+    PITCH_FMAX,
+    PITCH_FMIN,
+    PITCH_FRAME_MS,
+    VOICING_THRESHOLD,
+    Waveform,
+    _frame,
+    _pitch_hop,
+)
 from gradvoc.tensor import Tensor, _accumulate, _result
 from gradvoc.train import _batch_loss
 
@@ -74,3 +84,43 @@ def evaluate_loss(model, batch, config, seed: int = 12345) -> float:
     """Loss on a fixed batch with fixed noise draws; no parameter update."""
     rng = np.random.default_rng(seed)
     return float(_batch_loss(model, batch, config, rng).data)
+
+
+def track_pitch(y: Waveform, scores=None) -> tuple[np.ndarray, np.ndarray]:
+    """``dsp.track_pitch`` as one dot product per frame and lag.
+
+    Same framing, floor, scores and decisions as the library's block-wise
+    FFT version.  When ``scores`` is a list, each frame over the floor
+    appends ``(index, lags, corr)``, its score at every lag.
+    """
+    sr = y.sample_rate
+    win = int(round(PITCH_FRAME_MS * sr / 1000.0))
+    lag_min = max(int(sr / PITCH_FMAX), 1)
+    lag_max = min(int(sr / PITCH_FMIN), win - 1)
+    frames = _frame(y.samples, win, _pitch_hop(sr))
+    n_frames = frames.shape[0]
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    for i, frame in enumerate(frames):
+        frame = frame - frame.mean()
+        if np.sqrt(np.mean(frame**2)) < ENERGY_FLOOR:
+            continue
+        lags = np.arange(lag_min, lag_max + 1)
+        corr = np.full(lags.size, -1.0)
+        for k, lag in enumerate(lags):
+            a = frame[:-lag]
+            b = frame[lag:]
+            denom = math.sqrt(float(a @ a) * float(b @ b))
+            if denom > 0.0:
+                corr[k] = float(a @ b) / denom
+        if scores is not None:
+            scores.append((i, lags, corr))
+        best_r = float(corr.max())
+        if best_r > VOICING_THRESHOLD:
+            # lag multiples of the true period score almost identically, so
+            # take the shortest lag within a whisker of the maximum to avoid
+            # octave-down errors
+            near = np.flatnonzero(corr >= best_r - 0.02 * abs(best_r))
+            voiced[i] = True
+            f0[i] = sr / float(lags[near[0]])
+    return f0, voiced

@@ -8,6 +8,7 @@ import gc
 import math
 import struct
 import sys
+import tracemalloc
 import wave
 
 import numpy as np
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradvoc.data import sine_utterance
 from gradvoc.dsp import (
+    PITCH_FRAME_MS,
+    VOICING_THRESHOLD,
     MelConfig,
     Waveform,
     WavFormatError,
@@ -30,7 +34,9 @@ from gradvoc.dsp import (
     track_pitch,
     wav_read,
     wav_write,
+    _pitch_hop,
 )
+from oracles import track_pitch as loop_track_pitch
 
 SR = 24000
 
@@ -248,6 +254,161 @@ def test_ffe_small_noise_near_zero():
     ref = tone(180, seconds=0.5)
     hyp = Waveform(ref.samples + 1e-3 * rng.standard_normal(len(ref)), SR)
     assert ffe(ref, hyp) < 0.05
+
+
+# -- the block-wise tracker against the per-lag loop ------------------------------
+
+
+def whole_frames(y):
+    """Number of leading pitch frames that lie wholly inside the signal; the
+    rest reach into the zero padding."""
+    win = int(round(PITCH_FRAME_MS * y.sample_rate / 1000.0))
+    return 1 + (len(y) - win) // _pitch_hop(y.sample_rate)
+
+
+def check_against_loop(y):
+    """Assert track_pitch makes the loop oracle's decisions on every frame
+    except those within 1e-9 of a decision edge, and return how many were
+    left out.  The edges are a best score at ``VOICING_THRESHOLD`` and any
+    lag at the 2 % whisker, where roundoff alone may flip the decision."""
+    f0, voiced = track_pitch(y)
+    scores = []
+    f0_loop, voiced_loop = loop_track_pitch(y, scores)
+    edge = np.zeros(f0.size, dtype=bool)
+    for i, _, corr in scores:
+        best = corr.max()
+        whisker = best - 0.02 * abs(best)
+        edge[i] = abs(best - VOICING_THRESHOLD) < 1e-9 or bool(
+            np.any(np.abs(corr - whisker) < 1e-9)
+        )
+    keep = ~edge
+    np.testing.assert_array_equal(voiced[keep], voiced_loop[keep])
+    np.testing.assert_array_equal(f0[keep], f0_loop[keep])
+    return int(edge.sum())
+
+
+def _gapped(y, start, stop):
+    samples = y.samples.copy()
+    samples[start:stop] = 0.0
+    return Waveform(samples, y.sample_rate)
+
+
+def _noisy(y, level, seed):
+    rng = np.random.default_rng(seed)
+    return Waveform(y.samples + level * rng.standard_normal(len(y)), y.sample_rate)
+
+
+FIXED_PITCH_SIGNALS = {
+    "tone200": lambda: tone(200, seconds=0.5),
+    "tone300": lambda: tone(300, seconds=0.5),
+    "tone150": lambda: tone(150, seconds=0.5),
+    "tone180_noisy": lambda: _noisy(tone(180, seconds=0.5), 1e-3, 2),
+    "silence": lambda: Waveform(np.zeros(12000), SR),
+    "utterance_24k": lambda: sine_utterance(np.random.default_rng(300), 12000, SR),
+    "utterance_4k": lambda: sine_utterance(np.random.default_rng(0), 4000, 4000),
+    "white_noise_4k": lambda: Waveform(np.random.default_rng(5).standard_normal(4000), 4000),
+    "silent_gap": lambda: _gapped(tone(220, seconds=0.5), 4000, 7000),
+    "very_noisy": lambda: _noisy(tone(140, seconds=0.5), 0.4, 6),
+    # stretches of RMS 0.85 and 1.2 times ENERGY_FLOOR, then a loud one
+    "near_floor": lambda: Waveform(
+        tone(250, seconds=0.5).samples * np.repeat([2.4e-4, 3.4e-4, 1.0], 4000), SR
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PITCH_SIGNALS))
+def test_track_pitch_matches_loop_oracle(name):
+    assert check_against_loop(FIXED_PITCH_SIGNALS[name]()) == 0
+
+
+@st.composite
+def harmonic_stacks(draw):
+    """Harmonic stacks at 4 or 24 kHz whose length is no multiple of the
+    pitch hop, optionally with a silent gap and added noise."""
+    sr = draw(st.sampled_from([4000, 24000]))
+    hop = _pitch_hop(sr)
+    n = draw(st.integers(4 * hop, 20 * hop)) + draw(st.integers(1, hop - 1))
+    f0 = draw(st.floats(60.0, 500.0))
+    amps = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    t = np.arange(n) / sr
+    samples = sum(
+        a * np.sin(2 * np.pi * (k + 1) * f0 * t + k)
+        for k, a in enumerate(amps)
+        if (k + 1) * f0 < sr / 2
+    ) * draw(st.floats(1e-3, 1.0))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        samples[start : start + draw(st.integers(1, n))] = 0.0
+    noise = draw(st.floats(0.0, 0.5))
+    samples = samples + noise * np.random.default_rng(draw(st.integers(0, 99))).standard_normal(n)
+    return Waveform(samples, sr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=harmonic_stacks())
+def test_track_pitch_matches_loop_oracle_on_harmonic_stacks(y):
+    check_against_loop(y)
+
+
+def test_track_pitch_takes_shortest_lag_of_a_near_tie():
+    """A tiled 120-sample period scores 1 at lags 120, 240, 360 and 480 to
+    within roundoff; a longer lag may hold the maximum by an ulp, yet every
+    frame inside the signal reports the shortest lag, 200 Hz.  The period
+    is a sine with its first ten harmonics: a bare sine would also score
+    cos(2 pi 3 / 120) = 0.988 at lag 117, inside the 2 % whisker."""
+    phase = 2 * np.pi * np.arange(120) / 120
+    period = sum(np.sin(k * phase) for k in range(1, 11))
+    y = Waveform(0.1 * np.tile(period, 100), SR)
+    inside = whole_frames(y)
+    scores = []
+    for tracker in (track_pitch, lambda y: loop_track_pitch(y, scores)):
+        f0, voiced = tracker(y)
+        assert voiced[:inside].all()
+        assert np.all(f0[:inside] == 200.0)
+    for i, lags, corr in scores[:inside]:
+        tied = np.isin(lags, [120, 240, 360, 480])
+        assert np.allclose(corr[tied], 1.0, rtol=0, atol=1e-12)
+        assert np.all(corr[~tied] < 0.98)
+
+
+@pytest.mark.parametrize("level", [0.1, 0.3, -0.7])
+def test_track_pitch_constant_signal_unvoiced(level):
+    """Mean removal leaves only roundoff of a constant, and the floor applies
+    to that; the last frames reach into the zero padding and may be voiced."""
+    y = Waveform(np.full(SR, level), SR)
+    inside = whole_frames(y)
+    for tracker in (track_pitch, loop_track_pitch):
+        f0, voiced = tracker(y)
+        assert not voiced[:inside].any() and np.all(f0[:inside] == 0.0)
+
+
+class _FirstFrameScored(Exception):
+    pass
+
+
+class _StopAfterFirstFrame(list):
+    def append(self, item):
+        raise _FirstFrameScored
+
+
+def test_track_pitch_memory_stays_at_the_frame_matrix():
+    """Scoring in blocks keeps the traced peak at the loop's, which the
+    frame matrix sets; one FFT over all frames at once is several times
+    larger.  The loop allocates only per-frame vectors after framing, so
+    its peak is reached once it has scored its first frame (running it
+    over all 1600 frames under tracemalloc would take half a minute)."""
+    y = sine_utterance(np.random.default_rng(7), 10 * SR, SR)
+    tracemalloc.start()
+    try:
+        track_pitch(y)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(_FirstFrameScored):
+            loop_track_pitch(y, _StopAfterFirstFrame())
+        loop_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * loop_peak
 
 
 # -- WAV and mel file I/O ------------------------------------------------------------
