@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .dsp import (
     wav_write,
 )
 from .net import ModelConfig, DenoiserModel
-from .sample import SamplerError, SynthRequest, sigma, synthesize
+from .sample import SamplerError, SynthRequest, reverse_chain, sigma, synthesize
 from .schedule import (
     NoiseSchedule,
     ScheduleError,
@@ -177,6 +177,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"{path}: model/mel profiles disagree on mel bins")
 
     conditioning = _get(kv, "conditioning", str, default="continuous", path=path)
+    if conditioning not in ("continuous", "discrete"):
+        raise UsageError(f"{path}: unknown conditioning mode {conditioning!r}")
     discrete = None
     if conditioning == "discrete":
         discrete = _get(
@@ -195,7 +197,6 @@ def cmd_train(args) -> int:
             learning_rate=_get(kv, "learning_rate", float, default=1e-4, path=path),
             max_steps=_get(kv, "max_steps", int, default=1000, path=path),
             seed=_get(kv, "seed", int, default=0, path=path),
-            conditioning_mode=conditioning,
             discrete_schedule=discrete,
             checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
         )
@@ -240,8 +241,8 @@ def _load_checkpoint(path):
         raise DataError(f"checkpoint not found: {path}") from exc
 
 
-def _check_schedule_compat(meta_mode: str, trained: NoiseSchedule | None, requested):
-    if meta_mode == "discrete" and (trained is None or requested != trained):
+def _check_schedule_compat(trained: NoiseSchedule | None, requested):
+    if trained is not None and requested != trained:
         raise UsageError(
             "this checkpoint was trained with discrete-index conditioning and is "
             "hard-bound to its training schedule; inference under a different "
@@ -262,9 +263,7 @@ def cmd_synth(args) -> int:
             raise DataError(f"--emit-intermediates {inter}: {nearest} is not a directory")
     state, mel_cfg = _load_checkpoint(args.checkpoint)
     schedule = resolve_schedule(args.schedule)
-    _check_schedule_compat(
-        state.config.conditioning_mode, state.config.discrete_schedule, schedule
-    )
+    _check_schedule_compat(state.config.discrete_schedule, schedule)
     inp = Path(args.input)
     if inp.suffix == ".wav":
         if mel_cfg is None:
@@ -276,6 +275,12 @@ def cmd_synth(args) -> int:
             raise DataError(f"{inp}: {exc}") from exc
     elif inp.suffix == ".mel":
         mel = load_mel(inp)
+        # the checkpoint's analysis, or any at the model's samples per frame
+        trained = mel_cfg or replace(mel.config, hop_length=state.model.config.samples_per_frame)
+        diff = [f"{key} {value!r} (model: {getattr(trained, key)!r})"
+                for key, value in asdict(mel.config).items() if getattr(trained, key) != value]
+        if diff:
+            raise DataError(f"{inp}: not the model's mel analysis: {', '.join(diff)}")
         mel_cfg = mel.config
     else:
         raise UsageError(f"unsupported input type {inp.suffix!r} (want .wav or .mel)")
@@ -284,25 +289,15 @@ def cmd_synth(args) -> int:
         raise DataError(f"{inp}: {mel.values.shape[0]} mel bins, the model takes {bins}")
 
     request = SynthRequest(
-        mel=mel.values,
-        inference_schedule=schedule,
-        model=state.model,
-        seed=args.seed,
-        emit_intermediates=inter is not None,
+        mel=mel.values, inference_schedule=schedule, model=state.model, seed=args.seed
     )
-    result = synthesize(request)
-    if request.emit_intermediates:
-        waveform, snapshots = result
-        outdir = Path(inter)
-        outdir.mkdir(parents=True, exist_ok=True)
-        total = len(snapshots) - 1
-        for i, snap in enumerate(snapshots):
-            wav_write(
-                outdir / f"iter{total - i:03d}.wav",
-                Waveform(snap, mel_cfg.sample_rate),
-            )
-    else:
-        waveform = result
+    if inter is None:
+        waveform = synthesize(request)
+    else:  # write each iterate as soon as it exists, so a divergence keeps those before
+        Path(inter).mkdir(parents=True, exist_ok=True)
+        for i, waveform in enumerate(reverse_chain(request)):
+            wav_write(Path(inter) / f"iter{len(schedule) - i:03d}.wav",
+                      Waveform(waveform, mel_cfg.sample_rate))
     wav_write(args.out, Waveform(waveform, mel_cfg.sample_rate))
     print(f"wrote {args.out} ({len(waveform)} samples, {len(schedule)} iterations)")
     return EXIT_OK
@@ -322,7 +317,7 @@ def _score_schedule(model, schedule, refs, mels, mel_cfg, seed) -> float:
 
 def cmd_sweep(args) -> int:
     state, mel_cfg = _load_checkpoint(args.checkpoint)
-    if state.config.conditioning_mode != "continuous":
+    if state.config.discrete_schedule is not None:
         raise UsageError(
             "sweep requires a continuous-mode checkpoint: discrete-mode models "
             "cannot change schedules at inference time"
@@ -395,8 +390,10 @@ def cmd_sweep(args) -> int:
                 break
 
     ranked = sorted(scored.items(), key=lambda kv: (kv[1], kv[0]))
+    key = (args.checkpoint, str(validation_dir), args.iterations, args.budget,
+           args.refine_passes, args.candidates_file, args.seed)
     lines = [
-        f"# config-fingerprint: {_fingerprint('sweep', args.checkpoint, args.iterations, args.seed)}",
+        f"# config-fingerprint: {_fingerprint('sweep', *key)}",
         "rank,ls_mse,betas",
     ]
     for rank, (betas, value) in enumerate(ranked, start=1):
@@ -464,7 +461,7 @@ def cmd_inspect_schedule(args) -> int:
     kl = kl_terminal_diagnostic(schedule, y0)
     kl_per_dim = kl / y0.size
     lines = [
-        f"# config-fingerprint: {_fingerprint('inspect', args.schedule)}",
+        f"# config-fingerprint: {_fingerprint('inspect', args.schedule, args.y0)}",
         f"# terminal_kl_nats = {kl!r}",
         f"# terminal_kl_per_dim = {kl_per_dim!r}",
     ]
@@ -553,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validation-dir", required=True)
     p.add_argument("--iterations", type=_at_least(1, "iterations"), default=6)
     p.add_argument("--budget", type=_at_least(1, "budget"), default=24)
-    p.add_argument("--refine-passes", type=int, default=1)
+    p.add_argument("--refine-passes", type=_at_least(0, "refine-passes"), default=1)
     p.add_argument("--candidates-file", default=None,
                    help="fixed candidate list (one schedule spec per line)")
     p.add_argument("--seed", type=_at_least(0, "seed"), default=0)

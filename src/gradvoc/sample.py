@@ -1,6 +1,7 @@
 """Iterative refinement sampling: Gaussian noise to waveform.
 
-The sampler walks any inference schedule independently of the training prior
+``reverse_chain`` yields y_N (white noise) .. y_0; ``synthesize`` returns y_0.
+The chain walks any inference schedule independently of the training prior
 (continuous-level models only; models trained against a fixed discrete
 schedule are hard-bound to it and reject others).
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from .schedule import NoiseSchedule
 
-__all__ = ["SynthRequest", "sigma", "reverse_step", "synthesize", "SamplerError"]
+__all__ = ["SynthRequest", "sigma", "reverse_step", "reverse_chain", "synthesize", "SamplerError"]
 
 
 class SamplerError(RuntimeError):
@@ -29,7 +30,6 @@ class SynthRequest:
     inference_schedule: NoiseSchedule
     model: object  # has predict(y_noisy, mel, sqrt_alpha_bar) and output_length(mel)
     seed: int = 0
-    emit_intermediates: bool = False
 
 
 def sigma(schedule: NoiseSchedule, n: int) -> float:
@@ -82,13 +82,12 @@ def reverse_step(
     return y_prev
 
 
-def synthesize(request: SynthRequest):
-    """Run the full reverse chain from standard normal noise.
+def reverse_chain(request: SynthRequest):
+    """Yield y_N (standard normal noise), then one iterate per reverse step to y_0.
 
-    Returns the final waveform, or (waveform, [y_N, ..., y_0]) when
-    ``emit_intermediates`` is set.  Deterministic given the seed.  A chain
-    that diverges raises SamplerError naming the step, without numpy
-    overflow warnings.
+    Deterministic given the seed; the yielded arrays are the chain's state and
+    must not be written to.  A chain that diverges raises SamplerError naming
+    the step, after the iterates before it, without numpy overflow warnings.
     """
     schedule = request.inference_schedule
     n_steps = len(schedule)
@@ -100,21 +99,25 @@ def synthesize(request: SynthRequest):
 
     length = model.output_length(mel)
     y = rng.standard_normal(length)
-    snapshots = [y.copy()] if request.emit_intermediates else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps, 0, -1):
-            sqrt_abar = math.sqrt(float(schedule.alpha_bars[n - 1]))
-            where = f"at reverse step n={n} (sqrt_alpha_bar={sqrt_abar:.6g})"
+    yield y
+    for n in range(n_steps, 0, -1):
+        sqrt_abar = math.sqrt(float(schedule.alpha_bars[n - 1]))
+        where = f"at reverse step n={n} (sqrt_alpha_bar={sqrt_abar:.6g})"
+        # never yield inside errstate: the caller would run under it while suspended
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
                 eps = np.asarray(model.predict(y, mel, sqrt_abar), dtype=np.float64)
             except FloatingPointError as exc:  # the network's non-finite output
                 raise SamplerError(f"{exc} {where}") from exc
             z = rng.standard_normal(length) if n > 1 else None
             y = reverse_step(y, eps, schedule, n, z)
-            if not np.all(np.isfinite(y)):
-                raise SamplerError(f"non-finite signal {where}")
-            if snapshots is not None:
-                snapshots.append(y.copy())
-    if snapshots is not None:
-        return y, snapshots
+        if not np.all(np.isfinite(y)):
+            raise SamplerError(f"non-finite signal {where}")
+        yield y
+
+
+def synthesize(request: SynthRequest) -> np.ndarray:
+    """Run ``reverse_chain`` to its end and return the waveform y_0."""
+    for y in reverse_chain(request):
+        pass
     return y

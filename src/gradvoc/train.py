@@ -65,8 +65,7 @@ class TrainConfig:
     learning_rate: float = 1e-4
     max_steps: int = 1000
     seed: int = 0
-    conditioning_mode: str = "continuous"  # or "discrete"
-    discrete_schedule: NoiseSchedule | None = None
+    discrete_schedule: NoiseSchedule | None = None  # None: continuous conditioning
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
@@ -77,10 +76,6 @@ class TrainConfig:
                 raise TrainConfigError(f"{key} must be >= {least}, got {value}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
-        if self.conditioning_mode not in ("continuous", "discrete"):
-            raise TrainConfigError(f"unknown conditioning mode {self.conditioning_mode!r}")
-        if self.conditioning_mode == "discrete" and self.discrete_schedule is None:
-            raise TrainConfigError("discrete conditioning requires a schedule")
 
 
 @dataclass
@@ -135,7 +130,7 @@ def make_batch(
 
 
 def _draw_noise_level(config: TrainConfig, rng: np.random.Generator) -> float:
-    if config.conditioning_mode == "continuous":
+    if config.discrete_schedule is None:
         return sample_noise_level(config.training_prior, rng)
     sched = config.discrete_schedule
     n = int(rng.integers(1, len(sched) + 1))
@@ -265,7 +260,7 @@ def run_training(
 # param/<name> (plus adam_m/, adam_v/ moments) and the metadata below.
 
 # TrainConfig fields stored at the top level of the metadata, not under "train"
-_TOP_LEVEL_FIELDS = ("training_prior", "conditioning_mode", "discrete_schedule")
+_TOP_LEVEL_FIELDS = ("training_prior", "discrete_schedule")
 _REQUIRED_META = ("model_config", "training_prior", "conditioning_mode", "train", "step")
 
 
@@ -277,7 +272,7 @@ def save_state(path, state: TrainState, mel_cfg: MelConfig | None = None) -> Non
     meta = {
         "step": state.step,
         "model_config": asdict(state.model.config),
-        "conditioning_mode": config.conditioning_mode,
+        "conditioning_mode": "continuous" if config.discrete_schedule is None else "discrete",
         "training_prior": schedule_to_text(config.training_prior),
         "train": {
             f.name: getattr(config, f.name)
@@ -332,11 +327,14 @@ def load_state(path) -> tuple[TrainState, MelConfig | None]:
         raise CheckpointError(f"{path}: not a model checkpoint (no {', '.join(missing)})")
     try:
         model = DenoiserModel(_config_from_meta(ModelConfig, meta["model_config"]), seed=None)
-        discrete = meta.get("discrete_schedule")
+        mode = meta["conditioning_mode"]  # a continuous one's stray schedule is ignored
+        discrete = meta.get("discrete_schedule") if mode == "discrete" else None
+        if mode not in ("continuous", "discrete") or (mode == "discrete" and not discrete):
+            raise ValueError(f"conditioning_mode {mode!r}: want 'continuous', or 'discrete' "
+                             "with a discrete_schedule")
         config = _config_from_meta(
             TrainConfig, meta["train"],
             training_prior=schedule_from_text(meta["training_prior"]),
-            conditioning_mode=meta["conditioning_mode"],
             discrete_schedule=schedule_from_text(discrete) if discrete else None,
         )
         step = int(meta["step"])

@@ -16,7 +16,7 @@ from gradvoc.checkpoint import CheckpointError, load_tensors, save_tensors
 from gradvoc.cli import EXIT_DATA, main
 from gradvoc.dsp import MelConfig, MelSpectrogram, load_mel, save_mel
 from gradvoc.net import DenoiserModel, ModelConfig
-from gradvoc.schedule import linear_schedule
+from gradvoc.schedule import linear_schedule, schedule_to_text
 from gradvoc.train import TrainConfig, TrainState, load_state, save_state
 
 MAGIC = b"GVMODEL1\n"
@@ -172,18 +172,14 @@ def test_meta_field_order(toy_ckpt):
 
 
 def test_state_round_trip_discrete_with_moments(tmp_path):
-    config = TrainConfig(
-        conditioning_mode="discrete",
-        discrete_schedule=linear_schedule(1e-4, 0.05, 50),
-        seed=9,
-    )
+    config = TrainConfig(discrete_schedule=linear_schedule(1e-4, 0.05, 50), seed=9)
     model = DenoiserModel(ModelConfig.toy("float64"), seed=2)
     moments = {k: np.full_like(p.data, 0.5) for k, p in model.parameters().items()}
     state = TrainState(model=model, config=config, step=7, adam_m=moments, adam_v=moments)
     save_state(tmp_path / "s.ckpt", state)
     back, mel_cfg = load_state(tmp_path / "s.ckpt")
     assert mel_cfg is None and back.step == 7
-    assert back.config.seed == 9 and back.config.conditioning_mode == "discrete"
+    assert back.config.seed == 9
     assert back.config.discrete_schedule == config.discrete_schedule
     for name, p in model.parameters().items():
         assert np.array_equal(back.model.parameters()[name].data, p.data)
@@ -234,15 +230,29 @@ def zero_dilation(tensors, meta):
     meta["model_config"]["ublock_dilations"][0] = [0, 2, 4, 8]
 
 
+def unknown_conditioning(tensors, meta):
+    meta["conditioning_mode"] = "stepwise"
+
+
 @pytest.mark.parametrize(
     "edit",
     [drop_param, extra_param, wrong_shape, wrong_moment_shape, stray_entry, no_prior,
-     bad_train_field, bad_model_config, negative_factors, fractional_factor, zero_dilation],
+     bad_train_field, bad_model_config, negative_factors, fractional_factor, zero_dilation,
+     unknown_conditioning],
 )
 def test_load_state_rejects_mismatched_checkpoint(toy_ckpt, tmp_path, edit):
     bad = rewrite(toy_ckpt, tmp_path / "bad.ckpt", edit)
     with pytest.raises(CheckpointError):
         load_state(bad)
+
+
+def stray_schedule(tensors, meta):
+    meta["discrete_schedule"] = schedule_to_text(linear_schedule(1e-4, 0.05, 50))
+
+
+def test_continuous_checkpoint_ignores_a_stray_schedule(toy_ckpt, tmp_path):
+    state, _ = load_state(rewrite(toy_ckpt, tmp_path / "stray.ckpt", stray_schedule))
+    assert state.config.discrete_schedule is None
 
 
 def oversized(tensors, meta):

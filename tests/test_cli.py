@@ -1,5 +1,8 @@
 """Command-line surface: config parsing, exit codes, and file outputs."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,9 @@ from gradvoc.cli import (
     resolve_schedule,
 )
 from gradvoc.checkpoint import load_tensors, save_tensors
-from gradvoc.dsp import MelConfig, MelSpectrogram, Waveform, save_mel, wav_read, wav_write
+from gradvoc.dsp import (
+    MelConfig, MelSpectrogram, Waveform, mel_spectrogram, save_mel, wav_read, wav_write,
+)
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import kl_terminal_diagnostic, linear_schedule
 from gradvoc.train import TrainConfig, TrainState, save_state
@@ -196,6 +201,8 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, expected",
     [("learning_rte = 5\n", "'learning_rte'"), ("conditioning = foo\n", "'foo'"),
+     ("conditioning = discrete\n", "'discrete_schedule'"),
+     ("discrete_schedule = manual6\n", "'discrete_schedule'"),
      ("batch_size = 0\n", "batch_size"), ("batch_size = -2\n", "batch_size"),
      ("seed = -1\n", "seed"), ("segment_samples = 0\n", "segment_samples"),
      ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps"),
@@ -270,6 +277,20 @@ def test_divergent_chain_names_the_step(untrained_ckpt, corpus_dirs, tmp_path, c
     assert "reverse step n=" in err and "sqrt_alpha_bar=" in err
 
 
+def test_divergent_chain_keeps_the_iterates_before_it(untrained_ckpt, corpus_dirs, tmp_path,
+                                                      capsys):
+    # the same chain overflows at n=2: y_6 .. y_2 exist and are written, y_1 never is
+    inp = sorted(corpus_dirs[0].glob("*.wav"))[0]
+    inter = tmp_path / "inter"
+    code = main(synth_argv(untrained_ckpt, inp, tmp_path) + ["--emit-intermediates", str(inter)])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "reverse step n=2 " in err
+    assert sorted(p.name for p in inter.iterdir()) == [f"iter{n:03d}.wav" for n in range(2, 7)]
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_sweep_budget_beyond_distinct_candidates_is_usage_error(
     toy_checkpoint, corpus_dirs, capsys
 ):
@@ -299,6 +320,32 @@ def test_sweep_with_nothing_to_score_is_usage_error(
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert code == EXIT_USAGE
     assert len(errors) == 1 and errors[0].endswith(expected)
+
+
+def test_negative_refine_passes_is_usage_error(capsys):
+    code = main(["sweep", "--checkpoint", "c", "--validation-dir", "v",
+                 "--refine-passes", "-3"])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert code == EXIT_USAGE
+    assert errors == ["gradvoc sweep: error: argument --refine-passes: "
+                      "refine-passes must be >= 0, got -3"]
+
+
+def test_sweep_fingerprint_covers_every_input(toy_checkpoint, corpus_dirs, tmp_path):
+    one = tmp_path / "one"
+    one.mkdir()
+    first = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    (one / first.name).write_bytes(first.read_bytes())
+    cands = tmp_path / "cands.txt"
+    cands.write_text("manual(0.1)\n")
+    variants = [[], ["--budget", "2"], ["--refine-passes", "1"],
+                ["--candidates-file", str(cands)], ["--validation-dir", str(one)]]
+    fingerprints = set()
+    for extra in variants:
+        out = tmp_path / "sweep.csv"
+        assert main(sweep_argv(toy_checkpoint, corpus_dirs[1], *extra, "--out", str(out))) == 0
+        fingerprints.add(out.read_text().splitlines()[0])
+    assert len(fingerprints) == len(variants)
 
 
 @pytest.mark.parametrize("log_dir", ["nodir", "ckpt"])
@@ -362,6 +409,71 @@ def test_synth_emit_intermediates(toy_checkpoint, corpus_dirs, tmp_path):
     snaps = sorted(inter.glob("iter*.wav"))
     assert len(snaps) == 7  # y_6 .. y_0
     assert wav_read(tmp_path / "o.wav").samples.shape == (4000,)
+    assert (inter / "iter000.wav").read_bytes() == (tmp_path / "o.wav").read_bytes()
+
+
+def test_emit_intermediates_holds_one_iterate_at_a_time(toy_checkpoint, corpus_dirs, tmp_path):
+    # each iterate is written as the chain makes it, so a 200-step chain on a
+    # 4000-sample utterance peaks below the 201 float64 iterates a list would hold
+    wav = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    argv = synth_argv(toy_checkpoint, wav, tmp_path, "linear(1e-4,0.05,200)")
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--emit-intermediates", str(tmp_path / "inter")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(list((tmp_path / "inter").iterdir())) == 201
+    assert peak < 201 * 4000 * 8
+
+
+@pytest.fixture(scope="module")
+def no_mel_ckpt(trained_toy, tmp_path_factory):
+    """The trained toy model, saved without its mel config."""
+    path = tmp_path_factory.mktemp("no-mel") / "toy.ckpt"
+    save_state(path, trained_toy["state"])
+    return path
+
+
+@pytest.mark.parametrize("checkpoint", ["toy_checkpoint", "no_mel_ckpt"])
+def test_synth_from_the_models_own_mel_matches_the_wav(checkpoint, toy_checkpoint, corpus_dirs,
+                                                       tmp_path, request):
+    wav = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    mel = tmp_path / "x.mel"
+    save_mel(mel, mel_spectrogram(wav_read(wav), MelConfig.toy()))
+    assert main(synth_argv(request.getfixturevalue(checkpoint), mel, tmp_path)) == EXIT_OK
+    from_mel = (tmp_path / "o.wav").read_bytes()
+    assert main(synth_argv(toy_checkpoint, wav, tmp_path)) == EXIT_OK
+    assert (tmp_path / "o.wav").read_bytes() == from_mel
+
+
+# each gives (checkpoint fixture, mel analysis, text the one error line must contain)
+FOREIGN_MELS = {
+    "hop": ("toy_checkpoint", replace(MelConfig.toy(), hop_length=8), "hop_length 8 (model: 4)"),
+    "rate": ("toy_checkpoint", replace(MelConfig.toy(), sample_rate=8000),
+             "sample_rate 8000 (model: 4000)"),
+    "no-mel-config-hop": ("no_mel_ckpt", replace(MelConfig.toy(), hop_length=8),
+                          "hop_length 8 (model: 4)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_MELS))
+def test_synth_refuses_a_mel_the_model_was_not_trained_on(case, tmp_path, request,
+                                                          monkeypatch, capsys):
+    checkpoint, cfg, expected = FOREIGN_MELS[case]
+    ckpt = request.getfixturevalue(checkpoint)
+    mel = tmp_path / "x.mel"
+    save_mel(mel, MelSpectrogram(values=np.zeros((8, 6)), config=cfg))
+    calls, predict = [], DenoiserModel.predict
+    monkeypatch.setattr(DenoiserModel, "predict",
+                        lambda self, *a: calls.append(a) or predict(self, *a))
+    code = main(synth_argv(ckpt, mel, tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+    assert calls == [] and not (tmp_path / "o.wav").exists()
 
 
 # each gives (--out, --emit-intermediates or None) under a scratch directory
@@ -413,11 +525,7 @@ def test_synth_refuses_schedule_change_on_discrete_checkpoint(
     trained_on = linear_schedule(1e-4, 0.005, 1000)
     state = TrainState(
         model=DenoiserModel(ModelConfig.toy(), seed=0),
-        config=TrainConfig(
-            segment_samples=SEGMENT,
-            conditioning_mode="discrete",
-            discrete_schedule=trained_on,
-        ),
+        config=TrainConfig(segment_samples=SEGMENT, discrete_schedule=trained_on),
     )
     ckpt = tmp_path / "discrete.ckpt"
     save_state(ckpt, state, mel_cfg=toy_mel_config)
@@ -517,6 +625,17 @@ def test_inspect_schedule_kl_of_a_wav(tmp_path):
     y0 = wav_read(wav).samples
     expected = kl_terminal_diagnostic(resolve_schedule("fibonacci25"), y0) / y0.size
     assert float(line.split(" = ")[1]) == expected
+
+
+def test_inspect_schedule_fingerprint_covers_y0(tmp_path):
+    fingerprints = []
+    for name, samples in (("a.wav", 400), ("b.wav", 800)):
+        out = tmp_path / "f.csv"
+        wav = write_tone(tmp_path / name, samples)
+        assert main(["inspect-schedule", "fibonacci25", "--y0", str(wav),
+                     "--out", str(out)]) == EXIT_OK
+        fingerprints.append(out.read_text().splitlines()[0])
+    assert fingerprints[0] != fingerprints[1]
 
 
 def test_env_roots_resolve_relative_paths(corpus_dirs, tmp_path, monkeypatch):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gradvoc.diffusion import forward_diffuse
-from gradvoc.sample import SamplerError, SynthRequest, reverse_step, sigma, synthesize
+from gradvoc.sample import (
+    SamplerError, SynthRequest, reverse_chain, reverse_step, sigma, synthesize,
+)
 from gradvoc.schedule import linear_schedule, manual_schedule
 from oracles import optimal_gaussian_epsilon
 
@@ -144,20 +146,50 @@ def test_manual_six_step_schedule_runs():
     assert out.shape == (64,) and np.all(np.isfinite(out))
 
 
-def test_emit_intermediates_count():
-    oracle = GaussianOracle(0.0, 1.0, output_length=16)
+def six_step_request(model):
     schedule = manual_schedule([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
-    out, snaps = synthesize(
-        SynthRequest(
-            mel=np.zeros((1, 1)),
-            inference_schedule=schedule,
-            model=oracle,
-            seed=4,
-            emit_intermediates=True,
-        )
-    )
-    assert len(snaps) == 7  # y_6 .. y_0
-    assert np.array_equal(snaps[-1], out)
+    return SynthRequest(mel=np.zeros((1, 1)), inference_schedule=schedule, model=model, seed=4)
+
+
+def test_emit_intermediates_count():
+    request = six_step_request(GaussianOracle(0.0, 1.0, output_length=16))
+    iterates = list(reverse_chain(request))
+    assert len(iterates) == 7  # y_6 .. y_0
+    assert np.array_equal(iterates[0], np.random.default_rng(4).standard_normal(16))
+    assert np.array_equal(iterates[-1], synthesize(request))
+
+
+class CountingOracle(GaussianOracle):
+    def __init__(self):
+        super().__init__(0.0, 1.0, output_length=16)
+        self.calls = 0
+
+    def predict(self, y_noisy, mel, sqrt_alpha_bar):
+        self.calls += 1
+        return super().predict(y_noisy, mel, sqrt_alpha_bar)
+
+
+def test_reverse_chain_is_lazy():
+    oracle = CountingOracle()
+    chain = reverse_chain(six_step_request(oracle))
+    assert oracle.calls == 0
+    next(chain)  # y_6, the starting noise
+    assert oracle.calls == 0
+    next(chain)
+    assert oracle.calls == 1
+    assert len(list(chain)) == 5 and oracle.calls == 6
+
+
+def test_suspended_chain_leaves_the_callers_errstate_alone():
+    before = np.geterr()
+    chain = reverse_chain(six_step_request(GaussianOracle(0.0, 1.0, output_length=16)))
+    for _ in range(3):
+        next(chain)
+        assert np.geterr() == before
+    with np.errstate(over="raise"):
+        next(chain)
+        assert np.geterr()["over"] == "raise"
+    assert len(list(chain)) == 3 and np.geterr() == before
 
 
 def test_same_seed_bitwise_identical():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gradvoc.checkpoint import CheckpointError, load_tensors, save_tensors
 from gradvoc.diffusion import forward_diffuse
 from gradvoc.dsp import Waveform
 from gradvoc.net import DenoiserModel, ModelConfig
@@ -169,18 +170,22 @@ def test_resume_reproduces_uninterrupted_run(train_set, toy_mel_config, tmp_path
 
 
 def test_discrete_conditioning_mode(train_set, toy_mel_config):
-    state = fresh_state(
-        seed=1,
-        conditioning_mode="discrete",
-        discrete_schedule=linear_schedule(1e-4, 0.05, 50),
-    )
+    state = fresh_state(seed=1, discrete_schedule=linear_schedule(1e-4, 0.05, 50))
     _, losses = run_steps(state, train_set, toy_mel_config, 3)
     assert all(np.isfinite(losses))
 
 
-def test_discrete_mode_requires_schedule():
-    with pytest.raises((TrainError, ValueError)):
-        TrainConfig(conditioning_mode="discrete", discrete_schedule=None)
+def test_discrete_mode_requires_schedule(tmp_path):
+    # a config is discrete exactly when it holds a schedule; a checkpoint
+    # whose metadata says discrete but carries none is refused
+    path = tmp_path / "s.ckpt"
+    save_state(path, fresh_state(discrete_schedule=linear_schedule(1e-4, 0.05, 50)))
+    tensors, meta = load_tensors(path)
+    assert meta["conditioning_mode"] == "discrete"
+    del meta["discrete_schedule"]
+    save_tensors(path, tensors, meta=meta)
+    with pytest.raises(CheckpointError, match="discrete_schedule"):
+        load_state(path)
 
 
 def test_run_training_writes_log_and_checkpoints(train_set, toy_mel_config, tmp_path):
