@@ -261,6 +261,8 @@ def cmd_synth(args) -> int:
         nearest = next(p for p in (Path(inter), *Path(inter).parents) if p.exists())
         if not nearest.is_dir():
             raise DataError(f"--emit-intermediates {inter}: {nearest} is not a directory")
+        if any(Path(inter).glob("iter*.wav")):  # another chain's iterates would mix in
+            raise DataError(f"--emit-intermediates {inter}: already holds iter*.wav files")
     state, mel_cfg = _load_checkpoint(args.checkpoint)
     schedule = resolve_schedule(args.schedule)
     _check_schedule_compat(state.config.discrete_schedule, schedule)

@@ -6,20 +6,17 @@ noise explicitly so results are reproducible.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["forward_diffuse"]
 
 
-def forward_diffuse(
-    y0: np.ndarray, sqrt_alpha_bar: float, epsilon: np.ndarray
-) -> np.ndarray:
+def forward_diffuse(y0: np.ndarray, sqrt_alpha_bar, epsilon: np.ndarray) -> np.ndarray:
     """Diffuse y0 to the given continuous noise level in closed form.
 
     Returns y_noisy = sqrt_alpha_bar * y0 + sqrt(1 - alpha_bar) * epsilon, with
-    the noise epsilon supplied by the caller.
+    the noise epsilon supplied by the caller.  The level is a float, or an
+    array that broadcasts against y0 (a (B, 1) column gives each row its own).
     """
     y0 = np.asarray(y0, dtype=np.float64)
     epsilon = np.asarray(epsilon, dtype=np.float64)
@@ -27,7 +24,8 @@ def forward_diffuse(
         raise ValueError(f"length mismatch: {y0.shape} vs {epsilon.shape}")
     if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(epsilon))):
         raise ValueError("inputs must be finite")
-    if not (0.0 < sqrt_alpha_bar <= 1.0):
+    level = np.asarray(sqrt_alpha_bar, dtype=np.float64)
+    if not np.all((0.0 < level) & (level <= 1.0)):
         raise ValueError(f"sqrt_alpha_bar must be in (0, 1], got {sqrt_alpha_bar}")
-    noise_scale = math.sqrt(max(1.0 - sqrt_alpha_bar * sqrt_alpha_bar, 0.0))
-    return sqrt_alpha_bar * y0 + noise_scale * epsilon
+    noise_scale = np.sqrt(np.maximum(1.0 - level * level, 0.0))
+    return level * y0 + noise_scale * epsilon

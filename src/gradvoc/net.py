@@ -136,22 +136,24 @@ class ModelConfig:
         )
 
 
-def positional_encoding(sqrt_alpha_bar: float, dim: int, scale: float) -> np.ndarray:
+def positional_encoding(sqrt_alpha_bar, dim: int, scale: float) -> np.ndarray:
     """Sinusoidal embedding of the noise level at position scale * sqrt_alpha_bar.
 
     First dim/2 entries are sines, the rest cosines, with the usual geometric
-    frequency ladder.
+    frequency ladder.  A float level gives a (dim,) vector; B levels give
+    one row each, (B, dim).
     """
     if dim % 2 != 0:
         raise ValueError("embedding dimension must be even")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    if not (0.0 < sqrt_alpha_bar <= 1.0):
+    level = np.asarray(sqrt_alpha_bar, dtype=np.float64)
+    if not np.all((0.0 < level) & (level <= 1.0)):
         raise ValueError(f"sqrt_alpha_bar must be in (0, 1], got {sqrt_alpha_bar}")
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * (2.0 / dim) * np.arange(half))
-    angles = scale * sqrt_alpha_bar * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    angles = scale * level[..., None] * freqs
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
 class Module:
@@ -305,19 +307,25 @@ class DenoiserModel(Module):
         if seed is not None:
             init_weights(self, np.random.default_rng(seed), config.np_dtype)
 
-    def forward(self, y_noisy, mel, sqrt_alpha_bar: float) -> Tensor:
-        """Graph-building forward pass; returns a (1, T) tensor."""
+    def forward(self, y_noisy, mel, sqrt_alpha_bar) -> Tensor:
+        """Graph-building forward pass.
+
+        One item, a waveform (T,), a mel (bins, frames) and a float noise
+        level, gives a (1, T) tensor.  A batch, waveforms (B, T), mels
+        (B, bins, frames) and B levels, gives (B, 1, T), each item computed
+        as it would be alone.
+        """
         cfg = self.config
         dtype = cfg.np_dtype
-        y = np.asarray(y_noisy, dtype=dtype).reshape(1, -1)
         x = np.asarray(mel, dtype=dtype)
-        if x.ndim != 2 or x.shape[0] != cfg.mel_bins:
-            raise ValueError(f"mel must be ({cfg.mel_bins}, frames), got {x.shape}")
-        expected = x.shape[1] * cfg.samples_per_frame
-        if y.shape[1] != expected:
+        if x.ndim not in (2, 3) or x.shape[-2] != cfg.mel_bins:
+            raise ValueError(f"mel must be ([B,] {cfg.mel_bins}, frames), got {x.shape}")
+        y = np.asarray(y_noisy, dtype=dtype).reshape(*x.shape[:-2], 1, -1)
+        expected = x.shape[-1] * cfg.samples_per_frame
+        if y.shape[-1] != expected:
             raise ValueError(
-                f"waveform length {y.shape[1]} != {cfg.samples_per_frame} x "
-                f"{x.shape[1]} mel frames"
+                f"waveform length {y.shape[-1]} != {cfg.samples_per_frame} x "
+                f"{x.shape[-1]} mel frames"
             )
         if not np.all(np.isfinite(y)):
             raise ValueError("non-finite noisy waveform")
@@ -334,19 +342,20 @@ class DenoiserModel(Module):
             ).astype(dtype)
             gamma, xi = film(chain[n_up - 1 - j], Tensor(emb))
             u = ublock(u, gamma, xi)
-        out = self.post_conv(u)
-        if not np.all(np.isfinite(out.data)):
-            raise FloatingPointError("non-finite network output")
-        return out
+        return self.post_conv(u)
 
     def predict(self, y_noisy, mel, sqrt_alpha_bar: float) -> np.ndarray:
         """Inference: ``forward`` under ``tensor.no_grad``, as a plain 1-D array.
 
         Records no tape, so each activation is freed as soon as no later layer
-        needs it; the values are those of the tracked ``forward``.
+        needs it; the values are those of the tracked ``forward``.  Raises
+        FloatingPointError if any output sample is not finite.
         """
         with T.no_grad():
-            return self.forward(y_noisy, mel, sqrt_alpha_bar).data[0].copy()
+            out = self.forward(y_noisy, mel, sqrt_alpha_bar).data[0]
+            if not np.all(np.isfinite(out)):
+                raise FloatingPointError("non-finite network output")
+        return out.copy()
 
     def output_length(self, mel) -> int:
         """Waveform samples produced for a (mel bins, frames) conditioning."""

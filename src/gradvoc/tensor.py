@@ -2,7 +2,9 @@
 
 Covers exactly the operations the denoiser network needs: 1-D dilated/strided
 convolution, nearest-neighbor upsampling, decimation, leaky ReLU, and the
-elementwise/reduction glue for the loss.  The computation graph is the
+elementwise/reduction glue for the loss.  Each of them also takes a
+leading batch axis, (B, C, T), and treats every item as it would alone, so
+a training step is one graph.  The computation graph is the
 implicit tape of parent links recorded on each result; ``backward`` replays
 it in reverse topological order.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 
 import numpy as np
@@ -177,23 +180,50 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
-    """Add a per-channel vector v (C,) to a (C, T) feature map."""
-    if v.data.ndim != 1 or x.data.ndim != 2 or v.shape[0] != x.shape[0]:
+    """Add a per-channel vector v (C,) to a (C, T) feature map, or one row of
+    v (B, C) to each item of a (B, C, T) batch."""
+    if v.data.ndim != x.data.ndim - 1 or v.shape != x.shape[:-1]:
         raise ValueError(f"channel mismatch: {x.shape} vs {v.shape}")
 
     def backward(g):
         _accumulate(x, g)
-        _accumulate(v, g.sum(axis=1))
+        _accumulate(v, g.sum(axis=-1))
 
-    return _result(x.data + v.data[:, None], (x, v), backward)
+    return _result(x.data + v.data[..., None], (x, v), backward)
 
 
-def _conv_geometry(t_in: int, kernel: int, stride: int, dilation: int):
+@functools.lru_cache(maxsize=256)  # a few µs per call, as much as a toy conv's GEMM
+def _conv_taps(t_in: int, kernel: int, stride: int, dilation: int):
+    """Output length and, for each tap k that reads the signal, the slices
+    ``(k, steps, inputs)`` of output steps and the input samples they meet.
+
+    Zero padding keeps the output at ceil(t_in / stride) steps, with any odd
+    padding sample on the left; the steps outside ``steps`` read padding.
+    """
     span = (kernel - 1) * dilation + 1
     t_out = -(-t_in // stride)
-    pad_total = max((t_out - 1) * stride + span - t_in, 0)
-    pad_left = (pad_total + 1) // 2  # extra padding goes on the left
-    return t_out, pad_left, pad_total - pad_left
+    pad_left = (max((t_out - 1) * stride + span - t_in, 0) + 1) // 2
+    taps = []
+    for k in range(kernel):
+        offset = k * dilation - pad_left  # input index met by output step 0
+        lo = max(0, -(offset // stride))
+        hi = min(t_out, (t_in - 1 - offset) // stride + 1)
+        if lo < hi:
+            start = lo * stride + offset
+            taps.append((k, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return t_out, tuple(taps)
+
+
+def _columns(x: np.ndarray, kernel: int, stride: int, t_out: int, taps) -> np.ndarray:
+    """The (..., C_in * K, T_out) column matrix of x (..., C_in, T): row
+    c * K + k holds the input that tap k of channel c meets at each step."""
+    if kernel == 1:  # one tap reads no padding
+        return np.ascontiguousarray(x[..., ::stride])  # a strided view keeps matmul off BLAS
+    *lead, c_in, _ = x.shape
+    col = np.zeros((*lead, c_in, kernel, t_out), dtype=x.dtype)
+    for k, steps, inputs in taps:
+        col[..., k, steps] = x[..., inputs]
+    return col.reshape(*lead, c_in * kernel, t_out)
 
 
 def conv1d(
@@ -203,47 +233,46 @@ def conv1d(
     stride: int = 1,
     dilation: int = 1,
 ) -> Tensor:
-    """Cross-correlation of (C_in, T) with (C_out, C_in, K) weights.
+    """Cross-correlation of (C_in, T) with (C_out, C_in, K) weights; a
+    (B, C_in, T) batch convolves each item on its own.
 
     Zero padding keeps the output length at ceil(T / stride); for stride 1
-    this is the usual "same" convolution.
+    this is the usual "same" convolution.  One GEMM per item multiplies the
+    flattened weight with the input's column matrix, which backward rebuilds
+    from the input rather than keeping it on the tape.
     """
-    if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise ValueError("conv1d expects x (C_in, T) and weight (C_out, C_in, K)")
+    if x.data.ndim not in (2, 3) or weight.data.ndim != 3:
+        raise ValueError("conv1d expects x (C_in, T) or (B, C_in, T) and weight (C_out, C_in, K)")
     c_out, c_in, kernel = weight.shape
-    if x.shape[0] != c_in:
-        raise ValueError(f"channel mismatch: input {x.shape[0]}, weight {c_in}")
+    if x.shape[-2] != c_in:
+        raise ValueError(f"channel mismatch: input {x.shape[-2]}, weight {c_in}")
     if kernel not in _CONV_KERNEL_SIZES:
         raise ValueError(f"unsupported kernel size {kernel}")
     if stride < 1 or dilation < 1:
         raise ValueError("stride and dilation must be >= 1")
+    if bias is not None and bias.shape != (c_out,):
+        raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
 
-    t_in = x.shape[1]
-    t_out, pad_left, pad_right = _conv_geometry(t_in, kernel, stride, dilation)
-    xp = np.pad(x.data, ((0, 0), (pad_left, pad_right)))
-    patches = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c_in, kernel, t_out),
-        strides=(xp.strides[0], xp.strides[1] * dilation, xp.strides[1] * stride),
-    )
-    out = np.tensordot(weight.data, patches, axes=([1, 2], [0, 1]))
+    t_out, taps = _conv_taps(x.shape[-1], kernel, stride, dilation)
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    col = _columns(x.data, kernel, stride, t_out, taps)
+    # one item: np.dot, the BLAS call (and rounding) of the padded conv in tests/oracles.py
+    out = np.dot(w2, col) if col.ndim == 2 else w2 @ col
     if bias is not None:
-        if bias.shape != (c_out,):
-            raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
 
     def backward(g):
-        _accumulate(weight, np.tensordot(g, patches, axes=([1], [2])))
+        batch_axes = tuple(range(g.ndim - 2))  # () for one item
+        col = _columns(x.data, kernel, stride, t_out, taps)
+        _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
         if bias is not None:
-            _accumulate(bias, g.sum(axis=1))
+            _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
         if x.requires_grad:
-            col = np.tensordot(weight.data, g, axes=([0], [0]))  # (C_in, K, T_out)
-            gxp = np.zeros_like(xp)
-            for k in range(kernel):
-                start = k * dilation
-                stop = start + (t_out - 1) * stride + 1
-                gxp[:, start:stop:stride] += col[:, k, :]
-            _accumulate(x, gxp[:, pad_left : pad_left + t_in])
+            gcol = (w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, t_out)
+            gx = np.zeros_like(x.data)
+            for k, steps, inputs in taps:
+                gx[..., inputs] += gcol[..., k, steps]
+            _accumulate(x, gx)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
@@ -253,36 +282,37 @@ def nearest_upsample(x: Tensor, factor: int) -> Tensor:
     """Repeat every time step ``factor`` times along the last axis."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    c, t = x.shape
 
     def backward(g):
-        _accumulate(x, g.reshape(c, t, factor).sum(axis=2))
+        _accumulate(x, g.reshape(*x.shape, factor).sum(axis=-1))
 
-    return _result(np.repeat(x.data, factor, axis=1), (x,), backward)
+    return _result(np.repeat(x.data, factor, axis=-1), (x,), backward)
 
 
 def downsample(x: Tensor, factor: int) -> Tensor:
     """Keep every ``factor``-th time step (offset 0); length must divide."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    c, t = x.shape
+    t = x.shape[-1]
     if t % factor != 0:
         raise ValueError(f"length {t} not divisible by factor {factor}")
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[:, ::factor] = g
+        gx[..., ::factor] = g
         _accumulate(x, gx)
 
-    return _result(np.ascontiguousarray(x.data[:, ::factor]), (x,), backward)
+    return _result(np.ascontiguousarray(x.data[..., ::factor]), (x,), backward)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     if not (0.0 < slope < 1.0):
         raise ValueError("slope must be in (0, 1)")
 
+    one, low = x.data.dtype.type(1.0), x.data.dtype.type(slope)
+
     def backward(g):  # the subgradient at 0 is taken as slope
-        _accumulate(x, g * np.where(x.data > 0.0, 1.0, slope).astype(x.data.dtype))
+        _accumulate(x, g * np.where(x.data > 0.0, one, low))
 
     return _result(np.maximum(x.data, slope * x.data), (x,), backward)
 

@@ -1,9 +1,11 @@
 """Training loop: batch assembly, noise-level sampling, loss, optimization.
 
-Each step draws a continuous noise level from the hierarchical prior (or a
-uniform discrete index in compatibility mode), diffuses the clean segments in
-closed form, and takes one adaptive-moment gradient step on the mean L1
-distance between the drawn and predicted noise.
+Each step draws, for every segment of the batch, a continuous noise level
+from the hierarchical prior (or a uniform discrete index in compatibility
+mode), diffuses the clean segments in closed form, and takes one
+adaptive-moment gradient step on the mean L1 distance between the drawn and
+predicted noise.  The batch runs stacked, through one forward and one
+backward.
 
 Determinism contract: the step-k randomness comes from a generator seeded
 with (seed, k), so restoring a checkpoint reproduces the exact loss sequence
@@ -138,22 +140,25 @@ def _draw_noise_level(config: TrainConfig, rng: np.random.Generator) -> float:
 
 
 def _batch_loss(model: DenoiserModel, batch, config: TrainConfig, rng) -> Tensor:
-    """Build the loss graph for one batch (mean L1 over samples and batch)."""
-    per_item = []
-    for idx, (y0, mel) in enumerate(batch):
-        sqrt_abar = _draw_noise_level(config, rng)
-        eps = rng.standard_normal(len(y0))
-        y_noisy = forward_diffuse(y0, sqrt_abar, eps)
-        pred = model.forward(y_noisy, mel, sqrt_abar)
-        target = Tensor(eps.reshape(1, -1).astype(model.config.np_dtype))
-        item_loss = T.mean_abs(T.sub(pred, target))
-        if not np.isfinite(item_loss.data):
-            raise TrainError(f"non-finite loss at batch index {idx}")
-        per_item.append(item_loss)
-    total = per_item[0]
-    for item in per_item[1:]:
-        total = T.add(total, item)
-    return T.scale(total, 1.0 / len(per_item))
+    """Build the loss graph for one batch: the mean L1 distance over every
+    sample of every item, from one forward of the stacked batch.
+
+    Each item draws its noise level and then its noise, in batch order.
+    """
+    levels, noise = [], []
+    for y0, _ in batch:
+        levels.append(_draw_noise_level(config, rng))
+        noise.append(rng.standard_normal(len(y0)))
+    levels = np.array(levels)
+    eps = np.stack(noise)
+    y_noisy = forward_diffuse(np.stack([y0 for y0, _ in batch]), levels[:, None], eps)
+    pred = model.forward(y_noisy, np.stack([mel for _, mel in batch]), levels)
+    diff = T.sub(pred, Tensor(eps[:, None, :].astype(model.config.np_dtype)))
+    loss = T.mean_abs(diff)
+    if not np.isfinite(loss.data):
+        finite = np.isfinite(np.abs(diff.data).sum(axis=(1, 2)))
+        raise TrainError(f"non-finite loss at batch index {int(np.argmin(finite))}")
+    return loss
 
 
 def train_step(

@@ -1,8 +1,9 @@
 """Reference functions that only the tests use.
 
 Closed-form quantities of the diffusion process, a plain sum reduction for
-autodiff checks, a fixed-noise batch loss and the per-lag loop pitch
-tracker; the library itself never needs them.
+autodiff checks, the padded ``tensordot`` convolution, a fixed-noise batch
+loss with its per-item loop, and the per-lag loop pitch tracker; the
+library itself never needs them.
 """
 
 import math
@@ -19,8 +20,10 @@ from gradvoc.dsp import (
     _frame,
     _pitch_hop,
 )
+from gradvoc import tensor as T
+from gradvoc.diffusion import forward_diffuse
 from gradvoc.tensor import Tensor, _accumulate, _result
-from gradvoc.train import _batch_loss
+from gradvoc.train import TrainError, _batch_loss, _draw_noise_level
 
 
 def noise_log_density_gradient(epsilon: np.ndarray, alpha_bar: float) -> np.ndarray:
@@ -80,10 +83,66 @@ def tsum(x: Tensor) -> Tensor:
     return _result(np.sum(x.data), (x,), backward)
 
 
-def evaluate_loss(model, batch, config, seed: int = 12345) -> float:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
+           dilation: int = 1) -> Tensor:
+    """``tensor.conv1d`` of one (C_in, T) item as a padded copy, a strided
+    patch view and a ``tensordot``, with the patches kept for backward."""
+    c_out, c_in, kernel = weight.shape
+    t_in = x.shape[1]
+    span = (kernel - 1) * dilation + 1
+    t_out = -(-t_in // stride)
+    pad_total = max((t_out - 1) * stride + span - t_in, 0)
+    pad_left = (pad_total + 1) // 2
+    xp = np.pad(x.data, ((0, 0), (pad_left, pad_total - pad_left)))
+    patches = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(c_in, kernel, t_out),
+        strides=(xp.strides[0], xp.strides[1] * dilation, xp.strides[1] * stride),
+    )
+    out = np.tensordot(weight.data, patches, axes=([1, 2], [0, 1]))
+    if bias is not None:
+        out = out + bias.data[:, None]
+
+    def backward(g):
+        _accumulate(weight, np.tensordot(g, patches, axes=([1], [2])))
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=1))
+        if x.requires_grad:
+            col = np.tensordot(weight.data, g, axes=([0], [0]))  # (C_in, K, T_out)
+            gxp = np.zeros_like(xp)
+            for k in range(kernel):
+                start = k * dilation
+                stop = start + (t_out - 1) * stride + 1
+                gxp[:, start:stop:stride] += col[:, k, :]
+            _accumulate(x, gxp[:, pad_left : pad_left + t_in])
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out.astype(x.data.dtype, copy=False), parents, backward)
+
+
+def loop_batch_loss(model, batch, config, rng) -> Tensor:
+    """The batch loss as one forward and one mean per item, then their mean."""
+    per_item = []
+    for idx, (y0, mel) in enumerate(batch):
+        sqrt_abar = _draw_noise_level(config, rng)
+        eps = rng.standard_normal(len(y0))
+        y_noisy = forward_diffuse(y0, sqrt_abar, eps)
+        pred = model.forward(y_noisy, mel, sqrt_abar)
+        target = Tensor(eps.reshape(1, -1).astype(model.config.np_dtype))
+        item_loss = T.mean_abs(T.sub(pred, target))
+        if not np.isfinite(item_loss.data):
+            raise TrainError(f"non-finite loss at batch index {idx}")
+        per_item.append(item_loss)
+    total = per_item[0]
+    for item in per_item[1:]:
+        total = T.add(total, item)
+    return T.scale(total, 1.0 / len(per_item))
+
+
+def evaluate_loss(model, batch, config, seed: int = 12345, batch_loss=_batch_loss) -> float:
     """Loss on a fixed batch with fixed noise draws; no parameter update."""
     rng = np.random.default_rng(seed)
-    return float(_batch_loss(model, batch, config, rng).data)
+    return float(batch_loss(model, batch, config, rng).data)
 
 
 def track_pitch(y: Waveform, scores=None) -> tuple[np.ndarray, np.ndarray]:

@@ -428,6 +428,32 @@ def test_emit_intermediates_holds_one_iterate_at_a_time(toy_checkpoint, corpus_d
     assert peak < 201 * 4000 * 8
 
 
+def test_emit_intermediates_refuses_a_directory_with_iterates(toy_checkpoint, corpus_dirs,
+                                                              tmp_path, monkeypatch, capsys):
+    # a 3-step chain into the directory of a 6-step one would leave iter004-iter006
+    # of the first beside its own iter000-iter003
+    wav = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    inter = tmp_path / "inter"
+    argv = synth_argv(toy_checkpoint, wav, tmp_path) + ["--emit-intermediates", str(inter)]
+    assert main(argv) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in inter.iterdir()}
+    assert len(first) == 7
+    (tmp_path / "o.wav").unlink()
+    capsys.readouterr()
+
+    calls, predict = [], DenoiserModel.predict
+    monkeypatch.setattr(DenoiserModel, "predict",
+                        lambda self, *a: calls.append(a) or predict(self, *a))
+    argv[argv.index("--schedule") + 1] = "linear(0.1,0.5,3)"
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(inter) in err
+    assert calls == [] and not (tmp_path / "o.wav").exists()
+    assert {p.name: p.read_bytes() for p in inter.iterdir()} == first
+
+
 @pytest.fixture(scope="module")
 def no_mel_ckpt(trained_toy, tmp_path_factory):
     """The trained toy model, saved without its mel config."""

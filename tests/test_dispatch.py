@@ -1,0 +1,64 @@
+"""Dispatch guard: the Python and C calls of one toy forward and one toy
+training step stay near today's counts.
+
+The toy workloads are bound by per-call overhead, not arithmetic, so a change
+that adds calls per op or per item (a per-item loop in place of the batch
+axis, say) shows here as a failed test rather than only as a slower
+benchmark.  The counts are deterministic for a given Python and numpy; each
+pin allows 10 % above the count measured when it was set.
+"""
+
+import sys
+
+import numpy as np
+
+from gradvoc.dsp import MelConfig, Waveform, mel_spectrogram
+from gradvoc.net import DenoiserModel, ModelConfig
+from gradvoc.train import TrainConfig, TrainState, train_step
+
+# measured with Python 3.11 and numpy 2.4: 852 calls per forward, 3946 per step
+FORWARD_CALLS = 852
+STEP_CALLS = 3946
+SLACK = 1.1
+
+
+def count_calls(fn) -> int:
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def toy_inputs():
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(256)
+    mel = mel_spectrogram(Waveform(y, 4000), MelConfig.toy()).values
+    batch = [(rng.standard_normal(256), mel) for _ in range(4)]
+    return y, mel, batch
+
+
+def test_one_toy_forward_stays_lean():
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    y, mel, _ = toy_inputs()
+    model.forward(y, mel, 0.5)  # first calls fill caches
+    calls = count_calls(lambda: model.forward(y, mel, 0.5))
+    assert calls <= SLACK * FORWARD_CALLS, calls
+
+
+def test_one_toy_training_step_stays_lean():
+    """A step of batch 4 is one forward, one loss and one backward."""
+    _, _, batch = toy_inputs()
+    state = TrainState(model=DenoiserModel(ModelConfig.toy(), seed=0),
+                       config=TrainConfig(batch_size=4, segment_samples=256))
+    train_step(state, batch, np.random.default_rng(1))
+    calls = count_calls(lambda: train_step(state, batch, np.random.default_rng(1)))
+    assert calls <= SLACK * STEP_CALLS, calls

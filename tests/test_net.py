@@ -417,6 +417,91 @@ def test_predict_keeps_no_activations_alive():
     assert untracked < 0.35 * tracked, (untracked, tracked)
 
 
+# -- a batch of items against the items one at a time -------------------------------
+
+# relative agreement of a batched forward or gradient with the single items
+BATCH_RTOL = {"float64": 1e-12, "float32": 1e-6}
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_batched_forward_equals_single_items(dtype):
+    """Outputs and parameter gradients of one batched graph equal those of
+    the items one at a time, each at its own noise level."""
+    model = DenoiserModel(ModelConfig.toy(dtype=dtype), seed=4)
+    params = model.parameters()
+    rng = np.random.default_rng(20)
+    ys, mels = rng.standard_normal((3, 28)), rng.standard_normal((3, 8, 7))
+    levels = np.array([0.05, 0.6, 1.0])
+    cotangent = rng.standard_normal((3, 1, 28)).astype(dtype)
+
+    def grads_of(out, g):
+        for p in params.values():
+            p.grad = None
+        T.mean_abs(T.mul(out, Tensor(g))).backward()
+        return {k: p.grad.copy() for k, p in params.items()}
+
+    batch = model.forward(ys, mels, levels)
+    assert batch.shape == (3, 1, 28) and batch.dtype == np.dtype(dtype)
+    batch_grads = grads_of(batch, cotangent)
+    summed = {k: 0.0 for k in params}
+    for i in range(3):
+        single = model.forward(ys[i], mels[i], levels[i])
+        assert rel_err(batch.data[i], single.data) <= BATCH_RTOL[dtype]
+        for k, g in grads_of(single, cotangent[i] / 3).items():
+            summed[k] = summed[k] + g
+    for k in params:
+        assert rel_err(batch_grads[k], summed[k]) <= BATCH_RTOL[dtype], k
+
+
+def test_batched_forward_rejects_mismatched_items():
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    with pytest.raises(ValueError):
+        model.forward(np.zeros((2, 25)), np.zeros((2, 8, 6)), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        model.forward(np.zeros((2, 24)), np.zeros((2, 8, 6)), np.array([0.5, 1.5]))
+
+
+def test_batched_model_finite_difference():
+    """Central finite differences through a batch of two toy items at 64-bit,
+    three sampled entries per parameter, as in acceptance criterion 5."""
+    model = DenoiserModel(ModelConfig.toy(dtype="float64"), seed=1)
+    rng = np.random.default_rng(21)
+    ys, mels = rng.standard_normal((2, 12)), rng.standard_normal((2, 8, 3))
+    levels = np.array([0.3, 0.9])
+    params = model.parameters()
+
+    def loss():
+        return T.mean_abs(model.forward(ys, mels, levels))
+
+    loss().backward()
+    grads = {k: p.grad.copy() for k, p in params.items()}
+    pick = np.random.default_rng(22)
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        for i in pick.choice(flat.size, size=min(3, flat.size), replace=False):
+            orig = flat[i]
+            flat[i] = orig + 1e-6
+            up = float(loss().data)
+            flat[i] = orig - 1e-6
+            dn = float(loss().data)
+            flat[i] = orig
+            fd = (up - dn) / 2e-6
+            got = grads[name].reshape(-1)[i]
+            assert abs(got - fd) / max(abs(fd), abs(got), 1e-6) <= 1e-4, f"{name}[{i}]"
+
+
+def test_batched_embedding_rows_are_single_embeddings():
+    levels = np.array([0.01, 0.5, 1.0])
+    rows = positional_encoding(levels, 16, 5000.0)
+    assert rows.shape == (3, 16)
+    for row, level in zip(rows, levels):
+        assert row.tobytes() == positional_encoding(float(level), 16, 5000.0).tobytes()
+
+
 def test_large_config_alignment():
     cfg = ModelConfig.large()
     model = DenoiserModel(cfg, seed=0)

@@ -1,7 +1,11 @@
 """Reverse-mode autodiff: every op checked against central finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradvoc.tensor import (
     Tensor,
@@ -18,6 +22,7 @@ from gradvoc.tensor import (
     scale,
     sub,
 )
+import oracles
 from oracles import tsum
 
 FD_STEP = 1e-6
@@ -179,6 +184,186 @@ def test_full_op_composition_fd():
         return mean_abs(h)
 
     fd_check(loss, leaves)
+
+
+# -- the lean conv against the padded tensordot oracle -------------------------------
+
+# relative gradient agreement with the oracle, per dtype
+GRAD_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed):
+    """Forward bit-identical to the oracle; gradients within GRAD_RTOL.
+
+    With one output channel numpy hands the product to BLAS's matrix-vector
+    kernels, whose summation order follows the memory layout of the column
+    matrix.  The oracle's patches reshape to a strided view where they can
+    (one input channel, say), the lean conv's columns are always contiguous,
+    and with a stride above 1 the two layouts can round differently.  The
+    model's one single-channel conv, ``post_conv``, has stride 1.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c_in, t)).astype(dtype)
+    w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype) if bias else None
+    g = rng.standard_normal((c_out, -(-t // stride))).astype(dtype)
+    results = []
+    for conv in (conv1d, oracles.conv1d):
+        leaves = [Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)]
+        if bias:
+            leaves.append(Tensor(b.copy(), requires_grad=True))
+        out = conv(*leaves, stride=stride, dilation=dilation)
+        tsum(mul(out, Tensor(g))).backward()
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (got, got_grads), (want, want_grads) = results
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+    if c_out > 1 or stride == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert rel_err(got, want) <= GRAD_RTOL[dtype]
+    for a, b_ in zip(got_grads, want_grads):
+        assert a.dtype == b_.dtype and a.shape == b_.shape
+        assert rel_err(a, b_) <= GRAD_RTOL[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_conv_matches_oracle_on_the_grid(kernel, dtype):
+    for t, stride, dilation in itertools.product((1, 2, 7, 13, 30), (1, 2, 3, 5), (1, 2, 8)):
+        seed = t * 100 + stride * 10 + dilation
+        conv_vs_oracle(3, 2, t, kernel, stride, dilation, t % 2 == 1, dtype, seed)
+        conv_vs_oracle(1, 4, t, kernel, stride, dilation, True, dtype, seed)  # as pre_conv
+        conv_vs_oracle(8, 1, t, kernel, 1, dilation, True, dtype, seed)  # as post_conv
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c_in=st.integers(1, 6), c_out=st.integers(1, 6), t=st.integers(1, 40),
+    kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 6), dilation=st.integers(1, 9),
+    bias=st.booleans(), dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**16),
+)
+def test_conv_matches_oracle_on_any_shape(c_in, c_out, t, kernel, stride, dilation, bias, dtype,
+                                          seed):
+    conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed)
+
+
+# -- a leading batch axis: B items at once equal B single calls -------------------------
+
+
+def batched_vs_single(op, xs, params=(), dtype=np.float64):
+    """Run ``op(x, *params)`` on the stacked items and on each alone; compare
+    outputs and the gradients of x and every parameter under one cotangent."""
+    rng = np.random.default_rng(60)
+    tol = GRAD_RTOL[dtype]
+    xs = [x.astype(dtype) for x in xs]
+    params = [p.astype(dtype) for p in params]
+
+    def run(x, g=None):
+        leaves = [Tensor(x.copy(), requires_grad=True),
+                  *(Tensor(p.copy(), requires_grad=True) for p in params)]
+        out = op(*leaves)
+        if g is None:
+            return out.data
+        tsum(mul(out, Tensor(g))).backward()
+        return out.data, [leaf.grad for leaf in leaves]
+
+    cotangents = [rng.standard_normal(run(x).shape).astype(dtype) for x in xs]
+    batch, batch_grads = run(np.stack(xs), np.stack(cotangents))
+    param_sums = [np.zeros_like(p) for p in params]
+    for i, (x, g) in enumerate(zip(xs, cotangents)):
+        single, grads = run(x, g)
+        assert batch[i].shape == single.shape
+        assert rel_err(batch[i], single) <= tol
+        assert rel_err(batch_grads[0][i], grads[0]) <= tol
+        for total, grad in zip(param_sums, grads[1:]):
+            total += grad
+    for got, want in zip(batch_grads[1:], param_sums):
+        assert rel_err(got, want) <= tol
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kernel, stride, dilation, t", [
+    (3, 1, 1, 16), (5, 1, 1, 9), (1, 2, 1, 9), (1, 1, 1, 6),
+    (3, 1, 8, 5),  # every tap but the centre reads padding
+    (5, 3, 2, 7),  # padding on both sides of a strided, dilated kernel
+])
+def test_batched_conv_equals_single_items(kernel, stride, dilation, t, dtype):
+    rng = np.random.default_rng(61)
+    xs = [rng.standard_normal((3, t)) for _ in range(4)]
+    w, b = rng.standard_normal((2, 3, kernel)), rng.standard_normal(2)
+    batched_vs_single(lambda x, w, b: conv1d(x, w, b, stride=stride, dilation=dilation),
+                      xs, [w, b], dtype)
+
+
+def test_batched_conv_keeps_items_apart():
+    """Each item is padded on its own: an item of zeros stays zero beside a
+    neighbour whose edges are large, and its input gradient is exactly that
+    of the same item convolved alone."""
+    x = np.zeros((3, 2, 7))
+    x[1] = 1e6
+    w = Tensor(np.ones((2, 2, 5)), requires_grad=True)
+    xt = Tensor(x, requires_grad=True)
+    out = conv1d(xt, w, stride=3, dilation=2)
+    assert out.shape == (3, 2, 3)
+    assert not out.data[0].any() and not out.data[2].any()
+    tsum(out).backward()
+    alone = Tensor(np.zeros((2, 7)), requires_grad=True)
+    tsum(conv1d(alone, w, stride=3, dilation=2)).backward()
+    for i in range(3):
+        assert np.array_equal(xt.grad[i], alone.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batched_structural_ops_equal_single_items(dtype):
+    rng = np.random.default_rng(62)
+    xs = [rng.standard_normal((3, 8)) for _ in range(3)]
+    batched_vs_single(lambda x: leaky_relu(x, 0.2), xs, dtype=dtype)
+    batched_vs_single(lambda x: nearest_upsample(x, 3), xs, dtype=dtype)
+    batched_vs_single(lambda x: downsample(x, 4), xs, dtype=dtype)
+    batched_vs_single(lambda x: add(mul(x, x), sub(x, scale(leaky_relu(x, 0.2), 0.5))), xs,
+                      dtype=dtype)
+
+
+def test_batched_channel_bias_takes_one_row_per_item():
+    rng = np.random.default_rng(63)
+    x, v = leaf((3, 4, 6), 64), leaf((3, 4), 65)
+    out = add_channel_bias(x, v)
+    for i in range(3):
+        assert np.array_equal(out.data[i], add_channel_bias(Tensor(x.data[i]), Tensor(v.data[i])).data)
+    with pytest.raises(ValueError):
+        add_channel_bias(x, Tensor(rng.standard_normal(4)))
+    fd_check(lambda x, v: mean_abs(add_channel_bias(x, v)), [x, v])
+
+
+def test_batched_op_composition_fd():
+    """The batched ops of the full composition above, against central differences."""
+    leaves = [
+        leaf((2, 1, 12), 70), leaf((4, 1, 5), 71), leaf((4,), 72),
+        leaf((4, 4, 3), 73), leaf((2, 4), 74), leaf((4, 4, 1), 75),
+    ]
+
+    def loss(x, w1, b1, w2, emb, w_skip):
+        h = conv1d(x, w1, b1)
+        h = downsample(h, 2)
+        h = add_channel_bias(h, emb)
+        skip = conv1d(h, w_skip, stride=2)
+        h = leaky_relu(conv1d(h, w2, stride=2, dilation=2), 0.2)
+        h = nearest_upsample(add(h, skip), 2)
+        return mean_abs(h)
+
+    fd_check(loss, leaves)
+
+
+def test_leaky_relu_grad_keeps_the_operand_dtype():
+    x = Tensor(np.array([[1.5, -2.0, 0.0]], dtype=np.float32), requires_grad=True)
+    tsum(leaky_relu(x, 0.2)).backward()
+    assert x.grad.dtype == np.float32
+    assert x.grad.tolist() == [[1.0, np.float32(0.2), np.float32(0.2)]]
 
 
 # -- engine mechanics --------------------------------------------------------------

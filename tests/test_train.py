@@ -15,6 +15,7 @@ from gradvoc.train import (
     TrainConfig,
     TrainError,
     TrainState,
+    _batch_loss,
     load_state,
     make_batch,
     run_training,
@@ -23,7 +24,7 @@ from gradvoc.train import (
     train_step,
 )
 from conftest import SEGMENT, TOY_SR, toy_mel
-from oracles import evaluate_loss, loss_l1, optimal_gaussian_epsilon
+from oracles import evaluate_loss, loop_batch_loss, loss_l1, optimal_gaussian_epsilon
 
 
 def fresh_state(seed=0, **overrides):
@@ -93,6 +94,47 @@ def test_run_warns_once_per_short_utterance(train_set, toy_mel_config, caplog):
     ]
 
 
+# -- one batched graph per step against the per-item loop ----------------------------
+
+
+def loss_and_grads(model, batch, config, batch_loss):
+    for p in model.parameters().values():
+        p.grad = None
+    loss = batch_loss(model, batch, config, np.random.default_rng(12345))
+    loss.backward()
+    return float(loss.data), {k: p.grad for k, p in model.parameters().items()}
+
+
+@pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+def test_batched_loss_draws_like_the_item_loop(train_set, toy_mel_config, dtype, tol):
+    """Same levels and noise in the same order: the one-graph loss and its
+    gradients equal those of the per-item loop."""
+    model = DenoiserModel(ModelConfig.toy(dtype), seed=6)
+    config = TrainConfig(segment_samples=SEGMENT, batch_size=5, seed=0)
+    batch = make_batch(train_set, np.random.default_rng(7), 5, SEGMENT, toy_mel_config)
+    loop = evaluate_loss(model, batch, config, batch_loss=loop_batch_loss)
+    assert evaluate_loss(model, batch, config) == pytest.approx(loop, rel=tol)
+
+    _, grads = loss_and_grads(model, batch, config, _batch_loss)
+    _, want = loss_and_grads(model, batch, config, loop_batch_loss)
+    for k, g in grads.items():
+        assert np.max(np.abs(g - want[k])) <= tol * np.max(np.abs(want[k])), k
+
+
+def test_non_finite_item_names_its_batch_index(train_set, toy_mel_config):
+    batch = make_batch(train_set, np.random.default_rng(8), 4, SEGMENT, toy_mel_config)
+    y0, mel = batch[2]
+    mel = mel.copy()
+    mel[1, 3] = np.nan
+    batch[2] = (y0, mel)
+    state = fresh_state(seed=0)
+    before = {k: p.data.copy() for k, p in state.model.parameters().items()}
+    with pytest.raises(TrainError, match="non-finite loss at batch index 2$"):
+        train_step(state, batch, np.random.default_rng(9))
+    assert state.step == 0
+    assert all(np.array_equal(p.data, before[k]) for k, p in state.model.parameters().items())
+
+
 # -- objective floors ----------------------------------------------------------------
 
 
@@ -103,7 +145,7 @@ def test_zero_predictor_loss_is_folded_normal_mean(train_set, toy_mel_config):
         config = ModelConfig.toy()
 
         def forward(self, y_noisy, mel, sqrt_alpha_bar):
-            return Tensor(np.zeros((1, len(y_noisy))))
+            return Tensor(np.zeros((len(y_noisy), 1, y_noisy.shape[-1])))
 
     config = TrainConfig(segment_samples=SEGMENT, batch_size=16, seed=0)
     batch = make_batch(train_set, np.random.default_rng(5), 16, SEGMENT, toy_mel_config)
