@@ -50,6 +50,7 @@ from .train import (
     TrainDataError,
     TrainError,
     TrainState,
+    check_mel_config,
     load_state,
     run_training,
     save_state,
@@ -173,8 +174,6 @@ def cmd_train(args) -> int:
         raise UsageError(f"{path}: unknown mel profile {mel_name!r}")
     model_cfg = MODEL_PROFILES[model_name]()
     mel_cfg = MEL_PROFILES[mel_name]()
-    if model_cfg.mel_bins != mel_cfg.n_mels:
-        raise UsageError(f"{path}: model/mel profiles disagree on mel bins")
 
     conditioning = _get(kv, "conditioning", str, default="continuous", path=path)
     if conditioning not in ("continuous", "discrete"):
@@ -190,6 +189,7 @@ def cmd_train(args) -> int:
     )
 
     try:
+        check_mel_config(model_cfg, mel_cfg)
         config = TrainConfig(
             training_prior=prior,
             batch_size=_get(kv, "batch_size", int, default=4, path=path),
@@ -215,15 +215,12 @@ def cmd_train(args) -> int:
     if kv:
         raise UsageError(f"{path}: unknown or unused key {next(iter(kv))!r}")
 
-    dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)
-    if resume_path:
-        state, saved_mel = _load_checkpoint(resume_path)
-        if saved_mel is not None:
-            mel_cfg = saved_mel
+    if resume_path:  # the checkpoint's model and mel analysis replace the profiles
+        state, mel_cfg = _load_checkpoint(resume_path)
         state.config = replace(config, seed=state.config.seed)
-    else:
-        model = DenoiserModel(model_cfg, seed=config.seed)
-        state = TrainState(model=model, config=config)
+    dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)
+    if not resume_path:
+        state = TrainState(model=DenoiserModel(model_cfg, seed=config.seed), config=config)
 
     state = run_training(
         state, dataset, mel_cfg, loss_log_path=loss_log, checkpoint_dir=ckpt_dir
@@ -268,8 +265,6 @@ def cmd_synth(args) -> int:
     _check_schedule_compat(state.config.discrete_schedule, schedule)
     inp = Path(args.input)
     if inp.suffix == ".wav":
-        if mel_cfg is None:
-            raise DataError("checkpoint carries no mel config; provide a .mel input")
         wav = wav_read(inp)
         try:
             mel = mel_spectrogram(wav, mel_cfg)
@@ -277,18 +272,12 @@ def cmd_synth(args) -> int:
             raise DataError(f"{inp}: {exc}") from exc
     elif inp.suffix == ".mel":
         mel = load_mel(inp)
-        # the checkpoint's analysis, or any at the model's samples per frame
-        trained = mel_cfg or replace(mel.config, hop_length=state.model.config.samples_per_frame)
-        diff = [f"{key} {value!r} (model: {getattr(trained, key)!r})"
-                for key, value in asdict(mel.config).items() if getattr(trained, key) != value]
+        diff = [f"{key} {value!r} (model: {getattr(mel_cfg, key)!r})"
+                for key, value in asdict(mel.config).items() if getattr(mel_cfg, key) != value]
         if diff:
             raise DataError(f"{inp}: not the model's mel analysis: {', '.join(diff)}")
-        mel_cfg = mel.config
     else:
         raise UsageError(f"unsupported input type {inp.suffix!r} (want .wav or .mel)")
-    bins = state.model.config.mel_bins
-    if mel.values.shape[0] != bins:
-        raise DataError(f"{inp}: {mel.values.shape[0]} mel bins, the model takes {bins}")
 
     request = SynthRequest(
         mel=mel.values, inference_schedule=schedule, model=state.model, seed=args.seed
@@ -324,8 +313,6 @@ def cmd_sweep(args) -> int:
             "sweep requires a continuous-mode checkpoint: discrete-mode models "
             "cannot change schedules at inference time"
         )
-    if mel_cfg is None:
-        raise DataError("checkpoint carries no mel config")
     validation_dir = _resolve(args.validation_dir, "GRADVOC_DATA_ROOT")
     refs = load_corpus(validation_dir, sample_rate=mel_cfg.sample_rate)
     try:

@@ -107,6 +107,12 @@ class MelConfig:
             raise ValueError("fmax above Nyquist")
         if self.hop_length < 1 or self.win_length < 1:
             raise ValueError("window and hop must be positive")
+        if self.n_mels < 1:
+            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
+        if not 0.0 <= self.fmin < self.fmax:
+            raise ValueError(f"fmin {self.fmin} must be in [0, fmax {self.fmax})")
+        if not 0.0 < self.log_floor < math.inf:
+            raise ValueError(f"log_floor must be positive and finite, got {self.log_floor}")
 
     @classmethod
     def toy(cls) -> "MelConfig":
@@ -235,7 +241,9 @@ def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
     ``PITCH_FMIN``..``PITCH_FMAX``.  Each frame has its mean removed; a frame
     whose mean-removed RMS is below ``ENERGY_FLOOR`` is unvoiced outright.
     A lag scores a.b / sqrt(a.a * b.b), where a and b are the frame without
-    its last and first ``lag`` samples.  A frame is voiced when its best
+    its last and first ``lag`` samples; when a or b has an RMS below
+    ``ENERGY_FLOOR`` (say, b lies in the zero padding), a.b is roundoff and
+    the lag scores -1.  A frame is voiced when its best
     score exceeds ``VOICING_THRESHOLD``, and its f0 is the sample rate over
     the shortest lag scoring within 2 % of that best (lag multiples of the
     true period score almost identically, so this avoids octave-down
@@ -252,6 +260,7 @@ def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
     lag_max = min(int(sr / PITCH_FMIN), win - 1)
     lags = np.arange(lag_min, lag_max + 1)
     ends = win - 1 - lags  # a.a and b.b each sum win - lag squared samples
+    floor = (win - lags) * ENERGY_FLOOR**2
     n_fft = next_fast_len(win + lag_max, real=True)  # no circular wrap up to lag_max
     frames = _frame(y.samples, win, _pitch_hop(sr))
     f0 = np.zeros(frames.shape[0])
@@ -264,9 +273,8 @@ def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
         ab = irfft(spectrum.real**2 + spectrum.imag**2, n_fft, axis=1)[:, lags]
         aa = np.cumsum(sq, axis=1)[:, ends]
         bb = np.cumsum(sq[:, ::-1], axis=1)[:, ends]
-        denom = np.sqrt(aa * bb)
         corr = np.full(ab.shape, -1.0)
-        np.divide(ab, denom, out=corr, where=denom > 0.0)
+        np.divide(ab, np.sqrt(aa * bb), out=corr, where=np.minimum(aa, bb) >= floor)
         best = corr.max(axis=1)
         shortest = np.argmax(corr >= (best - 0.02 * np.abs(best))[:, None], axis=1)
         hit = (np.sqrt(np.mean(sq, axis=1)) >= ENERGY_FLOOR) & (best > VOICING_THRESHOLD)
@@ -351,4 +359,6 @@ def load_mel(path) -> MelSpectrogram:
         config = MelConfig(**meta["mel_config"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad mel_config: {exc}") from exc
+    if values.shape[0] != config.n_mels:
+        raise CheckpointError(f"{path}: {values.shape[0]} mel bins, its config has {config.n_mels}")
     return MelSpectrogram(values=values.astype(np.float64, copy=False), config=config)

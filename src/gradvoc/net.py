@@ -90,6 +90,8 @@ class ModelConfig:
                  self.mel_conv_channels)
         if not all(isinstance(v, int) and v >= 1 for v in sizes):
             raise ValueError("factors, dilations, channels and mel bins must be integers >= 1")
+        if any(c % 2 for c in self.ublock_channels):  # each is a noise-embedding width
+            raise ValueError(f"UBlock channels must be even, got {self.ublock_channels}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 

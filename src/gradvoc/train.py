@@ -36,7 +36,8 @@ from .schedule import (
 from .tensor import Tensor
 
 __all__ = ["TrainConfig", "TrainState", "TrainError", "TrainConfigError", "TrainDataError",
-           "make_batch", "train_step", "run_training", "save_state", "load_state"]
+           "check_mel_config", "make_batch", "train_step", "run_training", "save_state",
+           "load_state"]
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +79,15 @@ class TrainConfig:
                 raise TrainConfigError(f"{key} must be >= {least}, got {value}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+
+
+def check_mel_config(model_cfg: ModelConfig, mel_cfg: MelConfig) -> None:
+    """Raise TrainConfigError unless ``mel_cfg`` makes the mels the model takes."""
+    spf, bins = model_cfg.samples_per_frame, model_cfg.mel_bins
+    if mel_cfg.hop_length != spf:
+        raise TrainConfigError(f"mel hop {mel_cfg.hop_length} != model samples-per-frame {spf}")
+    if mel_cfg.n_mels != bins:
+        raise TrainConfigError(f"mel analysis has {mel_cfg.n_mels} bins, the model takes {bins}")
 
 
 @dataclass
@@ -221,10 +231,7 @@ def run_training(
             f"segment_samples {config.segment_samples} not divisible by the "
             f"model's {spf} samples per mel frame"
         )
-    if mel_cfg.hop_length != spf:
-        raise TrainConfigError(
-            f"mel hop {mel_cfg.hop_length} != model samples-per-frame {spf}"
-        )
+    check_mel_config(state.model.config, mel_cfg)
     usable = _usable_utterances(dataset, config.segment_samples)
     if checkpoint_dir:
         ckpt_dir = Path(checkpoint_dir).resolve()
@@ -266,10 +273,11 @@ def run_training(
 
 # TrainConfig fields stored at the top level of the metadata, not under "train"
 _TOP_LEVEL_FIELDS = ("training_prior", "discrete_schedule")
-_REQUIRED_META = ("model_config", "training_prior", "conditioning_mode", "train", "step")
+_REQUIRED_META = ("model_config", "training_prior", "conditioning_mode", "train", "step",
+                  "mel_config")
 
 
-def save_state(path, state: TrainState, mel_cfg: MelConfig | None = None) -> None:
+def save_state(path, state: TrainState, mel_cfg: MelConfig) -> None:
     tensors = {f"param/{k}": v.data for k, v in state.model.parameters().items()}
     tensors.update({f"adam_m/{k}": v for k, v in state.adam_m.items()})
     tensors.update({f"adam_v/{k}": v for k, v in state.adam_v.items()})
@@ -287,8 +295,7 @@ def save_state(path, state: TrainState, mel_cfg: MelConfig | None = None) -> Non
     }
     if config.discrete_schedule is not None:
         meta["discrete_schedule"] = schedule_to_text(config.discrete_schedule)
-    if mel_cfg is not None:
-        meta["mel_config"] = asdict(mel_cfg)
+    meta["mel_config"] = asdict(mel_cfg)
     save_tensors(path, tensors, meta=meta)
 
 
@@ -320,11 +327,11 @@ def _config_from_meta(cls, meta: dict, **extra):
     return config
 
 
-def load_state(path) -> tuple[TrainState, MelConfig | None]:
-    """Restore a checkpoint written by ``save_state``.
+def load_state(path) -> tuple[TrainState, MelConfig]:
+    """Restore a checkpoint written by ``save_state``: the state and its mel analysis.
 
-    Raises CheckpointError unless the archive carries every metadata key and
-    exactly the model's parameters, each with the model's shape.
+    Raises CheckpointError unless the archive carries every metadata key, a mel
+    analysis the model takes and exactly its parameters, each with its shape.
     """
     arrays, meta = load_tensors(path)
     missing = [key for key in _REQUIRED_META if key not in meta]
@@ -343,7 +350,8 @@ def load_state(path) -> tuple[TrainState, MelConfig | None]:
             discrete_schedule=schedule_from_text(discrete) if discrete else None,
         )
         step = int(meta["step"])
-        mel_cfg = MelConfig(**meta["mel_config"]) if "mel_config" in meta else None
+        mel_cfg = MelConfig(**meta["mel_config"])
+        check_mel_config(model.config, mel_cfg)
     except (AttributeError, TypeError, ValueError, TrainError) as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: {exc}") from exc
 

@@ -169,9 +169,8 @@ def track_pitch(y: Waveform, scores=None) -> tuple[np.ndarray, np.ndarray]:
         for k, lag in enumerate(lags):
             a = frame[:-lag]
             b = frame[lag:]
-            denom = math.sqrt(float(a @ a) * float(b @ b))
-            if denom > 0.0:
-                corr[k] = float(a @ b) / denom
+            if min(float(a @ a), float(b @ b)) >= (win - lag) * ENERGY_FLOOR**2:
+                corr[k] = float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))
         if scores is not None:
             scores.append((i, lags, corr))
         best_r = float(corr.max())

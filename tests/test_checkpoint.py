@@ -176,9 +176,9 @@ def test_state_round_trip_discrete_with_moments(tmp_path):
     model = DenoiserModel(ModelConfig.toy("float64"), seed=2)
     moments = {k: np.full_like(p.data, 0.5) for k, p in model.parameters().items()}
     state = TrainState(model=model, config=config, step=7, adam_m=moments, adam_v=moments)
-    save_state(tmp_path / "s.ckpt", state)
+    save_state(tmp_path / "s.ckpt", state, mel_cfg=MelConfig.toy())
     back, mel_cfg = load_state(tmp_path / "s.ckpt")
-    assert mel_cfg is None and back.step == 7
+    assert mel_cfg == MelConfig.toy() and back.step == 7
     assert back.config.seed == 9
     assert back.config.discrete_schedule == config.discrete_schedule
     for name, p in model.parameters().items():
@@ -234,11 +234,32 @@ def unknown_conditioning(tensors, meta):
     meta["conditioning_mode"] = "stepwise"
 
 
+def no_mel_config(tensors, meta):
+    del meta["mel_config"]
+
+
+def mel_hop_8(tensors, meta):  # the toy model takes 4 samples per frame
+    meta["mel_config"]["hop_length"] = 8
+
+
+def mel_bins_16(tensors, meta):  # the toy model takes 8 mel bins
+    meta["mel_config"]["n_mels"] = 16
+
+
+def zero_log_floor(tensors, meta):
+    meta["mel_config"]["log_floor"] = 0.0
+
+
+def fmin_above_fmax(tensors, meta):
+    meta["mel_config"].update(fmin=3000.0, fmax=2000.0)
+
+
 @pytest.mark.parametrize(
     "edit",
     [drop_param, extra_param, wrong_shape, wrong_moment_shape, stray_entry, no_prior,
      bad_train_field, bad_model_config, negative_factors, fractional_factor, zero_dilation,
-     unknown_conditioning],
+     unknown_conditioning, no_mel_config, mel_hop_8, mel_bins_16, zero_log_floor,
+     fmin_above_fmax],
 )
 def test_load_state_rejects_mismatched_checkpoint(toy_ckpt, tmp_path, edit):
     bad = rewrite(toy_ckpt, tmp_path / "bad.ckpt", edit)

@@ -27,7 +27,7 @@ from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import kl_terminal_diagnostic, linear_schedule
 from gradvoc.train import TrainConfig, TrainState, save_state
 from conftest import SEGMENT
-from test_checkpoint import drop_param, extra_param, no_prior
+from test_checkpoint import drop_param, extra_param, mel_hop_8, no_prior, rewrite
 
 
 def test_parse_kv_file(tmp_path):
@@ -158,6 +158,10 @@ DATA_ERRORS = {
         "sample rate"),
     "train-resume-missing": lambda ckpt, held, tmp: (
         train_argv(tmp, held, f"resume = {tmp / 'none.ckpt'}\n"), "checkpoint not found"),
+    # the corpus is read at the resumed checkpoint's rate, not the config profile's
+    "train-resume-rate": lambda ckpt, held, tmp: (
+        train_argv(tmp, write_tone(tmp / "data" / "a.wav", 2400, 24000).parent,
+                   f"model = base\nmel = full\nresume = {ckpt}\n"), "sample rate"),
     "sweep-rate": lambda ckpt, held, tmp: (
         sweep_argv(ckpt, write_tone(tmp / "val" / "a.wav", 2400, 24000).parent),
         "sample rate"),
@@ -207,7 +211,8 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
      ("seed = -1\n", "seed"), ("segment_samples = 0\n", "segment_samples"),
      ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps"),
      ("learning_rate = 0\n", "learning_rate"), ("learning_rate = -1\n", "learning_rate"),
-     ("learning_rate = inf\n", "learning_rate"), ("learning_rate = nan\n", "learning_rate")],
+     ("learning_rate = inf\n", "learning_rate"), ("learning_rate = nan\n", "learning_rate"),
+     ("model = toy\nmel = full\n", "mel hop 300")],
 )
 def test_bad_train_config_is_usage_error(extra, expected, corpus_dirs, tmp_path, capsys):
     code = main(train_argv(tmp_path, corpus_dirs[0], extra))
@@ -454,52 +459,52 @@ def test_emit_intermediates_refuses_a_directory_with_iterates(toy_checkpoint, co
     assert {p.name: p.read_bytes() for p in inter.iterdir()} == first
 
 
-@pytest.fixture(scope="module")
-def no_mel_ckpt(trained_toy, tmp_path_factory):
-    """The trained toy model, saved without its mel config."""
-    path = tmp_path_factory.mktemp("no-mel") / "toy.ckpt"
-    save_state(path, trained_toy["state"])
-    return path
-
-
-@pytest.mark.parametrize("checkpoint", ["toy_checkpoint", "no_mel_ckpt"])
-def test_synth_from_the_models_own_mel_matches_the_wav(checkpoint, toy_checkpoint, corpus_dirs,
-                                                       tmp_path, request):
+def test_synth_from_the_models_own_mel_matches_the_wav(toy_checkpoint, corpus_dirs, tmp_path):
     wav = sorted(corpus_dirs[1].glob("*.wav"))[0]
     mel = tmp_path / "x.mel"
     save_mel(mel, mel_spectrogram(wav_read(wav), MelConfig.toy()))
-    assert main(synth_argv(request.getfixturevalue(checkpoint), mel, tmp_path)) == EXIT_OK
+    assert main(synth_argv(toy_checkpoint, mel, tmp_path)) == EXIT_OK
     from_mel = (tmp_path / "o.wav").read_bytes()
     assert main(synth_argv(toy_checkpoint, wav, tmp_path)) == EXIT_OK
     assert (tmp_path / "o.wav").read_bytes() == from_mel
 
 
-# each gives (checkpoint fixture, mel analysis, text the one error line must contain)
+# each gives (mel analysis, text the one error line must contain)
 FOREIGN_MELS = {
-    "hop": ("toy_checkpoint", replace(MelConfig.toy(), hop_length=8), "hop_length 8 (model: 4)"),
-    "rate": ("toy_checkpoint", replace(MelConfig.toy(), sample_rate=8000),
-             "sample_rate 8000 (model: 4000)"),
-    "no-mel-config-hop": ("no_mel_ckpt", replace(MelConfig.toy(), hop_length=8),
-                          "hop_length 8 (model: 4)"),
+    "hop": (replace(MelConfig.toy(), hop_length=8), "hop_length 8 (model: 4)"),
+    "rate": (replace(MelConfig.toy(), sample_rate=8000), "sample_rate 8000 (model: 4000)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FOREIGN_MELS))
-def test_synth_refuses_a_mel_the_model_was_not_trained_on(case, tmp_path, request,
+def test_synth_refuses_a_mel_the_model_was_not_trained_on(case, toy_checkpoint, tmp_path,
                                                           monkeypatch, capsys):
-    checkpoint, cfg, expected = FOREIGN_MELS[case]
-    ckpt = request.getfixturevalue(checkpoint)
+    cfg, expected = FOREIGN_MELS[case]
     mel = tmp_path / "x.mel"
     save_mel(mel, MelSpectrogram(values=np.zeros((8, 6)), config=cfg))
     calls, predict = [], DenoiserModel.predict
     monkeypatch.setattr(DenoiserModel, "predict",
                         lambda self, *a: calls.append(a) or predict(self, *a))
-    code = main(synth_argv(ckpt, mel, tmp_path))
+    code = main(synth_argv(toy_checkpoint, mel, tmp_path))
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
     assert calls == [] and not (tmp_path / "o.wav").exists()
+
+
+def test_checkpoint_with_a_mel_analysis_its_model_cannot_take(untrained_ckpt, corpus_dirs,
+                                                               tmp_path, capsys):
+    """A recorded hop of 8 against the model's 4 samples per frame is refused at load."""
+    ckpt = rewrite(untrained_ckpt, tmp_path / "hop8.ckpt", mel_hop_8)
+    wav = sorted(corpus_dirs[1].glob("*.wav"))[0]
+    for argv in (synth_argv(ckpt, wav, tmp_path), sweep_argv(ckpt, corpus_dirs[1])):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "mel hop 8" in err
+    assert not (tmp_path / "o.wav").exists()
 
 
 # each gives (--out, --emit-intermediates or None) under a scratch directory

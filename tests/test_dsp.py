@@ -153,6 +153,15 @@ def test_metric_variant_halves_hop():
     assert m.win_length == cfg.win_length
 
 
+@pytest.mark.parametrize("change", [{"n_mels": 0}, {"fmin": -1.0}, {"fmin": 12000.0},
+                                    {"log_floor": 0.0}, {"log_floor": float("nan")}],
+                         ids=["no-bins", "negative-fmin", "fmin-at-fmax", "zero-floor",
+                              "nan-floor"])
+def test_mel_config_rejects_values_it_cannot_analyse_with(change):
+    with pytest.raises(ValueError):
+        MelConfig(**change)
+
+
 def test_too_short_signal_rejected():
     with pytest.raises(ValueError):
         mel_spectrogram(Waveform(np.zeros(100), SR), MelConfig())

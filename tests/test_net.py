@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gradvoc import tensor as T
+from gradvoc.dsp import MelConfig
 from gradvoc.net import (
     Conv1d,
     DBlock,
@@ -272,7 +273,7 @@ def test_seed0_toy_weights_are_pinned(dtype):
 
 def test_loading_draws_no_weights(base_model, tmp_path, monkeypatch):
     path = tmp_path / "base.ckpt"
-    save_state(path, TrainState(model=base_model, config=TrainConfig()))
+    save_state(path, TrainState(model=base_model, config=TrainConfig()), mel_cfg=MelConfig())
     calls = []
     draw = T.orthogonal_init
 
@@ -521,6 +522,12 @@ def test_config_rejects_misaligned_factors():
         ModelConfig(**{**toy, "upsample_factors": (), "ublock_channels": (), "ublock_dilations": ()})
 
 
+def test_config_rejects_odd_ublock_channels():
+    """Each UBlock's channel count is the width of a sine/cosine noise embedding."""
+    with pytest.raises(ValueError, match="even"):
+        ModelConfig(**{**asdict(ModelConfig.toy()), "ublock_channels": (7, 7)})
+
+
 def test_full_model_finite_difference():
     """Central finite differences through the entire toy model at 64-bit."""
     model = DenoiserModel(ModelConfig.toy(dtype="float64"), seed=1)
@@ -558,10 +565,10 @@ def test_full_model_finite_difference():
 def test_save_load_round_trip(tmp_path):
     model = DenoiserModel(ModelConfig.toy(), seed=5)
     path = tmp_path / "model.ckpt"
-    save_state(path, TrainState(model=model, config=TrainConfig()))
+    save_state(path, TrainState(model=model, config=TrainConfig()), mel_cfg=MelConfig.toy())
     state, mel_cfg = load_state(path)
     back = state.model
-    assert mel_cfg is None and back.config == model.config
+    assert mel_cfg == MelConfig.toy() and back.config == model.config
     rng = np.random.default_rng(15)
     y = rng.standard_normal(24)
     mel = rng.standard_normal((8, 6))

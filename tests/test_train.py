@@ -221,7 +221,8 @@ def test_discrete_mode_requires_schedule(tmp_path):
     # a config is discrete exactly when it holds a schedule; a checkpoint
     # whose metadata says discrete but carries none is refused
     path = tmp_path / "s.ckpt"
-    save_state(path, fresh_state(discrete_schedule=linear_schedule(1e-4, 0.05, 50)))
+    save_state(path, fresh_state(discrete_schedule=linear_schedule(1e-4, 0.05, 50)),
+               mel_cfg=toy_mel())
     tensors, meta = load_tensors(path)
     assert meta["conditioning_mode"] == "discrete"
     del meta["discrete_schedule"]
