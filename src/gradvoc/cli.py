@@ -50,7 +50,6 @@ from .train import (
     TrainDataError,
     TrainError,
     TrainState,
-    check_mel_config,
     load_state,
     run_training,
     save_state,
@@ -80,10 +79,11 @@ MEL_PROFILES = {
     "toy": MelConfig.toy,
 }
 
+# each model profile and the one mel profile whose mels it takes
 MODEL_PROFILES = {
-    "base": ModelConfig,
-    "large": ModelConfig.large,
-    "toy": ModelConfig.toy,
+    "base": (ModelConfig, "full"),
+    "large": (ModelConfig.large, "full"),
+    "toy": (ModelConfig.toy, "toy"),
 }
 
 SWEEP_MANTISSAS = tuple(range(1, 10))
@@ -166,38 +166,29 @@ def cmd_train(args) -> int:
     kv = parse_kv_file(args.config)
     path = str(args.config)
 
-    model_name = _get(kv, "model", str, default="toy", path=path)
-    if model_name not in MODEL_PROFILES:
-        raise UsageError(f"{path}: unknown model profile {model_name!r}")
-    mel_name = _get(kv, "mel", str, default="toy", path=path)
-    if mel_name not in MEL_PROFILES:
-        raise UsageError(f"{path}: unknown mel profile {mel_name!r}")
-    model_cfg = MODEL_PROFILES[model_name]()
-    mel_cfg = MEL_PROFILES[mel_name]()
-
-    conditioning = _get(kv, "conditioning", str, default="continuous", path=path)
-    if conditioning not in ("continuous", "discrete"):
-        raise UsageError(f"{path}: unknown conditioning mode {conditioning!r}")
-    discrete = None
-    if conditioning == "discrete":
-        discrete = _get(
-            kv, "discrete_schedule", resolve_schedule, required=True, path=path
-        )
+    # a resumed run takes its model, mel analysis and seed from the checkpoint,
+    # so `model` and `seed` stay unread beside `resume` and are refused below
+    resume_path = _get(kv, "resume", str, default=None, path=path)
+    seed = 0
+    if not resume_path:
+        model_name = _get(kv, "model", str, default="toy", path=path)
+        if model_name not in MODEL_PROFILES:
+            raise UsageError(f"{path}: unknown model profile {model_name!r}")
+        seed = _get(kv, "seed", int, default=0, path=path)
     prior = _get(
         kv, "training_prior", resolve_schedule,
         default=default_training_prior(), path=path,
     )
 
     try:
-        check_mel_config(model_cfg, mel_cfg)
         config = TrainConfig(
             training_prior=prior,
             batch_size=_get(kv, "batch_size", int, default=4, path=path),
             segment_samples=_get(kv, "segment_samples", int, default=256, path=path),
             learning_rate=_get(kv, "learning_rate", float, default=1e-4, path=path),
             max_steps=_get(kv, "max_steps", int, default=1000, path=path),
-            seed=_get(kv, "seed", int, default=0, path=path),
-            discrete_schedule=discrete,
+            seed=seed,
+            discrete_schedule=_get(kv, "discrete_schedule", resolve_schedule, path=path),
             checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
         )
     except TrainConfigError as exc:
@@ -211,17 +202,17 @@ def cmd_train(args) -> int:
         "GRADVOC_CHECKPOINT_ROOT",
     )
     loss_log = _get(kv, "loss_log", str, default=None, path=path)
-    resume_path = _get(kv, "resume", str, default=None, path=path)
     if kv:
         raise UsageError(f"{path}: unknown or unused key {next(iter(kv))!r}")
 
-    if resume_path:  # the checkpoint's model and mel analysis replace the profiles
+    if resume_path:
         state, mel_cfg = _load_checkpoint(resume_path)
         state.config = replace(config, seed=state.config.seed)
+    else:
+        model_profile, mel_name = MODEL_PROFILES[model_name]
+        mel_cfg = MEL_PROFILES[mel_name]()
+        state = TrainState(model=DenoiserModel(model_profile(), seed=seed), config=config)
     dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)
-    if not resume_path:
-        state = TrainState(model=DenoiserModel(model_cfg, seed=config.seed), config=config)
-
     state = run_training(
         state, dataset, mel_cfg, loss_log_path=loss_log, checkpoint_dir=ckpt_dir
     )

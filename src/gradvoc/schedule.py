@@ -83,9 +83,6 @@ class NoiseSchedule:
             np.all(self.betas == other.betas)
         )
 
-    def __hash__(self):
-        return hash(self.betas.tobytes())
-
 
 def linear_schedule(beta_start: float, beta_end: float, n: int) -> NoiseSchedule:
     """Arithmetic progression of betas from ``beta_start`` to ``beta_end``.

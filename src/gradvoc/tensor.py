@@ -256,8 +256,7 @@ def conv1d(
     t_out, taps = _conv_taps(x.shape[-1], kernel, stride, dilation)
     w2 = weight.data.reshape(c_out, c_in * kernel)
     col = _columns(x.data, kernel, stride, t_out, taps)
-    # one item: np.dot, the BLAS call (and rounding) of the padded conv in tests/oracles.py
-    out = np.dot(w2, col) if col.ndim == 2 else w2 @ col
+    out = w2 @ col
     if bias is not None:
         out += bias.data[:, None]
 

@@ -5,6 +5,10 @@ several CLI tests all need a checkpoint that synthesizes sensibly; training it
 once keeps the whole suite inside a CI-sized budget.
 """
 
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,12 +25,25 @@ from gradvoc.train import (
 )
 from oracles import evaluate_loss
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 TOY_SR = 4000
 TRAIN_STEPS = 1000
 SEGMENT = 256
 
 
 toy_mel = MelConfig.toy
+
+
+@functools.cache
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py`` as it is, once; its sibling imports resolve."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

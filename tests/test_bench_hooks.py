@@ -6,16 +6,12 @@ benchmark runs.  The file is imported as it is, with a recording tracer in
 place of the real one, so nothing in gradvoc is patched.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 import gradvoc
 import gradvoc.cli  # layers wraps names that cli imported
+from conftest import load_perfbench
 from gradvoc.net import DenoiserModel, ModelConfig
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class RecordingTracer:
@@ -38,16 +34,8 @@ class RecordingTracer:
         self.replaced[(owner, attr)] = value
 
 
-def load_layers(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
-
-
-def test_every_traced_name_exists(monkeypatch):
-    layers = load_layers(monkeypatch)
+def test_every_traced_name_exists():
+    layers = load_perfbench("layers")
     tracer = RecordingTracer()
     layers.install(tracer, gradvoc)
 

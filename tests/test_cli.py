@@ -13,6 +13,8 @@ from gradvoc.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    MEL_PROFILES,
+    MODEL_PROFILES,
     DataError,
     UsageError,
     main,
@@ -25,7 +27,7 @@ from gradvoc.dsp import (
 )
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import kl_terminal_diagnostic, linear_schedule
-from gradvoc.train import TrainConfig, TrainState, save_state
+from gradvoc.train import TrainConfig, TrainState, check_mel_config, load_state, save_state
 from conftest import SEGMENT
 from test_checkpoint import drop_param, extra_param, mel_hop_8, no_prior, rewrite
 
@@ -158,10 +160,10 @@ DATA_ERRORS = {
         "sample rate"),
     "train-resume-missing": lambda ckpt, held, tmp: (
         train_argv(tmp, held, f"resume = {tmp / 'none.ckpt'}\n"), "checkpoint not found"),
-    # the corpus is read at the resumed checkpoint's rate, not the config profile's
+    # a resumed run reads its corpus at the checkpoint's rate
     "train-resume-rate": lambda ckpt, held, tmp: (
         train_argv(tmp, write_tone(tmp / "data" / "a.wav", 2400, 24000).parent,
-                   f"model = base\nmel = full\nresume = {ckpt}\n"), "sample rate"),
+                   f"resume = {ckpt}\n"), "sample rate"),
     "sweep-rate": lambda ckpt, held, tmp: (
         sweep_argv(ckpt, write_tone(tmp / "val" / "a.wav", 2400, 24000).parent),
         "sample rate"),
@@ -204,23 +206,55 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra, expected",
-    [("learning_rte = 5\n", "'learning_rte'"), ("conditioning = foo\n", "'foo'"),
-     ("conditioning = discrete\n", "'discrete_schedule'"),
-     ("discrete_schedule = manual6\n", "'discrete_schedule'"),
+    [("learning_rte = 5\n", "'learning_rte'"),
+     # the model picks its mel analysis, and discrete_schedule the conditioning
+     ("mel = toy\n", "'mel'"), ("conditioning = continuous\n", "'conditioning'"),
+     # the resumed checkpoint brings its model and seed
+     ("model = toy\nresume = {ckpt}\n", "'model'"), ("seed = 5\nresume = {ckpt}\n", "'seed'"),
      ("batch_size = 0\n", "batch_size"), ("batch_size = -2\n", "batch_size"),
      ("seed = -1\n", "seed"), ("segment_samples = 0\n", "segment_samples"),
      ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps"),
      ("learning_rate = 0\n", "learning_rate"), ("learning_rate = -1\n", "learning_rate"),
-     ("learning_rate = inf\n", "learning_rate"), ("learning_rate = nan\n", "learning_rate"),
-     ("model = toy\nmel = full\n", "mel hop 300")],
+     ("learning_rate = inf\n", "learning_rate"), ("learning_rate = nan\n", "learning_rate")],
 )
-def test_bad_train_config_is_usage_error(extra, expected, corpus_dirs, tmp_path, capsys):
-    code = main(train_argv(tmp_path, corpus_dirs[0], extra))
+def test_bad_train_config_is_usage_error(extra, expected, untrained_ckpt, corpus_dirs, tmp_path,
+                                         capsys):
+    code = main(train_argv(tmp_path, corpus_dirs[0], extra.format(ckpt=untrained_ckpt)))
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
     assert not (tmp_path / "ckpt").exists()
+
+
+def test_every_model_profile_takes_its_mel_profile():
+    for model_profile, mel_name in MODEL_PROFILES.values():
+        check_mel_config(model_profile(), MEL_PROFILES[mel_name]())
+
+
+def test_a_discrete_schedule_alone_trains_a_discrete_checkpoint(corpus_dirs, tmp_path):
+    assert main(train_argv(tmp_path, corpus_dirs[0], "discrete_schedule = manual6\n")) == EXIT_OK
+    final = tmp_path / "ckpt" / "final.ckpt"
+    assert load_tensors(final)[1]["conditioning_mode"] == "discrete"
+    assert load_state(final)[0].config.discrete_schedule == resolve_schedule("manual6")
+
+
+def test_resumed_train_command_repeats_the_uninterrupted_losses(corpus_dirs, tmp_path):
+    def train(name, extra):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            f"data_dir = {corpus_dirs[0]}\nbatch_size = 2\nlearning_rate = 1e-3\n"
+            f"max_steps = 6\ncheckpoint_dir = {tmp_path / name}\n"
+            f"loss_log = {tmp_path / name}.csv\n{extra}"
+        )
+        assert main(["train", str(cfg)]) == EXIT_OK
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+        return [row.rsplit(",", 1)[0] for row in rows if row[0].isdigit()]  # step,loss
+
+    full = train("full", "seed = 3\ncheckpoint_every = 3\n")
+    resumed = train("resumed", f"resume = {tmp_path / 'full' / 'step0000003.ckpt'}\n")
+    assert [row.split(",")[0] for row in full] == [str(step) for step in range(1, 7)]
+    assert resumed == full[3:]
 
 
 @pytest.mark.parametrize(
@@ -376,7 +410,7 @@ def test_train_command_and_loss_log(corpus_dirs, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(
         f"data_dir = {corpus_dirs[0]}\n"
-        "model = toy\nmel = toy\nbatch_size = 2\nsegment_samples = 256\n"
+        "model = toy\nbatch_size = 2\nsegment_samples = 256\n"
         "learning_rate = 1e-3\nmax_steps = 3\nseed = 0\n"
         f"checkpoint_dir = {tmp_path / 'ckpt'}\n"
         f"loss_log = {tmp_path / 'loss.csv'}\n"
