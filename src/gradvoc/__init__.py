@@ -28,6 +28,7 @@ from .dsp import (
     WavFormatError,
     mel_spectrogram,
     mel_filterbank,
+    metric_mels,
     mfcc,
     ls_mse,
     mcd,

@@ -29,6 +29,7 @@ from .dsp import (
     ls_mse,
     mcd,
     mel_spectrogram,
+    metric_mels,
     wav_read,
     wav_write,
 )
@@ -166,15 +167,17 @@ def cmd_train(args) -> int:
     kv = parse_kv_file(args.config)
     path = str(args.config)
 
-    # a resumed run takes its model, mel analysis and seed from the checkpoint,
-    # so `model` and `seed` stay unread beside `resume` and are refused below
+    # a resumed run takes its model, mel analysis, seed and conditioning from the
+    # checkpoint, so `model`, `seed` and `discrete_schedule` stay unread beside
+    # `resume` and are refused below
     resume_path = _get(kv, "resume", str, default=None, path=path)
-    seed = 0
+    seed, discrete = 0, None
     if not resume_path:
         model_name = _get(kv, "model", str, default="toy", path=path)
         if model_name not in MODEL_PROFILES:
             raise UsageError(f"{path}: unknown model profile {model_name!r}")
         seed = _get(kv, "seed", int, default=0, path=path)
+        discrete = _get(kv, "discrete_schedule", resolve_schedule, path=path)
     prior = _get(
         kv, "training_prior", resolve_schedule,
         default=default_training_prior(), path=path,
@@ -188,7 +191,7 @@ def cmd_train(args) -> int:
             learning_rate=_get(kv, "learning_rate", float, default=1e-4, path=path),
             max_steps=_get(kv, "max_steps", int, default=1000, path=path),
             seed=seed,
-            discrete_schedule=_get(kv, "discrete_schedule", resolve_schedule, path=path),
+            discrete_schedule=discrete,
             checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
         )
     except TrainConfigError as exc:
@@ -207,7 +210,8 @@ def cmd_train(args) -> int:
 
     if resume_path:
         state, mel_cfg = _load_checkpoint(resume_path)
-        state.config = replace(config, seed=state.config.seed)
+        state.config = replace(config, seed=state.config.seed,
+                               discrete_schedule=state.config.discrete_schedule)
     else:
         model_profile, mel_name = MODEL_PROFILES[model_name]
         mel_cfg = MEL_PROFILES[mel_name]()
@@ -293,7 +297,7 @@ def _score_schedule(model, schedule, refs, mels, mel_cfg, seed) -> float:
                 mel=mel, inference_schedule=schedule, model=model, seed=seed + i
             )
         )
-        scores.append(ls_mse(ref, Waveform(hyp, ref.sample_rate), mel_cfg))
+        scores.append(ls_mse(*metric_mels(ref, Waveform(hyp, ref.sample_rate), mel_cfg)))
     return float(np.mean(scores))
 
 
@@ -370,8 +374,9 @@ def cmd_sweep(args) -> int:
                 break
 
     ranked = sorted(scored.items(), key=lambda kv: (kv[1], kv[0]))
-    key = (args.checkpoint, str(validation_dir), args.iterations, args.budget,
-           args.refine_passes, args.candidates_file, args.seed)
+    # a candidates file replaces the search, so its options stay out of the key
+    search = () if args.candidates_file else (args.iterations, args.budget, args.refine_passes)
+    key = (args.checkpoint, str(validation_dir), *search, args.candidates_file, args.seed)
     lines = [
         f"# config-fingerprint: {_fingerprint('sweep', *key)}",
         "rank,ls_mse,betas",
@@ -413,7 +418,8 @@ def cmd_eval(args) -> int:
         if cfg is None or cfg.sample_rate != ref.sample_rate:
             cfg = _metric_mel_config(ref.sample_rate)
         try:
-            row = (ls_mse(ref, hyp, cfg), mcd(ref, hyp, cfg), ffe(ref, hyp))
+            mels = metric_mels(ref, hyp, cfg)
+            row = (ls_mse(*mels), mcd(*mels), ffe(ref, hyp))
         except ValueError as exc:
             raise DataError(f"{name}: {exc}") from exc
         totals += row

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct, irfft, next_fast_len, rfft
@@ -29,6 +30,7 @@ __all__ = [
     "WavFormatError",
     "mel_spectrogram",
     "mel_filterbank",
+    "metric_mels",
     "mfcc",
     "ls_mse",
     "mcd",
@@ -127,9 +129,20 @@ class MelConfig:
             fmax=2000.0,
         )
 
-    def metric_variant(self) -> "MelConfig":
-        """Same analysis with the hop halved (the metric framing)."""
+    @cached_property
+    def metric(self) -> "MelConfig":
+        """Same analysis with the hop halved (the metric framing); one object
+        per config, so its filterbank is built once."""
         return replace(self, hop_length=self.hop_length // 2)
+
+    @cached_property
+    def filterbank(self) -> np.ndarray:
+        """``mel_filterbank(self)``, built on first use and read-only.  It lives
+        in the instance ``__dict__``, outside the dataclass fields, so it
+        never enters ``==``, ``hash``, ``asdict`` or ``replace``."""
+        fb = mel_filterbank(self)
+        fb.flags.writeable = False
+        return fb
 
 
 @dataclass(frozen=True)
@@ -188,7 +201,7 @@ def mel_spectrogram(y: Waveform, cfg: MelConfig) -> MelSpectrogram:
     frames = _frame(y.samples, cfg.win_length, cfg.hop_length)
     windowed = frames * _hann(cfg.win_length)[None, :]
     spectrum = np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=1))  # magnitude
-    mel = spectrum @ mel_filterbank(cfg).T
+    mel = spectrum @ cfg.filterbank.T
     values = np.log(np.maximum(mel, cfg.log_floor)).T
     return MelSpectrogram(values=values, config=cfg)
 
@@ -211,22 +224,24 @@ def _metric_pair(y_ref: Waveform, y_hyp: Waveform, hop: int):
     return ref, hyp
 
 
-def ls_mse(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig) -> float:
-    """Mean squared error between log-mel matrices under the metric framing."""
-    cfg = cfg.metric_variant()
-    ref, hyp = _metric_pair(y_ref, y_hyp, cfg.hop_length)
-    a = mel_spectrogram(ref, cfg).values
-    b = mel_spectrogram(hyp, cfg).values
-    return float(np.mean((a - b) ** 2))
+def metric_mels(
+    y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig
+) -> tuple[MelSpectrogram, MelSpectrogram]:
+    """The pair's mels under the metric framing of ``cfg``, the signals first
+    trimmed to a common length; ``ls_mse`` and ``mcd`` take them."""
+    metric = cfg.metric
+    ref, hyp = _metric_pair(y_ref, y_hyp, metric.hop_length)
+    return mel_spectrogram(ref, metric), mel_spectrogram(hyp, metric)
 
 
-def mcd(y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig) -> float:
-    """Mel cepstral distance over 13 MFCCs, frame-averaged."""
-    cfg = cfg.metric_variant()
-    ref, hyp = _metric_pair(y_ref, y_hyp, cfg.hop_length)
-    ca = mfcc(mel_spectrogram(ref, cfg))
-    cb = mfcc(mel_spectrogram(hyp, cfg))
-    dist = np.sqrt(np.sum((ca - cb) ** 2, axis=0))
+def ls_mse(ref: MelSpectrogram, hyp: MelSpectrogram) -> float:
+    """Mean squared error between two log-mel matrices (see ``metric_mels``)."""
+    return float(np.mean((ref.values - hyp.values) ** 2))
+
+
+def mcd(ref: MelSpectrogram, hyp: MelSpectrogram) -> float:
+    """Mel cepstral distance over 13 MFCCs, frame-averaged (see ``metric_mels``)."""
+    dist = np.sqrt(np.sum((mfcc(ref) - mfcc(hyp)) ** 2, axis=0))
     return float(MCD_SCALE * np.mean(dist))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradvoc.dsp
 from gradvoc.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -211,6 +212,8 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
      ("mel = toy\n", "'mel'"), ("conditioning = continuous\n", "'conditioning'"),
      # the resumed checkpoint brings its model and seed
      ("model = toy\nresume = {ckpt}\n", "'model'"), ("seed = 5\nresume = {ckpt}\n", "'seed'"),
+     # and its conditioning
+     ("discrete_schedule = manual6\nresume = {ckpt}\n", "'discrete_schedule'"),
      ("batch_size = 0\n", "batch_size"), ("batch_size = -2\n", "batch_size"),
      ("seed = -1\n", "seed"), ("segment_samples = 0\n", "segment_samples"),
      ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps"),
@@ -239,21 +242,33 @@ def test_a_discrete_schedule_alone_trains_a_discrete_checkpoint(corpus_dirs, tmp
     assert load_state(final)[0].config.discrete_schedule == resolve_schedule("manual6")
 
 
-def test_resumed_train_command_repeats_the_uninterrupted_losses(corpus_dirs, tmp_path):
-    def train(name, extra):
-        cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(
-            f"data_dir = {corpus_dirs[0]}\nbatch_size = 2\nlearning_rate = 1e-3\n"
-            f"max_steps = 6\ncheckpoint_dir = {tmp_path / name}\n"
-            f"loss_log = {tmp_path / name}.csv\n{extra}"
-        )
-        assert main(["train", str(cfg)]) == EXIT_OK
-        rows = (tmp_path / f"{name}.csv").read_text().splitlines()
-        return [row.rsplit(",", 1)[0] for row in rows if row[0].isdigit()]  # step,loss
+def train_six_steps(data_dir, tmp_path, name, extra):
+    """Run `train` to step 6 into ``tmp_path / name``; return its step,loss rows."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(
+        f"data_dir = {data_dir}\nbatch_size = 2\nlearning_rate = 1e-3\n"
+        f"max_steps = 6\ncheckpoint_dir = {tmp_path / name}\n"
+        f"loss_log = {tmp_path / name}.csv\n{extra}"
+    )
+    assert main(["train", str(cfg)]) == EXIT_OK
+    rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+    return [row.rsplit(",", 1)[0] for row in rows if row[0].isdigit()]  # step,loss
 
-    full = train("full", "seed = 3\ncheckpoint_every = 3\n")
-    resumed = train("resumed", f"resume = {tmp_path / 'full' / 'step0000003.ckpt'}\n")
+
+def test_resumed_train_command_repeats_the_uninterrupted_losses(corpus_dirs, tmp_path):
+    full = train_six_steps(corpus_dirs[0], tmp_path, "full", "seed = 3\ncheckpoint_every = 3\n")
+    resumed = train_six_steps(corpus_dirs[0], tmp_path, "resumed",
+                              f"resume = {tmp_path / 'full' / 'step0000003.ckpt'}\n")
     assert [row.split(",")[0] for row in full] == [str(step) for step in range(1, 7)]
+    assert resumed == full[3:]
+
+
+def test_resume_keeps_the_checkpoints_discrete_conditioning(corpus_dirs, tmp_path):
+    full = train_six_steps(corpus_dirs[0], tmp_path, "full",
+                           "discrete_schedule = manual6\ncheckpoint_every = 3\n")
+    resumed = train_six_steps(corpus_dirs[0], tmp_path, "resumed",
+                              f"resume = {tmp_path / 'full' / 'step0000003.ckpt'}\n")
+    assert load_tensors(tmp_path / "resumed" / "final.ckpt")[1]["conditioning_mode"] == "discrete"
     assert resumed == full[3:]
 
 
@@ -370,11 +385,17 @@ def test_negative_refine_passes_is_usage_error(capsys):
                       "refine-passes must be >= 0, got -3"]
 
 
+def first_wavs(corpus_dir, tmp_path, count=1):
+    """A new directory holding copies of the first ``count`` WAVs of ``corpus_dir``."""
+    out = tmp_path / f"first{count}"
+    out.mkdir()
+    for wav in sorted(corpus_dir.glob("*.wav"))[:count]:
+        (out / wav.name).write_bytes(wav.read_bytes())
+    return out
+
+
 def test_sweep_fingerprint_covers_every_input(toy_checkpoint, corpus_dirs, tmp_path):
-    one = tmp_path / "one"
-    one.mkdir()
-    first = sorted(corpus_dirs[1].glob("*.wav"))[0]
-    (one / first.name).write_bytes(first.read_bytes())
+    one = first_wavs(corpus_dirs[1], tmp_path)
     cands = tmp_path / "cands.txt"
     cands.write_text("manual(0.1)\n")
     variants = [[], ["--budget", "2"], ["--refine-passes", "1"],
@@ -385,6 +406,54 @@ def test_sweep_fingerprint_covers_every_input(toy_checkpoint, corpus_dirs, tmp_p
         assert main(sweep_argv(toy_checkpoint, corpus_dirs[1], *extra, "--out", str(out))) == 0
         fingerprints.add(out.read_text().splitlines()[0])
     assert len(fingerprints) == len(variants)
+
+
+def two_candidates(tmp_path):
+    cands = tmp_path / "cands.txt"
+    cands.write_text("manual6\nmanual(1e-4,1e-3,9e-3,5e-2,2e-1,5e-1)\n")
+    return cands
+
+
+def test_sweep_fingerprint_skips_options_a_candidates_file_replaces(
+    toy_checkpoint, corpus_dirs, tmp_path
+):
+    val, cands = first_wavs(corpus_dirs[1], tmp_path), two_candidates(tmp_path)
+    outputs = []
+    for budget in ("1", "5"):
+        out = tmp_path / f"budget{budget}.csv"
+        assert main(["sweep", "--checkpoint", str(toy_checkpoint), "--validation-dir", str(val),
+                     "--candidates-file", str(cands), "--budget", budget,
+                     "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def record_mel_work(monkeypatch):
+    """Record the config of every mel analysis and filterbank build in gradvoc.dsp."""
+    mels, banks = [], []
+    analyse, build = gradvoc.dsp.mel_spectrogram, gradvoc.dsp.mel_filterbank
+    monkeypatch.setattr(gradvoc.dsp, "mel_spectrogram",
+                        lambda y, cfg: mels.append(cfg) or analyse(y, cfg))
+    monkeypatch.setattr(gradvoc.dsp, "mel_filterbank", lambda cfg: banks.append(cfg) or build(cfg))
+    return mels, banks
+
+
+def test_sweep_builds_each_filterbank_once(toy_checkpoint, corpus_dirs, tmp_path, monkeypatch):
+    val, cands = first_wavs(corpus_dirs[1], tmp_path), two_candidates(tmp_path)
+    _, banks = record_mel_work(monkeypatch)
+    assert main(["sweep", "--checkpoint", str(toy_checkpoint), "--validation-dir", str(val),
+                 "--candidates-file", str(cands), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    # one conditioning analysis (hop 4) and one metric analysis (hop 2)
+    assert sorted(cfg.hop_length for cfg in banks) == [2, 4]
+
+
+def test_eval_makes_one_metric_mel_per_signal(corpus_dirs, tmp_path, monkeypatch):
+    two = first_wavs(corpus_dirs[1], tmp_path, count=2)
+    mels, banks = record_mel_work(monkeypatch)
+    assert main(["eval", "--ref-dir", str(two), "--hyp-dir", str(two),
+                 "--out", str(tmp_path / "e.csv")]) == EXIT_OK
+    assert len(mels) == 4  # the ref and hyp mel of each pair, shared by LS-MSE and MCD
+    assert len(banks) == 1
 
 
 @pytest.mark.parametrize("log_dir", ["nodir", "ckpt"])

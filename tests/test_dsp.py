@@ -29,6 +29,7 @@ from gradvoc.dsp import (
     mcd,
     mel_filterbank,
     mel_spectrogram,
+    metric_mels,
     mfcc,
     save_mel,
     track_pitch,
@@ -66,7 +67,7 @@ def ref_logmel(samples, cfg):
 
 
 def ref_ls_mse(ref, hyp, cfg):
-    cfg = cfg.metric_variant()
+    cfg = cfg.metric
     n = min(len(ref), len(hyp))
     a = ref_logmel(ref.samples[:n], cfg)
     b = ref_logmel(hyp.samples[:n], cfg)
@@ -92,7 +93,7 @@ def ref_dct2_ortho(v):
 
 
 def ref_mcd(ref, hyp, cfg, n_coeffs=13):
-    cfg = cfg.metric_variant()
+    cfg = cfg.metric
     n = min(len(ref), len(hyp))
     a = ref_logmel(ref.samples[:n], cfg)
     b = ref_logmel(hyp.samples[:n], cfg)
@@ -148,9 +149,19 @@ def test_mel_matches_reference():
 
 def test_metric_variant_halves_hop():
     cfg = MelConfig()
-    m = cfg.metric_variant()
+    m = cfg.metric
     assert m.hop_length == cfg.hop_length // 2
     assert m.win_length == cfg.win_length
+    assert cfg.metric is m  # one metric config, so one metric filterbank
+
+
+def test_filterbank_is_built_once_per_config_and_read_only():
+    cfg = MelConfig()
+    fb = cfg.filterbank
+    assert np.array_equal(fb, mel_filterbank(cfg))
+    assert cfg.filterbank is fb
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("change", [{"n_mels": 0}, {"fmin": -1.0}, {"fmin": 12000.0},
@@ -172,15 +183,16 @@ def test_too_short_signal_rejected():
 
 def test_metrics_zero_on_identical():
     y = tone(220)
-    assert ls_mse(y, y, MelConfig()) == 0.0
-    assert mcd(y, y, MelConfig()) == 0.0
+    same = metric_mels(y, y, MelConfig())
+    assert ls_mse(*same) == 0.0
+    assert mcd(*same) == 0.0
     assert ffe(y, y) == 0.0
 
 
 def test_ls_mse_matches_reference():
     ref = tone(220, seconds=0.3)
     hyp = Waveform(0.5 * ref.samples, SR)
-    got = ls_mse(ref, hyp, MelConfig())
+    got = ls_mse(*metric_mels(ref, hyp, MelConfig()))
     want = ref_ls_mse(ref, hyp, MelConfig())
     assert got > 0
     assert got == pytest.approx(want, abs=1e-10)
@@ -190,7 +202,7 @@ def test_mcd_matches_reference():
     rng = np.random.default_rng(0)
     ref = tone(220, seconds=0.3)
     hyp = Waveform(ref.samples + 0.01 * rng.standard_normal(len(ref)), SR)
-    got = mcd(ref, hyp, MelConfig())
+    got = mcd(*metric_mels(ref, hyp, MelConfig()))
     want = ref_mcd(ref, hyp, MelConfig())
     assert got > 0
     assert got == pytest.approx(want, abs=1e-10)
@@ -201,7 +213,8 @@ def test_mcd_noise_ordering():
     sine = tone(220)
     noise = Waveform(0.5 * rng.standard_normal(len(sine)), SR)
     shifted = Waveform(np.roll(sine.samples, 7), SR)
-    assert mcd(sine, noise, MelConfig()) > mcd(sine, shifted, MelConfig()) > 0
+    cfg = MelConfig()
+    assert mcd(*metric_mels(sine, noise, cfg)) > mcd(*metric_mels(sine, shifted, cfg)) > 0
 
 
 def test_mcd_gain_offset_only_in_c0():
@@ -210,8 +223,8 @@ def test_mcd_gain_offset_only_in_c0():
     rng = np.random.default_rng(3)
     ref = Waveform(0.5 * rng.standard_normal(int(0.3 * SR)), SR)
     scaled = Waveform(0.25 * ref.samples, SR)
-    assert mcd(ref, scaled, MelConfig()) > 0.1
-    cfg = MelConfig().metric_variant()
+    assert mcd(*metric_mels(ref, scaled, MelConfig())) > 0.1
+    cfg = MelConfig().metric
     ca = mfcc(mel_spectrogram(ref, cfg))
     cb = mfcc(mel_spectrogram(scaled, cfg))
     assert np.allclose(ca[1:], cb[1:], rtol=0, atol=1e-8)
@@ -220,10 +233,10 @@ def test_mcd_gain_offset_only_in_c0():
 def test_metric_length_mismatch_policy():
     y = tone(220)
     near = Waveform(y.samples[:-10], SR)  # within one hop: trimmed
-    assert ls_mse(y, near, MelConfig()) == pytest.approx(0.0, abs=1e-12)
+    assert ls_mse(*metric_mels(y, near, MelConfig())) == pytest.approx(0.0, abs=1e-12)
     far = Waveform(y.samples[:-400], SR)  # beyond one metric hop (150)
     with pytest.raises(ValueError):
-        ls_mse(y, far, MelConfig())
+        metric_mels(y, far, MelConfig())
 
 
 # -- pitch ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Training loop: batching, objective floors, determinism, resumability."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import gradvoc.dsp
 from gradvoc.checkpoint import CheckpointError, load_tensors, save_tensors
 from gradvoc.diffusion import forward_diffuse
-from gradvoc.dsp import Waveform
+from gradvoc.dsp import Waveform, mel_filterbank
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import linear_schedule
 from gradvoc.tensor import Tensor
@@ -63,6 +65,26 @@ def test_batch_crops_are_hop_aligned(train_set, toy_mel_config):
 
 def utt_samples_per_frame():
     return ModelConfig.toy().samples_per_frame
+
+
+def test_batches_share_one_filterbank(train_set, monkeypatch):
+    built = []
+    monkeypatch.setattr(gradvoc.dsp, "mel_filterbank",
+                        lambda cfg: built.append(cfg) or mel_filterbank(cfg))
+    cfg, rng = toy_mel(), np.random.default_rng(0)
+    for _ in range(5):
+        make_batch(train_set, rng, 4, SEGMENT, cfg)
+    assert built == [cfg]
+
+
+def test_cached_analysis_stays_out_of_the_config_and_checkpoint(tmp_path):
+    state = fresh_state()
+    used, fresh = toy_mel(), toy_mel()
+    assert used.filterbank.shape == (8, 17) and used.metric.hop_length == 2
+    assert used == fresh and hash(used) == hash(fresh) and asdict(used) == asdict(fresh)
+    save_state(tmp_path / "used.ckpt", state, mel_cfg=used)
+    save_state(tmp_path / "fresh.ckpt", state, mel_cfg=fresh)
+    assert (tmp_path / "used.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
 
 
 def test_empty_dataset_rejected(toy_mel_config):
