@@ -29,6 +29,7 @@ from .dsp import (
     ls_mse,
     mcd,
     mel_spectrogram,
+    metric_length,
     metric_mels,
     wav_read,
     wav_write,
@@ -289,15 +290,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _score_schedule(model, schedule, refs, mels, mel_cfg, seed) -> float:
+def _score_schedule(model, schedule, mels, targets, seed) -> float:
     scores = []
-    for i, (ref, mel) in enumerate(zip(refs, mels)):
+    for i, (mel, (n, ref_mel)) in enumerate(zip(mels, targets)):
         hyp = synthesize(
             SynthRequest(
                 mel=mel, inference_schedule=schedule, model=model, seed=seed + i
             )
         )
-        scores.append(ls_mse(*metric_mels(ref, Waveform(hyp, ref.sample_rate), mel_cfg)))
+        metric = ref_mel.config
+        hyp_mel = mel_spectrogram(Waveform(hyp[:n], metric.sample_rate), metric)
+        scores.append(ls_mse(ref_mel, hyp_mel))
     return float(np.mean(scores))
 
 
@@ -310,8 +313,16 @@ def cmd_sweep(args) -> int:
         )
     validation_dir = _resolve(args.validation_dir, "GRADVOC_DATA_ROOT")
     refs = load_corpus(validation_dir, sample_rate=mel_cfg.sample_rate)
+    # every candidate's synthesis has the same length, so each reference is
+    # trimmed, and its metric mel made, once
+    metric = mel_cfg.metric
     try:
         mels = [mel_spectrogram(ref, mel_cfg).values for ref in refs]
+        targets = []
+        for ref, mel in zip(refs, mels):
+            n = metric_length(len(ref), state.model.output_length(mel), metric.hop_length)
+            trimmed = Waveform(ref.samples[:n], ref.sample_rate)
+            targets.append((n, mel_spectrogram(trimmed, metric)))
     except ValueError as exc:
         raise DataError(f"{validation_dir}: {exc}") from exc
 
@@ -349,7 +360,7 @@ def cmd_sweep(args) -> int:
     def score(betas: tuple) -> float:
         if betas not in scored:
             scored[betas] = _score_schedule(
-                state.model, manual_schedule(betas), refs, mels, mel_cfg, args.seed
+                state.model, manual_schedule(betas), mels, targets, args.seed
             )
         return scored[betas]
 

@@ -30,6 +30,7 @@ __all__ = [
     "WavFormatError",
     "mel_spectrogram",
     "mel_filterbank",
+    "metric_length",
     "metric_mels",
     "mfcc",
     "ls_mse",
@@ -136,6 +137,14 @@ class MelConfig:
         return replace(self, hop_length=self.hop_length // 2)
 
     @cached_property
+    def window(self) -> np.ndarray:
+        """The periodic Hann analysis window of ``win_length`` samples, built
+        on first use and read-only, like ``filterbank``."""
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(self.win_length) / self.win_length)
+        window.flags.writeable = False
+        return window
+
+    @cached_property
     def filterbank(self) -> np.ndarray:
         """``mel_filterbank(self)``, built on first use and read-only.  It lives
         in the instance ``__dict__``, outside the dataclass fields, so it
@@ -151,11 +160,6 @@ class MelSpectrogram:
 
     values: np.ndarray
     config: MelConfig
-
-
-def _hann(n: int) -> np.ndarray:
-    # periodic Hann, the standard STFT analysis window
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 def _frame(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
@@ -199,7 +203,7 @@ def mel_spectrogram(y: Waveform, cfg: MelConfig) -> MelSpectrogram:
             f"waveform rate {y.sample_rate} != config rate {cfg.sample_rate}"
         )
     frames = _frame(y.samples, cfg.win_length, cfg.hop_length)
-    windowed = frames * _hann(cfg.win_length)[None, :]
+    windowed = frames * cfg.window[None, :]
     spectrum = np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=1))  # magnitude
     mel = spectrum @ cfg.filterbank.T
     values = np.log(np.maximum(mel, cfg.log_floor)).T
@@ -212,13 +216,20 @@ def mfcc(mel: MelSpectrogram, n_coeffs: int = 13) -> np.ndarray:
     return dct(mel.values, type=2, norm="ortho", axis=0)[:n_coeffs]
 
 
+def metric_length(n_ref: int, n_hyp: int, hop: int) -> int:
+    """The length both signals of a pair are trimmed to before a metric
+    compares them: the shorter one's.  Raises ValueError when the two differ
+    by more than one ``hop`` of the metric's framing."""
+    mismatch = abs(n_ref - n_hyp)
+    if mismatch > hop:
+        raise ValueError(f"length mismatch of {mismatch} samples exceeds one hop ({hop})")
+    return min(n_ref, n_hyp)
+
+
 def _metric_pair(y_ref: Waveform, y_hyp: Waveform, hop: int):
     if y_ref.sample_rate != y_hyp.sample_rate:
         raise ValueError("sample rates differ")
-    mismatch = abs(len(y_ref) - len(y_hyp))
-    if mismatch > hop:
-        raise ValueError(f"length mismatch of {mismatch} samples exceeds one hop ({hop})")
-    n = min(len(y_ref), len(y_hyp))
+    n = metric_length(len(y_ref), len(y_hyp), hop)
     ref = Waveform(y_ref.samples[:n], y_ref.sample_rate)
     hyp = Waveform(y_hyp.samples[:n], y_hyp.sample_rate)
     return ref, hyp
@@ -228,7 +239,7 @@ def metric_mels(
     y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig
 ) -> tuple[MelSpectrogram, MelSpectrogram]:
     """The pair's mels under the metric framing of ``cfg``, the signals first
-    trimmed to a common length; ``ls_mse`` and ``mcd`` take them."""
+    trimmed to their ``metric_length``; ``ls_mse`` and ``mcd`` take them."""
     metric = cfg.metric
     ref, hyp = _metric_pair(y_ref, y_hyp, metric.hop_length)
     return mel_spectrogram(ref, metric), mel_spectrogram(hyp, metric)

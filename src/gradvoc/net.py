@@ -17,6 +17,9 @@ UBlock stage j is modulated by the DBlock-chain output whose temporal length
 matches that stage's post-upsample length; the noise embedding width equals
 the stage's channel count so FiLM can add it directly to the conv features.
 The exact op order inside UBlock/DBlock is frozen by golden hand-trace tests.
+A UBlock's first main conv runs at the input rate on the upsample it
+follows (``tensor.upsample_conv1d``), and its skip conv runs before the
+upsample: both give the same result as the order above for fewer FLOPs.
 
 Every layer is a ``Module``, whose ``parameters()`` finds the weights by
 walking the layer's attributes in assignment order: a ``Tensor`` is a
@@ -205,7 +208,9 @@ class FiLM(Module):
 
     The waveform-derived features go through a 3x1 conv and leaky ReLU, the
     noise embedding is added channel-wise, and two parallel 3x1 convs emit
-    gamma and xi at the modulated stage's channel count.
+    gamma and xi at the modulated stage's channel count.  Both read the same
+    features, so they run as one conv of their stacked weights, whose output
+    channels split into gamma and xi.
     """
 
     def __init__(self, c_in, c_out):
@@ -216,7 +221,9 @@ class FiLM(Module):
     def __call__(self, features: Tensor, noise_embedding: Tensor):
         h = T.leaky_relu(self.input_conv(features), LEAKY_SLOPE)
         h = T.add_channel_bias(h, noise_embedding)
-        return self.gamma_conv(h), self.xi_conv(h)
+        g, x = self.gamma_conv, self.xi_conv
+        both = T.conv1d(h, T.concat([g.weight, x.weight]), T.concat([g.bias, x.bias]))
+        return T.split_channels(both, 2)
 
 
 class UBlock(Module):
@@ -225,6 +232,11 @@ class UBlock(Module):
     Main branch: LReLU, upsample, conv(d0), affine, LReLU, conv(d1); skip:
     upsample then unbiased 1x1 conv.  Their sum feeds a second residual of
     affine, LReLU, conv(d2), affine, LReLU, conv(d3).
+
+    Two steps run in a cheaper order with the same result: the upsample and
+    conv(d0) are one ``upsample_conv1d`` at the input rate, and the skip's
+    1x1 conv, which commutes with a nearest upsample, runs before it (the
+    skip is upsampled only where the main branch joins it).
     """
 
     def __init__(self, c_in, c_out, factor, dilations):
@@ -236,23 +248,17 @@ class UBlock(Module):
         self.res2b = Conv1d(c_out, c_out, 3, dilation=d3)
         self.skip = Conv1d(c_in, c_out, 1, bias=False)
 
-    def _affine(self, x, gamma, xi):
-        return T.add(T.mul(gamma, x), xi)
-
     def __call__(self, x: Tensor, gamma: Tensor, xi: Tensor) -> Tensor:
-        skip = self.skip(T.nearest_upsample(x, self.factor))
+        skip = self.skip(x)  # kept at the input rate until the add
         h = T.leaky_relu(x, LEAKY_SLOPE)
-        h = T.nearest_upsample(h, self.factor)
-        h = self.main1(h)
-        h = self._affine(h, gamma, xi)
-        h = T.leaky_relu(h, LEAKY_SLOPE)
+        h = T.upsample_conv1d(h, self.main1.weight, self.main1.bias, self.factor,
+                              self.main1.dilation)
+        h = T.affine_leaky_relu(h, gamma, xi, LEAKY_SLOPE)
         h = self.main2(h)
-        first = T.add(skip, h)
-        h = self._affine(first, gamma, xi)
-        h = T.leaky_relu(h, LEAKY_SLOPE)
+        first = T.add(T.nearest_upsample(skip, self.factor), h)
+        h = T.affine_leaky_relu(first, gamma, xi, LEAKY_SLOPE)
         h = self.res2a(h)
-        h = self._affine(h, gamma, xi)
-        h = T.leaky_relu(h, LEAKY_SLOPE)
+        h = T.affine_leaky_relu(h, gamma, xi, LEAKY_SLOPE)
         h = self.res2b(h)
         return T.add(first, h)
 

@@ -1,8 +1,10 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 Covers exactly the operations the denoiser network needs: 1-D dilated/strided
-convolution, nearest-neighbor upsampling, decimation, leaky ReLU, and the
-elementwise/reduction glue for the loss.  Each of them also takes a
+convolution (also run at the input rate of a nearest-neighbor upsample
+before it), nearest-neighbor upsampling, decimation, leaky ReLU (also fused
+with the FiLM affine map before it), joining weights and splitting channels,
+and the elementwise/reduction glue for the loss.  Each of them also takes a
 leading batch axis, (B, C, T), and treats every item as it would alone, so
 a training step is one graph.  The computation graph is the
 implicit tape of parent links recorded on each result; ``backward`` replays
@@ -42,9 +44,13 @@ __all__ = [
     "scale",
     "add_channel_bias",
     "conv1d",
+    "upsample_conv1d",
     "nearest_upsample",
     "downsample",
     "leaky_relu",
+    "affine_leaky_relu",
+    "concat",
+    "split_channels",
     "mean_abs",
     "orthogonal_init",
 ]
@@ -128,10 +134,15 @@ def _result(data, parents, backward):
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, index=None):
+    """Add ``g`` to the gradient of ``t``, or of ``t.data[index]``."""
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if index is not None:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad[index] += g
+    elif t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
         t.grad += g
@@ -192,38 +203,95 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data + v.data[..., None], (x, v), backward)
 
 
-@functools.lru_cache(maxsize=256)  # a few µs per call, as much as a toy conv's GEMM
-def _conv_taps(t_in: int, kernel: int, stride: int, dilation: int):
-    """Output length and, for each tap k that reads the signal, the slices
-    ``(k, steps, inputs)`` of output steps and the input samples they meet.
+def _same_padding(t_in: int, kernel: int, stride: int, dilation: int):
+    """Output length and the input index that each tap meets at output step 0.
 
     Zero padding keeps the output at ceil(t_in / stride) steps, with any odd
-    padding sample on the left; the steps outside ``steps`` read padding.
+    padding sample on the left.
     """
     span = (kernel - 1) * dilation + 1
     t_out = -(-t_in // stride)
     pad_left = (max((t_out - 1) * stride + span - t_in, 0) + 1) // 2
+    return t_out, tuple(k * dilation - pad_left for k in range(kernel))
+
+
+def _taps(t_in: int, t_out: int, stride: int, offsets) -> tuple:
+    """For each tap k that reads the signal, the slices ``(k, steps, inputs)``
+    of output steps and the input samples they meet: step i of tap k meets
+    input ``i * stride + offsets[k]``, and the steps outside ``steps`` read
+    padding."""
     taps = []
-    for k in range(kernel):
-        offset = k * dilation - pad_left  # input index met by output step 0
+    for k, offset in enumerate(offsets):
         lo = max(0, -(offset // stride))
         hi = min(t_out, (t_in - 1 - offset) // stride + 1)
         if lo < hi:
             start = lo * stride + offset
             taps.append((k, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
-    return t_out, tuple(taps)
+    return tuple(taps)
 
 
-def _columns(x: np.ndarray, kernel: int, stride: int, t_out: int, taps) -> np.ndarray:
-    """The (..., C_in * K, T_out) column matrix of x (..., C_in, T): row
-    c * K + k holds the input that tap k of channel c meets at each step."""
-    if kernel == 1:  # one tap reads no padding
-        return np.ascontiguousarray(x[..., ::stride])  # a strided view keeps matmul off BLAS
+@functools.lru_cache(maxsize=256)  # a few µs per call, as much as a toy conv's GEMM
+def _conv_taps(t_in: int, kernel: int, stride: int, dilation: int):
+    """Output length and ``_taps`` of a zero-padded conv (see ``_same_padding``)."""
+    t_out, offsets = _same_padding(t_in, kernel, stride, dilation)
+    return t_out, _taps(t_in, t_out, stride, offsets)
+
+
+def _columns(x: np.ndarray, n_taps: int, stride: int, t_out: int, taps) -> np.ndarray:
+    """The (..., C_in * n_taps, T_out) column matrix of x (..., C_in, T): row
+    c * n_taps + k holds the input that tap k of channel c meets at each
+    step, and zero where it meets padding."""
+    if n_taps == 1 and taps[0][1] == slice(0, t_out):  # one tap that reads no padding
+        return np.ascontiguousarray(x[..., taps[0][2]])  # a strided view keeps matmul off BLAS
     *lead, c_in, _ = x.shape
-    col = np.zeros((*lead, c_in, kernel, t_out), dtype=x.dtype)
+    col = np.empty((*lead, c_in, n_taps, t_out), dtype=x.dtype)
+    if len(taps) < n_taps:  # a tap that meets only padding
+        col.fill(0)
     for k, steps, inputs in taps:
+        if steps.start:
+            col[..., k, :steps.start] = 0
         col[..., k, steps] = x[..., inputs]
-    return col.reshape(*lead, c_in * kernel, t_out)
+        if steps.stop < t_out:
+            col[..., k, steps.stop:] = 0
+    return col.reshape(*lead, c_in * n_taps, t_out)
+
+
+def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, dilation: int):
+    """Check a conv's operands; return ``weight.shape``."""
+    if x.data.ndim not in (2, 3) or weight.data.ndim != 3:
+        raise ValueError("conv1d expects x (C_in, T) or (B, C_in, T) and weight (C_out, C_in, K)")
+    c_out, c_in, kernel = weight.data.shape
+    if x.data.shape[-2] != c_in:
+        raise ValueError(f"channel mismatch: input {x.data.shape[-2]}, weight {c_in}")
+    if kernel not in _CONV_KERNEL_SIZES:
+        raise ValueError(f"unsupported kernel size {kernel}")
+    if stride < 1 or dilation < 1:
+        raise ValueError("stride and dilation must be >= 1")
+    if bias is not None and bias.data.shape != (c_out,):
+        raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
+    return c_out, c_in, kernel
+
+
+def _conv_backward(g, x: np.ndarray, weight: Tensor, bias: Tensor | None, stride: int,
+                   t_out: int, taps, input_grad: bool):
+    """Accumulate the weight and bias gradients of the conv of ``x`` whose
+    output has gradient ``g``, and return the gradient of ``x`` when
+    ``input_grad`` holds.  The column matrix is rebuilt from ``x`` rather
+    than kept on the tape."""
+    c_out, c_in, kernel = weight.shape
+    batch_axes = tuple(range(g.ndim - 2))  # () for one item
+    col = _columns(x, kernel, stride, t_out, taps)
+    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
+    if bias is not None:
+        _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
+    if not input_grad:
+        return None
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    gcol = (w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, t_out)
+    gx = np.zeros_like(x)
+    for k, steps, inputs in taps:
+        gx[..., inputs] += gcol[..., k, steps]
+    return gx
 
 
 def conv1d(
@@ -241,19 +309,8 @@ def conv1d(
     flattened weight with the input's column matrix, which backward rebuilds
     from the input rather than keeping it on the tape.
     """
-    if x.data.ndim not in (2, 3) or weight.data.ndim != 3:
-        raise ValueError("conv1d expects x (C_in, T) or (B, C_in, T) and weight (C_out, C_in, K)")
-    c_out, c_in, kernel = weight.shape
-    if x.shape[-2] != c_in:
-        raise ValueError(f"channel mismatch: input {x.shape[-2]}, weight {c_in}")
-    if kernel not in _CONV_KERNEL_SIZES:
-        raise ValueError(f"unsupported kernel size {kernel}")
-    if stride < 1 or dilation < 1:
-        raise ValueError("stride and dilation must be >= 1")
-    if bias is not None and bias.shape != (c_out,):
-        raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
-
-    t_out, taps = _conv_taps(x.shape[-1], kernel, stride, dilation)
+    c_out, c_in, kernel = _conv_shapes(x, weight, bias, stride, dilation)
+    t_out, taps = _conv_taps(x.data.shape[-1], kernel, stride, dilation)
     w2 = weight.data.reshape(c_out, c_in * kernel)
     col = _columns(x.data, kernel, stride, t_out, taps)
     out = w2 @ col
@@ -261,20 +318,79 @@ def conv1d(
         out += bias.data[:, None]
 
     def backward(g):
-        batch_axes = tuple(range(g.ndim - 2))  # () for one item
-        col = _columns(x.data, kernel, stride, t_out, taps)
-        _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
-        if x.requires_grad:
-            gcol = (w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, t_out)
-            gx = np.zeros_like(x.data)
-            for k, steps, inputs in taps:
-                gx[..., inputs] += gcol[..., k, steps]
+        gx = _conv_backward(g, x.data, weight, bias, stride, t_out, taps, x.requires_grad)
+        if gx is not None:
             _accumulate(x, gx)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
+
+
+@functools.lru_cache(maxsize=256)
+def _upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
+    """The polyphase split of a stride-1 conv over x (length ``t_in``)
+    repeated ``factor`` times.
+
+    Output step ``factor * i + r`` (phase r) meets x at ``i + (r + o) //
+    factor`` through the tap at upsampled offset o.  Taps of one phase that
+    meet the same sample of x merge into one; phases that meet x at the same
+    offsets, tap for tap, give the same output and form one group, always a
+    run of consecutive phases.  Each group is ``(phases, n_taps, merge,
+    taps)``: the slice of its phases, its number of merged taps, the 0/1
+    (kernel, n_taps) matrix that sums the weight's taps into merged ones
+    (None when no taps merge), and the ``_taps`` of the merged taps over x.
+    """
+    _, offsets = _same_padding(t_in * factor, kernel, 1, dilation)
+    groups: dict[tuple, list[int]] = {}
+    for r in range(factor):
+        groups.setdefault(tuple((r + o) // factor for o in offsets), []).append(r)
+    plan = []
+    for reads, phases in groups.items():
+        merged = sorted(set(reads))
+        merge = None
+        if len(merged) < kernel:  # float32: a weight keeps its own dtype through the product
+            merge = np.equal.outer(reads, merged).astype(np.float32)
+            merge.flags.writeable = False
+        plan.append((slice(phases[0], phases[-1] + 1), len(merged), merge,
+                     _taps(t_in, t_in, 1, merged)))
+    return tuple(plan)
+
+
+def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
+                    dilation: int = 1) -> Tensor:
+    """``conv1d(nearest_upsample(x, factor), weight, bias, dilation=dilation)``,
+    computed at the input rate.
+
+    Each group of output phases in ``_upsample_plan`` is one GEMM over x with
+    the weight's taps summed where they meet the same input sample, written
+    to every phase of the group.  With dilation 1 and a 3-tap kernel that is
+    5 of 15 taps at factor 5, 5 of 9 at factor 3 and 4 of 6 at factor 2.
+    Backward repeats x and takes ``conv1d``'s gradients at the upsampled
+    rate, then sums each repeat's gradient.
+    """
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    c_out, _, kernel = _conv_shapes(x, weight, bias, 1, dilation)
+    *lead, _, t_in = x.data.shape
+    out = np.empty((*lead, c_out, t_in, factor), dtype=x.data.dtype)
+    for phases, n_taps, merge, taps in _upsample_plan(t_in, kernel, factor, dilation):
+        w = weight.data if merge is None else weight.data @ merge
+        y = w.reshape(c_out, -1) @ _columns(x.data, n_taps, 1, t_in, taps)
+        if bias is None:
+            out[..., phases] = y[..., None]
+        else:
+            np.add(y[..., None], bias.data[:, None, None], out=out[..., phases])
+    out = out.reshape(*lead, c_out, t_in * factor)
+
+    def backward(g):
+        t_out, taps = _conv_taps(t_in * factor, kernel, 1, dilation)
+        up = np.repeat(x.data, factor, axis=-1)
+        gx = _conv_backward(g, up, weight, bias, 1, t_out, taps, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx.reshape(*x.shape, factor).sum(axis=-1))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out, parents, backward)
 
 
 def nearest_upsample(x: Tensor, factor: int) -> Tensor:
@@ -314,6 +430,58 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
         _accumulate(x, g * np.where(x.data > 0.0, one, low))
 
     return _result(np.maximum(x.data, slope * x.data), (x,), backward)
+
+
+def affine_leaky_relu(x: Tensor, gamma: Tensor, xi: Tensor, slope: float = 0.2) -> Tensor:
+    """``leaky_relu(add(mul(gamma, x), xi), slope)`` with one temporary, by
+    the same float arithmetic."""
+    if not x.shape == gamma.shape == xi.shape:
+        raise ValueError(f"shape mismatch: {x.shape}, {gamma.shape}, {xi.shape}")
+    if not (0.0 < slope < 1.0):
+        raise ValueError("slope must be in (0, 1)")
+
+    out = gamma.data * x.data
+    out += xi.data
+    np.maximum(out, slope * out, out=out)
+    one, low = out.dtype.type(1.0), out.dtype.type(slope)
+
+    def backward(g):  # the output is positive exactly where the affine map is
+        g = g * np.where(out > 0.0, one, low)
+        _accumulate(gamma, g * x.data)
+        _accumulate(x, g * gamma.data)
+        _accumulate(xi, g)
+
+    return _result(out, (x, gamma, xi), backward)
+
+
+def concat(tensors) -> Tensor:
+    """Join tensors along their first axis."""
+    tensors = tuple(tensors)
+
+    def backward(g):
+        start = 0
+        for t in tensors:
+            _accumulate(t, g[start:start + len(t.data)])
+            start += len(t.data)
+
+    return _result(np.concatenate([t.data for t in tensors]), tensors, backward)
+
+
+def split_channels(x: Tensor, n: int) -> tuple[Tensor, ...]:
+    """Cut the channels of a (C, T) map, or of each (B, C, T) item, into
+    ``n`` equal parts; each part is a view of x."""
+    size, rest = divmod(x.shape[-2], n)
+    if rest:
+        raise ValueError(f"{x.shape[-2]} channels do not split into {n} parts")
+    parts = []
+    for i in range(n):
+        index = (..., slice(i * size, (i + 1) * size), slice(None))
+
+        def backward(g, index=index):
+            _accumulate(x, g, index)
+
+        parts.append(_result(x.data[index], (x,), backward))
+    return tuple(parts)
 
 
 def mean_abs(x: Tensor) -> Tensor:

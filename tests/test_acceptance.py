@@ -158,8 +158,8 @@ def test_criterion_5_gradient_correctness():
 
     rng = np.random.default_rng(2)
 
-    def mk(shape):
-        return Tensor(rng.standard_normal(shape), requires_grad=True)
+    def mk(shape, gen=rng):
+        return Tensor(gen.standard_normal(shape), requires_grad=True)
 
     # each network op individually
     x, y2 = mk((2, 8)), mk((2, 8))
@@ -173,6 +173,13 @@ def test_criterion_5_gradient_correctness():
     fd_scalar(lambda: T.mean_abs(T.downsample(x, 2)), [x], 1e-4)
     w, b = mk((3, 2, 3)), mk((3,))
     fd_scalar(lambda: T.mean_abs(T.conv1d(x, w, b, stride=2, dilation=2)), [x, w, b], 1e-4)
+    # the fused ops draw from their own generator, so the draws below stay
+    fused = np.random.default_rng(4)
+    w, b = mk((3, 2, 3), fused), mk((3,), fused)
+    fd_scalar(lambda: T.mean_abs(T.upsample_conv1d(x, w, b, 3)), [x, w, b], 1e-4)
+    gamma, xi = mk((2, 8), fused), mk((2, 8), fused)
+    fd_scalar(lambda: T.mean_abs(T.affine_leaky_relu(x, gamma, xi, 0.2)), [x, gamma, xi], 1e-4)
+    fd_scalar(lambda: T.mean_abs(T.mul(*T.split_channels(T.concat([x, y2]), 2))), [x, y2], 1e-4)
 
     # the full toy model at 64-bit, three sampled entries per parameter
     model = DenoiserModel(ModelConfig.toy(dtype="float64"), seed=1)

@@ -447,6 +447,24 @@ def test_sweep_builds_each_filterbank_once(toy_checkpoint, corpus_dirs, tmp_path
     assert sorted(cfg.hop_length for cfg in banks) == [2, 4]
 
 
+def test_sweep_makes_each_references_metric_mel_once(toy_checkpoint, corpus_dirs, tmp_path,
+                                                     monkeypatch):
+    """Every candidate's synthesis has the same length, so a reference's
+    metric mel is made once per command, not once per candidate."""
+    two = first_wavs(corpus_dirs[1], tmp_path, count=2)
+    hops = []
+    analyse = gradvoc.dsp.mel_spectrogram
+    for module in (gradvoc.dsp, gradvoc.cli):
+        monkeypatch.setattr(module, "mel_spectrogram",
+                            lambda y, cfg: hops.append(cfg.hop_length) or analyse(y, cfg))
+    assert main(["sweep", "--checkpoint", str(toy_checkpoint), "--validation-dir", str(two),
+                 "--candidates-file", str(two_candidates(tmp_path)),
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    # per utterance: its conditioning (hop 4), then its reference and each
+    # candidate's synthesis under the metric framing (hop 2)
+    assert sorted(hops) == [2] * (2 + 2 * 2) + [4] * 2
+
+
 def test_eval_makes_one_metric_mel_per_signal(corpus_dirs, tmp_path, monkeypatch):
     two = first_wavs(corpus_dirs[1], tmp_path, count=2)
     mels, banks = record_mel_work(monkeypatch)

@@ -10,6 +10,7 @@ import struct
 import sys
 import tracemalloc
 import wave
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -162,6 +163,20 @@ def test_filterbank_is_built_once_per_config_and_read_only():
     assert cfg.filterbank is fb
     with pytest.raises(ValueError):
         fb[0, 0] = 1.0
+
+
+def test_window_is_built_once_per_config_and_read_only():
+    """The periodic Hann window, made on a config's first analysis and kept
+    out of the dataclass fields like the filterbank."""
+    cfg, fresh = MelConfig.toy(), MelConfig.toy()
+    mel_spectrogram(Waveform(np.ones(64), 4000), cfg)
+    window = cfg.__dict__["window"]  # made by the analysis
+    n = np.arange(32)
+    assert np.array_equal(window, 0.5 - 0.5 * np.cos(2.0 * np.pi * n / 32))
+    assert cfg.window is window
+    with pytest.raises(ValueError):
+        window[0] = 1.0
+    assert cfg == fresh and hash(cfg) == hash(fresh) and asdict(cfg) == asdict(fresh)
 
 
 @pytest.mark.parametrize("change", [{"n_mels": 0}, {"fmin": -1.0}, {"fmin": 12000.0},

@@ -1,6 +1,7 @@
 """Denoiser architecture: blocks, conditioning, shapes, and serialization."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -101,12 +102,70 @@ def test_film_output_channels_match_modulated_stage():
     assert gamma.shape == (8, 12) and xi.shape == (8, 12)
 
 
+FILM_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_film_gamma_and_xi_are_the_two_convs_of_the_features(dtype):
+    """One GEMM of the stacked weights gives what the two convs give alone,
+    byte for byte at the toy model's FiLM widths.
+
+    BLAS may sum a product with twice the rows in another order (it does for
+    FiLM(3, 6) in float64 with OpenBLAS 0.3), so another width is held to
+    rounding error only.
+    """
+    rng = np.random.default_rng(11)
+    widths = [(8, 8, True), (4, 8, True), (3, 6, False)]  # (c_in, c_out, byte-equal)
+    for (c_in, c_out, exact), batch in itertools.product(widths, ((), (2,))):
+        film = FiLM(c_in, c_out)
+        init_weights(film, np.random.default_rng(12), dtype)
+        for conv in (film.gamma_conv, film.xi_conv):
+            conv.bias.data = rng.standard_normal(c_out).astype(dtype)
+        f = Tensor(rng.standard_normal((*batch, c_in, 16)).astype(dtype))
+        e = Tensor(rng.standard_normal((*batch, c_out)).astype(dtype))
+        gamma, xi = film(f, e)
+        h = T.add_channel_bias(T.leaky_relu(film.input_conv(f), 0.2), e)
+        for got, want in ((gamma.data, film.gamma_conv(h).data), (xi.data, film.xi_conv(h).data)):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= FILM_RTOL[dtype] * np.max(np.abs(want))
+
+
+def test_film_gradients_reach_both_convs():
+    rng = np.random.default_rng(14)
+    film = FiLM(2, 4)
+    init_weights(film, np.random.default_rng(13), np.float64)
+    f, e = Tensor(rng.standard_normal((2, 7))), Tensor(rng.standard_normal(4))
+    params = [film.gamma_conv.weight, film.gamma_conv.bias, film.xi_conv.weight, film.xi_conv.bias]
+    for p in params:
+        p.data = rng.standard_normal(p.shape)
+
+    def loss():
+        gamma, xi = film(f, e)
+        return T.add(T.mean_abs(gamma), T.scale(T.mean_abs(xi), 2.0))
+
+    loss().backward()
+    for p in params:
+        flat, got = p.data.reshape(-1), p.grad.reshape(-1).copy()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + 1e-6
+            up = float(loss().data)
+            flat[i] = orig - 1e-6
+            dn = float(loss().data)
+            flat[i] = orig
+            fd = (up - dn) / 2e-6
+            assert abs(got[i] - fd) <= 1e-5 * max(abs(fd), abs(got[i]), 1e-6)
+
+
 def test_neutral_affine_is_identity():
+    """The fused FiLM affine map and leaky ReLU, with gamma = 1 and xi = 0,
+    is exactly the leaky ReLU."""
     x = Tensor(np.random.default_rng(2).standard_normal((4, 9)))
-    block = UBlock(4, 4, 1, (1, 2, 1, 2))
-    init_weights(block, np.random.default_rng(3), np.float64)
-    out = block._affine(x, Tensor(np.ones((4, 9))), Tensor(np.zeros((4, 9))))
-    assert np.array_equal(out.data, x.data)
+    out = T.affine_leaky_relu(x, Tensor(np.ones((4, 9))), Tensor(np.zeros((4, 9))), 0.2)
+    assert np.array_equal(out.data, T.leaky_relu(x, 0.2).data)
 
 
 # -- UBlock -------------------------------------------------------------------------

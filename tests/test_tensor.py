@@ -11,6 +11,8 @@ from gradvoc.tensor import (
     Tensor,
     add,
     add_channel_bias,
+    affine_leaky_relu,
+    concat,
     conv1d,
     downsample,
     leaky_relu,
@@ -20,7 +22,9 @@ from gradvoc.tensor import (
     no_grad,
     orthogonal_init,
     scale,
+    split_channels,
     sub,
+    upsample_conv1d,
 )
 import oracles
 from oracles import tsum
@@ -364,6 +368,115 @@ def test_leaky_relu_grad_keeps_the_operand_dtype():
     tsum(leaky_relu(x, 0.2)).backward()
     assert x.grad.dtype == np.float32
     assert x.grad.tolist() == [[1.0, np.float32(0.2), np.float32(0.2)]]
+
+
+# -- fused ops against the ops they fuse ---------------------------------------------
+
+# relative error of the polyphase upsampling conv against the conv of the
+# upsampled input: merging taps sums weights before multiplying
+UPSAMPLE_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
+def test_upsample_conv_matches_conv_of_the_upsample(factor, dtype):
+    """Every dilation 1-8 (also d >= factor, where no taps merge) and kernel,
+    on odd and even lengths, one item and a batch, with and without bias."""
+    rng = np.random.default_rng(80 + factor)
+    for dilation, kernel, t, batch in itertools.product(range(1, 9), (1, 3, 5), (1, 4, 7),
+                                                        ((), (2,))):
+        x = Tensor(rng.standard_normal((*batch, 3, t)).astype(dtype))
+        w = Tensor(rng.standard_normal((4, 3, kernel)).astype(dtype))
+        b = Tensor(rng.standard_normal(4).astype(dtype)) if t != 4 else None
+        got = upsample_conv1d(x, w, b, factor, dilation).data
+        want = conv1d(nearest_upsample(x, factor), w, b, dilation=dilation).data
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert rel_err(got, want) <= UPSAMPLE_RTOL[dtype], (dilation, kernel, t, batch)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_upsample_conv_gradients_match_conv_of_the_upsample(dtype):
+    rng = np.random.default_rng(86)
+    for factor, dilation, batch in [(5, 1, ()), (2, 3, (3,)), (3, 1, (2,)), (1, 2, ())]:
+        x = rng.standard_normal((*batch, 3, 6)).astype(dtype)
+        w, b = rng.standard_normal((4, 3, 3)).astype(dtype), rng.standard_normal(4).astype(dtype)
+        g = Tensor(rng.standard_normal((*batch, 4, 6 * factor)).astype(dtype))
+        grads = []
+        for op in (lambda x, w, b: upsample_conv1d(x, w, b, factor, dilation),
+                   lambda x, w, b: conv1d(nearest_upsample(x, factor), w, b, dilation=dilation)):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+            tsum(mul(op(*leaves), g)).backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for got, want in zip(*grads):
+            assert got.dtype == dtype and rel_err(got, want) <= UPSAMPLE_RTOL[dtype]
+
+
+def test_upsample_conv_fd_grads():
+    x, w, b = leaf((2, 5), 87), leaf((3, 2, 3), 88), leaf((3,), 89)
+    fd_check(lambda x, w, b: mean_abs(upsample_conv1d(x, w, b, 3, 1)), [x, w, b])
+    x, w = leaf((2, 2, 4), 90), leaf((3, 2, 5), 91)
+    fd_check(lambda x, w: mean_abs(upsample_conv1d(x, w, None, 2, 3)), [x, w])
+
+
+def test_upsample_conv_rejects_bad_operands():
+    x, w = Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError):
+        upsample_conv1d(x, w, None, 0)
+    with pytest.raises(ValueError):
+        upsample_conv1d(x, Tensor(np.zeros((3, 1, 3))), None, 2)
+    with pytest.raises(ValueError):
+        upsample_conv1d(x, w, Tensor(np.zeros(2)), 2)
+
+
+def composed_affine_leaky_relu(x, gamma, xi):
+    return leaky_relu(add(mul(gamma, x), xi), 0.2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_affine_leaky_relu_is_byte_equal_to_the_composed_ops(dtype):
+    rng = np.random.default_rng(92)
+    arrays = [rng.standard_normal((2, 4, 9)).astype(dtype) for _ in range(3)]
+    arrays[0][0, 0, :3] = 0.0  # zero pre-activations take the slope, as in leaky_relu
+    arrays[2][0, 0, :3] = 0.0
+    g = Tensor(rng.standard_normal((2, 4, 9)).astype(dtype))
+    results = []
+    for op in (lambda x, gm, xi: affine_leaky_relu(x, gm, xi, 0.2), composed_affine_leaky_relu):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        tsum(mul(out, g)).backward()
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_affine_leaky_relu_fd_grads():
+    x, gamma, xi = leaf((3, 7), 93), leaf((3, 7), 94), leaf((3, 7), 95)
+    fd_check(lambda x, gm, xi: mean_abs(affine_leaky_relu(x, gm, xi, 0.2)), [x, gamma, xi])
+    with pytest.raises(ValueError):
+        affine_leaky_relu(x, gamma, Tensor(np.zeros((3, 6))), 0.2)
+
+
+def test_concat_and_split_channels_route_gradients():
+    a, b = leaf((2, 3, 3), 96), leaf((4, 3, 3), 97)
+    joined = concat([a, b])
+    assert np.array_equal(joined.data, np.concatenate([a.data, b.data]))
+    fd_check(lambda a, b: mean_abs(concat([a, b])), [a, b])
+
+    x = leaf((2, 6, 5), 98)
+    first, second = split_channels(x, 2)
+    assert np.array_equal(first.data, x.data[:, :3]) and np.array_equal(second.data, x.data[:, 3:])
+
+    def weighted_parts(x):
+        first, second = split_channels(x, 2)
+        return add(mean_abs(first), scale(mean_abs(second), 3.0))
+
+    fd_check(weighted_parts, [x])
+    only_second = Tensor(x.data.copy(), requires_grad=True)
+    tsum(split_channels(only_second, 2)[1]).backward()  # the unused part gets zeros
+    assert not only_second.grad[:, :3].any() and np.all(only_second.grad[:, 3:] == 1.0)
+    with pytest.raises(ValueError):
+        split_channels(x, 4)
 
 
 # -- engine mechanics --------------------------------------------------------------
