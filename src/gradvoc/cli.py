@@ -81,11 +81,12 @@ MEL_PROFILES = {
     "toy": MelConfig.toy,
 }
 
-# each model profile and the one mel profile whose mels it takes
+# each model profile, the one mel profile whose mels it takes, and the
+# training segment a train config without `segment_samples` uses
 MODEL_PROFILES = {
-    "base": (ModelConfig, "full"),
-    "large": (ModelConfig.large, "full"),
-    "toy": (ModelConfig.toy, "toy"),
+    "base": (ModelConfig, "full", 7200),
+    "large": (ModelConfig.large, "full", 7200),
+    "toy": (ModelConfig.toy, "toy", 256),
 }
 
 SWEEP_MANTISSAS = tuple(range(1, 10))
@@ -170,15 +171,18 @@ def cmd_train(args) -> int:
 
     # a resumed run takes its model, mel analysis, seed and conditioning from the
     # checkpoint, so `model`, `seed` and `discrete_schedule` stay unread beside
-    # `resume` and are refused below
+    # `resume` and are refused below; it keeps the checkpoint's segment unless
+    # the config sets one
     resume_path = _get(kv, "resume", str, default=None, path=path)
-    seed, discrete = 0, None
+    seed, discrete, segment = 0, None, None
     if not resume_path:
         model_name = _get(kv, "model", str, default="toy", path=path)
         if model_name not in MODEL_PROFILES:
             raise UsageError(f"{path}: unknown model profile {model_name!r}")
         seed = _get(kv, "seed", int, default=0, path=path)
         discrete = _get(kv, "discrete_schedule", resolve_schedule, path=path)
+        segment = MODEL_PROFILES[model_name][2]
+    segment = _get(kv, "segment_samples", int, default=segment, path=path)
     prior = _get(
         kv, "training_prior", resolve_schedule,
         default=default_training_prior(), path=path,
@@ -188,12 +192,12 @@ def cmd_train(args) -> int:
         config = TrainConfig(
             training_prior=prior,
             batch_size=_get(kv, "batch_size", int, default=4, path=path),
-            segment_samples=_get(kv, "segment_samples", int, default=256, path=path),
             learning_rate=_get(kv, "learning_rate", float, default=1e-4, path=path),
             max_steps=_get(kv, "max_steps", int, default=1000, path=path),
             seed=seed,
             discrete_schedule=discrete,
             checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
+            **({} if segment is None else {"segment_samples": segment}),
         )
     except TrainConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
@@ -212,9 +216,10 @@ def cmd_train(args) -> int:
     if resume_path:
         state, mel_cfg = _load_checkpoint(resume_path)
         state.config = replace(config, seed=state.config.seed,
-                               discrete_schedule=state.config.discrete_schedule)
+                               discrete_schedule=state.config.discrete_schedule,
+                               segment_samples=segment or state.config.segment_samples)
     else:
-        model_profile, mel_name = MODEL_PROFILES[model_name]
+        model_profile, mel_name, _ = MODEL_PROFILES[model_name]
         mel_cfg = MEL_PROFILES[mel_name]()
         state = TrainState(model=DenoiserModel(model_profile(), seed=seed), config=config)
     dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)

@@ -7,6 +7,13 @@ adaptive-moment gradient step on the mean L1 distance between the drawn and
 predicted noise.  The batch runs stacked, through one forward and one
 backward.
 
+The optimizer works on a flat store that the ``TrainState`` builds on its
+first step: one contiguous vector each for the parameter values, their
+gradients and the two Adam moments, in ``Module.parameters()`` walk order.
+Each parameter's ``data`` and ``grad`` are views into it, so backward adds
+into the store, and zeroing the gradients, the norm clip and the Adam update
+are a few whole-vector operations.  Loading and synthesis never build it.
+
 Determinism contract: the step-k randomness comes from a generator seeded
 with (seed, k), so restoring a checkpoint reproduces the exact loss sequence
 of an uninterrupted run.
@@ -90,13 +97,61 @@ def check_mel_config(model_cfg: ModelConfig, mel_cfg: MelConfig) -> None:
         raise TrainConfigError(f"mel analysis has {mel_cfg.n_mels} bins, the model takes {bins}")
 
 
+class _FlatStore:
+    """The values, gradients and Adam moments of every parameter, one
+    contiguous vector each, laid out in walk order.  Each parameter's ``data``
+    and ``grad`` are reshaped views into the first two, so backward adds into
+    the store and the optimizer step runs on whole vectors."""
+
+    def __init__(self, params: dict[str, Tensor], adam_m: dict, adam_v: dict, dtype):
+        size = sum(p.data.size for p in params.values())
+        self.values, self.grad, self.m, self.v = (np.zeros(size, dtype) for _ in range(4))
+        self.spans, self.views, self.adam_m, self.adam_v = [], [], {}, {}
+        start = 0
+        for name, p in params.items():
+            span = slice(start, start + p.data.size)
+            start = span.stop
+            data, grad, m, v = (flat[span].reshape(p.shape)
+                                for flat in (self.values, self.grad, self.m, self.v))
+            data[...] = p.data
+            if name in adam_m:
+                m[...] = adam_m[name]
+            if name in adam_v:
+                v[...] = adam_v[name]
+            p.data, p.grad = data, grad
+            self.spans.append(span)
+            self.views.append((p, data, grad))
+            self.adam_m[name], self.adam_v[name] = m, v
+
+    def stale(self) -> bool:
+        """True once some parameter's data or grad is no longer its view."""
+        for p, data, grad in self.views:
+            if p.data is not data or p.grad is not grad:
+                return True
+        return False
+
+
 @dataclass
 class TrainState:
+    """The model, its settings, the step count and the Adam moments by
+    parameter name.  Training keeps the parameters and moments in a flat
+    store, built on the first step; from then on ``adam_m`` and ``adam_v``
+    hold views into it."""
+
     model: DenoiserModel
     config: TrainConfig
     step: int = 0
     adam_m: dict = field(default_factory=dict)
     adam_v: dict = field(default_factory=dict)
+    _store: _FlatStore | None = field(default=None, init=False, repr=False, compare=False)
+
+    def flat_store(self) -> _FlatStore:
+        """The store, rebuilt from the model when a caller rebound a parameter."""
+        if self._store is None or self._store.stale():
+            self._store = _FlatStore(self.model.parameters(), self.adam_m, self.adam_v,
+                                     self.model.config.np_dtype)
+            self.adam_m, self.adam_v = self._store.adam_m, self._store.adam_v
+        return self._store
 
 
 def _usable_utterances(dataset: list[Waveform], segment_samples: int) -> list[Waveform]:
@@ -176,38 +231,30 @@ def train_step(
 ) -> tuple[TrainState, float]:
     """One optimization step; returns the updated state and the batch loss."""
     config = state.config
-    model = state.model
-    params = model.parameters()
-    for p in params.values():
-        p.grad = None
+    store = state.flat_store()
+    store.grad.fill(0)
 
-    loss = _batch_loss(model, batch, config, rng)
+    loss = _batch_loss(state.model, batch, config, rng)
     loss.backward()
 
-    # global-norm clip in float64, then adam update
+    # global-norm clip in float64, summed per parameter in walk order, then adam
+    squares = store.grad.astype(np.float64) ** 2
     sq = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            sq += float(np.sum(p.grad.astype(np.float64) ** 2))
+    for span in store.spans:
+        sq += float(squares[span].sum())
     norm = np.sqrt(sq)
     clip = min(1.0, CLIP_NORM / norm) if norm > CLIP_NORM else 1.0
 
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, p in params.items():
-        if p.grad is None:
-            continue
-        g = p.grad * clip
-        m = state.adam_m.setdefault(name, np.zeros_like(p.data))
-        v = state.adam_v.setdefault(name, np.zeros_like(p.data))
-        m += (1 - b1) * (g - m)
-        v += (1 - b2) * (g * g - v)
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p.data = p.data - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + ADAM_EPS
-        )
+    g = store.grad * clip
+    m, v = store.m, store.v
+    m += (1 - b1) * (g - m)
+    v += (1 - b2) * (g * g - v)
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    store.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state, float(loss.data)
 
 

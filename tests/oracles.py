@@ -2,8 +2,8 @@
 
 Closed-form quantities of the diffusion process, a plain sum reduction for
 autodiff checks, the padded ``tensordot`` convolution, a fixed-noise batch
-loss with its per-item loop, and the per-lag loop pitch tracker; the
-library itself never needs them.
+loss with its per-item loop, the per-parameter clip-and-Adam training step,
+and the per-lag loop pitch tracker; the library itself never needs them.
 """
 
 import math
@@ -23,7 +23,15 @@ from gradvoc.dsp import (
 from gradvoc import tensor as T
 from gradvoc.diffusion import forward_diffuse
 from gradvoc.tensor import Tensor, _accumulate, _result
-from gradvoc.train import TrainError, _batch_loss, _draw_noise_level
+from gradvoc.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    CLIP_NORM,
+    TrainError,
+    _batch_loss,
+    _draw_noise_level,
+)
 
 
 def noise_log_density_gradient(epsilon: np.ndarray, alpha_bar: float) -> np.ndarray:
@@ -143,6 +151,42 @@ def evaluate_loss(model, batch, config, seed: int = 12345, batch_loss=_batch_los
     """Loss on a fixed batch with fixed noise draws; no parameter update."""
     rng = np.random.default_rng(seed)
     return float(batch_loss(model, batch, config, rng).data)
+
+
+def loop_train_step(state, batch, rng):
+    """``train.train_step`` as a loop over the parameters, with per-name moments:
+    gradients reset to None, the global-norm clip summed per parameter in
+    float64 and an Adam update that rebinds each parameter's data."""
+    config = state.config
+    params = state.model.parameters()
+    for p in params.values():
+        p.grad = None
+
+    loss = _batch_loss(state.model, batch, config, rng)
+    loss.backward()
+
+    sq = 0.0
+    for p in params.values():
+        if p.grad is not None:
+            sq += float(np.sum(p.grad.astype(np.float64) ** 2))
+    norm = np.sqrt(sq)
+    clip = min(1.0, CLIP_NORM / norm) if norm > CLIP_NORM else 1.0
+
+    state.step += 1
+    t = state.step
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        g = p.grad * clip
+        m = state.adam_m.setdefault(name, np.zeros_like(p.data))
+        v = state.adam_v.setdefault(name, np.zeros_like(p.data))
+        m += (1 - b1) * (g - m)
+        v += (1 - b2) * (g * g - v)
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return state, float(loss.data)
 
 
 def track_pitch(y: Waveform, scores=None) -> tuple[np.ndarray, np.ndarray]:

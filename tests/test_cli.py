@@ -23,6 +23,7 @@ from gradvoc.cli import (
     resolve_schedule,
 )
 from gradvoc.checkpoint import load_tensors, save_tensors
+from gradvoc.data import generate_corpus
 from gradvoc.dsp import (
     MelConfig, MelSpectrogram, Waveform, mel_spectrogram, save_mel, wav_read, wav_write,
 )
@@ -231,8 +232,9 @@ def test_bad_train_config_is_usage_error(extra, expected, untrained_ckpt, corpus
 
 
 def test_every_model_profile_takes_its_mel_profile():
-    for model_profile, mel_name in MODEL_PROFILES.values():
+    for model_profile, mel_name, segment in MODEL_PROFILES.values():
         check_mel_config(model_profile(), MEL_PROFILES[mel_name]())
+        assert segment % model_profile().samples_per_frame == 0
 
 
 def test_a_discrete_schedule_alone_trains_a_discrete_checkpoint(corpus_dirs, tmp_path):
@@ -270,6 +272,27 @@ def test_resume_keeps_the_checkpoints_discrete_conditioning(corpus_dirs, tmp_pat
                               f"resume = {tmp_path / 'full' / 'step0000003.ckpt'}\n")
     assert load_tensors(tmp_path / "resumed" / "final.ckpt")[1]["conditioning_mode"] == "discrete"
     assert resumed == full[3:]
+
+
+@pytest.mark.parametrize("model, segment, sample_rate", [("toy", 256, 4000),
+                                                    ("base", 7200, 24000)])
+def test_each_model_profile_brings_its_default_segment(model, segment, sample_rate, tmp_path):
+    generate_corpus(tmp_path / "data", 1, segment, sample_rate, seed=0)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'data'}\nmodel = {model}\nmax_steps = 0\n"
+                   f"checkpoint_dir = {tmp_path / 'ckpt'}\n")
+    assert main(["train", str(cfg)]) == EXIT_OK
+    assert load_state(tmp_path / "ckpt" / "final.ckpt")[0].config.segment_samples == segment
+
+
+def test_a_resumed_run_keeps_its_checkpoints_segment(corpus_dirs, tmp_path):
+    for name, extra in (("first", "segment_samples = 128\n"),
+                        ("resumed", f"resume = {tmp_path / 'first' / 'final.ckpt'}\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"data_dir = {corpus_dirs[0]}\nmax_steps = 0\n"
+                       f"checkpoint_dir = {tmp_path / name}\n{extra}")
+        assert main(["train", str(cfg)]) == EXIT_OK
+        assert load_state(tmp_path / name / "final.ckpt")[0].config.segment_samples == 128
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradvoc.data import sine_utterance
@@ -383,6 +383,9 @@ def harmonic_stacks(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(y=harmonic_stacks())
+# frame 4's b window at lag 80 lies wholly in the zero padding, where a.b is
+# roundoff; unless that lag goes unscored the tracker reports 50 Hz, the loop 102.6 Hz
+@example(y=Waveform(1e-3 * np.sin(2 * np.pi * 100.0 * np.arange(180) / 4000), 4000))
 def test_track_pitch_matches_loop_oracle_on_harmonic_stacks(y):
     check_against_loop(y)
 

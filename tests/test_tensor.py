@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradvoc.tensor import (
@@ -200,8 +200,19 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
+def conv_grads(conv, x, w, b, g, stride, dilation):
+    """The output of ``conv`` and the gradients of its leaves under cotangent ``g``."""
+    leaves = [Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)]
+    if b is not None:
+        leaves.append(Tensor(b.copy(), requires_grad=True))
+    out = conv(*leaves, stride=stride, dilation=dilation)
+    tsum(mul(out, Tensor(g))).backward()
+    return out.data, [leaf.grad for leaf in leaves]
+
+
 def conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed):
-    """Forward bit-identical to the oracle; gradients within GRAD_RTOL.
+    """Forward bit-identical to the oracle; each gradient entry within the
+    rounding bound of its own sum.
 
     With one output channel numpy hands the product to BLAS's matrix-vector
     kernels, whose summation order follows the memory layout of the column
@@ -209,29 +220,32 @@ def conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed):
     (one input channel, say), the lean conv's columns are always contiguous,
     and with a stride above 1 the two layouts can round differently.  The
     model's one single-channel conv, ``post_conv``, has stride 1.
+
+    A gradient entry sums at most ``terms`` products, and the conv and the
+    oracle may add them in different orders.  Each order errs by at most
+    terms * eps / 2 of the products' absolute sum, which the oracle gives
+    when run on the operands' absolute values.  A bound taken against the
+    largest entry instead fails where one entry's products cancel.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((c_in, t)).astype(dtype)
     w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
     b = rng.standard_normal(c_out).astype(dtype) if bias else None
-    g = rng.standard_normal((c_out, -(-t // stride))).astype(dtype)
-    results = []
-    for conv in (conv1d, oracles.conv1d):
-        leaves = [Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)]
-        if bias:
-            leaves.append(Tensor(b.copy(), requires_grad=True))
-        out = conv(*leaves, stride=stride, dilation=dilation)
-        tsum(mul(out, Tensor(g))).backward()
-        results.append((out.data, [leaf.grad for leaf in leaves]))
-    (got, got_grads), (want, want_grads) = results
+    t_out = -(-t // stride)
+    g = rng.standard_normal((c_out, t_out)).astype(dtype)
+    got, got_grads = conv_grads(conv1d, x, w, b, g, stride, dilation)
+    want, want_grads = conv_grads(oracles.conv1d, x, w, b, g, stride, dilation)
+    _, sums = conv_grads(oracles.conv1d, abs(x), abs(w), None if b is None else abs(b), abs(g),
+                         stride, dilation)
     assert got.dtype == want.dtype == dtype and got.shape == want.shape
     if c_out > 1 or stride == 1:
         assert got.tobytes() == want.tobytes()
     else:
         assert rel_err(got, want) <= GRAD_RTOL[dtype]
-    for a, b_ in zip(got_grads, want_grads):
+    terms = max(t_out, c_out * kernel)
+    for a, b_, s in zip(got_grads, want_grads, sums):
         assert a.dtype == b_.dtype and a.shape == b_.shape
-        assert rel_err(a, b_) <= GRAD_RTOL[dtype]
+        assert np.all(np.abs(a - b_) <= terms * np.finfo(dtype).eps * s)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -245,6 +259,9 @@ def test_conv_matches_oracle_on_the_grid(kernel, dtype):
 
 
 @settings(max_examples=150, deadline=None)
+# the one weight-gradient entry sums 6 products that cancel ~900-fold
+@example(c_in=1, c_out=1, t=34, kernel=1, stride=6, dilation=1, bias=True, dtype=np.float32,
+         seed=343)
 @given(
     c_in=st.integers(1, 6), c_out=st.integers(1, 6), t=st.integers(1, 40),
     kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 6), dilation=st.integers(1, 9),

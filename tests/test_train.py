@@ -14,6 +14,7 @@ from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import linear_schedule
 from gradvoc.tensor import Tensor
 from gradvoc.train import (
+    CLIP_NORM,
     TrainConfig,
     TrainError,
     TrainState,
@@ -26,7 +27,13 @@ from gradvoc.train import (
     train_step,
 )
 from conftest import SEGMENT, TOY_SR, toy_mel
-from oracles import evaluate_loss, loop_batch_loss, loss_l1, optimal_gaussian_epsilon
+from oracles import (
+    evaluate_loss,
+    loop_batch_loss,
+    loop_train_step,
+    loss_l1,
+    optimal_gaussian_epsilon,
+)
 
 
 def fresh_state(seed=0, **overrides):
@@ -231,6 +238,51 @@ def test_resume_reproduces_uninterrupted_run(train_set, toy_mel_config, tmp_path
     assert mel_back == toy_mel_config
     _, second = run_steps(resumed, train_set, toy_mel_config, 10, start=10)
     assert first + second == full
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_flat_store_steps_like_the_per_parameter_loop(train_set, toy_mel_config, tmp_path,
+                                                      dtype):
+    """30 steps of the flat store against the loop it replaced: losses
+    bit-identical, weights, moments and checkpoints byte-identical.  Before
+    step 10 both sides rebind every weight to zeros, as a caller may, and the
+    gradient norm falls under the clip; before step 20 the store's side
+    restarts from its own checkpoint."""
+
+    def fresh():
+        config = TrainConfig(segment_samples=SEGMENT, batch_size=2, learning_rate=1e-3, seed=5)
+        return TrainState(model=DenoiserModel(ModelConfig.toy(dtype), seed=0), config=config)
+
+    flat, loop = fresh(), fresh()
+    norms = []
+    for step in range(30):
+        if step == 10:
+            for state in (flat, loop):
+                for p in state.model.parameters().values():
+                    p.data = np.zeros_like(p.data)
+        if step == 20:
+            save_state(tmp_path / "mid.ckpt", flat, mel_cfg=toy_mel_config)
+            flat, _ = load_state(tmp_path / "mid.ckpt")
+        losses = []
+        for state, step_fn in ((flat, train_step), (loop, loop_train_step)):
+            rng = step_rng(5, step + 1)
+            batch = make_batch(train_set, rng, 2, SEGMENT, toy_mel_config)
+            losses.append(step_fn(state, batch, rng)[1])
+        assert losses[0] == losses[1], step
+        grads = [p.grad.astype(np.float64) for p in loop.model.parameters().values()]
+        norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    assert max(norms) > CLIP_NORM >= min(norms)
+
+    got, want = flat.model.parameters(), loop.model.parameters()
+    assert list(got) == list(want) == list(flat.adam_m) == list(loop.adam_m)
+    for name in want:
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+        for moments in ("adam_m", "adam_v"):
+            a, b = getattr(flat, moments)[name], getattr(loop, moments)[name]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (moments, name)
+    for state, name in ((flat, "flat.ckpt"), (loop, "loop.ckpt")):
+        save_state(tmp_path / name, state, mel_cfg=toy_mel_config)
+    assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "loop.ckpt").read_bytes()
 
 
 def test_discrete_conditioning_mode(train_set, toy_mel_config):
