@@ -43,7 +43,6 @@ from .schedule import (
     linear_schedule,
     fibonacci_schedule,
     manual_schedule,
-    default_training_prior,
     parse_schedule_spec,
 )
 from .train import (
@@ -128,8 +127,8 @@ def resolve_schedule(spec: str) -> NoiseSchedule:
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    """Parse `key = value` lines; comments start with '#'."""
-    out = {}
+    """Parse `key = value` lines, each key at most once; comments start with '#'."""
+    out, lines = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -146,7 +145,9 @@ def parse_kv_file(path) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise UsageError(f"{path}:{lineno}: empty key")
-        out[key] = value.strip()
+        if key in out:
+            raise UsageError(f"{path}:{lineno}: key {key!r} already set on line {lines[key]}")
+        out[key], lines[key] = value.strip(), lineno
     return out
 
 
@@ -162,6 +163,14 @@ def _get(kv: dict, key: str, cast, default=None, required=False, path="config"):
         raise UsageError(f"{path}: bad value for {key!r}: {exc}") from exc
 
 
+# the train config key for each TrainConfig field, and how its value is read
+TRAIN_SETTINGS = {
+    "training_prior": resolve_schedule, "batch_size": int, "segment_samples": int,
+    "learning_rate": float, "max_steps": int, "seed": int,
+    "discrete_schedule": resolve_schedule, "checkpoint_every": int,
+}
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -169,39 +178,19 @@ def cmd_train(args) -> int:
     kv = parse_kv_file(args.config)
     path = str(args.config)
 
-    # a resumed run takes its model, mel analysis, seed and conditioning from the
-    # checkpoint, so `model`, `seed` and `discrete_schedule` stay unread beside
-    # `resume` and are refused below; it keeps the checkpoint's segment unless
-    # the config sets one
-    resume_path = _get(kv, "resume", str, default=None, path=path)
-    seed, discrete, segment = 0, None, None
+    # the settings a config sets override a base: a fresh run's TrainConfig
+    # with its model profile's segment, or a resumed run's checkpoint config.
+    # The checkpoint brings its model, mel analysis, seed and conditioning, so
+    # `model`, `seed` and `discrete_schedule` stay unread beside `resume` and
+    # are refused below
+    resume_path = _get(kv, "resume", str, path=path)
+    brought = ("seed", "discrete_schedule") if resume_path else ()
     if not resume_path:
         model_name = _get(kv, "model", str, default="toy", path=path)
         if model_name not in MODEL_PROFILES:
             raise UsageError(f"{path}: unknown model profile {model_name!r}")
-        seed = _get(kv, "seed", int, default=0, path=path)
-        discrete = _get(kv, "discrete_schedule", resolve_schedule, path=path)
-        segment = MODEL_PROFILES[model_name][2]
-    segment = _get(kv, "segment_samples", int, default=segment, path=path)
-    prior = _get(
-        kv, "training_prior", resolve_schedule,
-        default=default_training_prior(), path=path,
-    )
-
-    try:
-        config = TrainConfig(
-            training_prior=prior,
-            batch_size=_get(kv, "batch_size", int, default=4, path=path),
-            learning_rate=_get(kv, "learning_rate", float, default=1e-4, path=path),
-            max_steps=_get(kv, "max_steps", int, default=1000, path=path),
-            seed=seed,
-            discrete_schedule=discrete,
-            checkpoint_every=_get(kv, "checkpoint_every", int, default=0, path=path),
-            **({} if segment is None else {"segment_samples": segment}),
-        )
-    except TrainConfigError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
+    settings = {key: _get(kv, key, cast, path=path) for key, cast in TRAIN_SETTINGS.items()
+                if key not in brought and key in kv}
     data_dir = _resolve(
         _get(kv, "data_dir", str, required=True, path=path), "GRADVOC_DATA_ROOT"
     )
@@ -209,19 +198,25 @@ def cmd_train(args) -> int:
         _get(kv, "checkpoint_dir", str, default="checkpoints", path=path),
         "GRADVOC_CHECKPOINT_ROOT",
     )
-    loss_log = _get(kv, "loss_log", str, default=None, path=path)
+    loss_log = _get(kv, "loss_log", str, path=path)
     if kv:
         raise UsageError(f"{path}: unknown or unused key {next(iter(kv))!r}")
 
     if resume_path:
         state, mel_cfg = _load_checkpoint(resume_path)
-        state.config = replace(config, seed=state.config.seed,
-                               discrete_schedule=state.config.discrete_schedule,
-                               segment_samples=segment or state.config.segment_samples)
+        base = state.config
     else:
-        model_profile, mel_name, _ = MODEL_PROFILES[model_name]
+        model_profile, mel_name, segment = MODEL_PROFILES[model_name]
         mel_cfg = MEL_PROFILES[mel_name]()
-        state = TrainState(model=DenoiserModel(model_profile(), seed=seed), config=config)
+        base = TrainConfig(segment_samples=segment)
+    try:
+        config = replace(base, **settings)
+    except TrainConfigError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    if resume_path:
+        state.config = config
+    else:
+        state = TrainState(model=DenoiserModel(model_profile(), seed=config.seed), config=config)
     dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)
     state = run_training(
         state, dataset, mel_cfg, loss_log_path=loss_log, checkpoint_dir=ckpt_dir

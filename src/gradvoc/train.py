@@ -320,8 +320,7 @@ def run_training(
 
 # TrainConfig fields stored at the top level of the metadata, not under "train"
 _TOP_LEVEL_FIELDS = ("training_prior", "discrete_schedule")
-_REQUIRED_META = ("model_config", "training_prior", "conditioning_mode", "train", "step",
-                  "mel_config")
+_REQUIRED_META = ("model_config", "training_prior", "train", "step", "mel_config")
 
 
 def save_state(path, state: TrainState, mel_cfg: MelConfig) -> None:
@@ -332,7 +331,6 @@ def save_state(path, state: TrainState, mel_cfg: MelConfig) -> None:
     meta = {
         "step": state.step,
         "model_config": asdict(state.model.config),
-        "conditioning_mode": "continuous" if config.discrete_schedule is None else "discrete",
         "training_prior": schedule_to_text(config.training_prior),
         "train": {
             f.name: getattr(config, f.name)
@@ -386,15 +384,17 @@ def load_state(path) -> tuple[TrainState, MelConfig]:
         raise CheckpointError(f"{path}: not a model checkpoint (no {', '.join(missing)})")
     try:
         model = DenoiserModel(_config_from_meta(ModelConfig, meta["model_config"]), seed=None)
-        mode = meta["conditioning_mode"]  # a continuous one's stray schedule is ignored
-        discrete = meta.get("discrete_schedule") if mode == "discrete" else None
-        if mode not in ("continuous", "discrete") or (mode == "discrete" and not discrete):
-            raise ValueError(f"conditioning_mode {mode!r}: want 'continuous', or 'discrete' "
-                             "with a discrete_schedule")
+        # a run is discrete exactly when it holds a schedule; older archives
+        # also name the mode, which must agree
+        discrete = meta.get("discrete_schedule")
+        mode = "continuous" if discrete is None else "discrete"
+        if meta.get("conditioning_mode", mode) != mode:
+            raise ValueError(f"conditioning_mode {meta['conditioning_mode']!r}, but the archive "
+                             f"{'has no' if discrete is None else 'holds a'} discrete_schedule")
         config = _config_from_meta(
             TrainConfig, meta["train"],
             training_prior=schedule_from_text(meta["training_prior"]),
-            discrete_schedule=schedule_from_text(discrete) if discrete else None,
+            discrete_schedule=None if discrete is None else schedule_from_text(discrete),
         )
         step = int(meta["step"])
         mel_cfg = MelConfig(**meta["mel_config"])

@@ -163,8 +163,7 @@ def test_any_bytes_load_or_raise_checkpoint_error(tmp_path_factory, data):
 def test_meta_field_order(toy_ckpt):
     """The manifest keeps key order, and that order fixes the bytes written."""
     _, meta = load_tensors(toy_ckpt)
-    assert list(meta) == ["step", "model_config", "conditioning_mode", "training_prior",
-                          "train", "mel_config"]
+    assert list(meta) == ["step", "model_config", "training_prior", "train", "mel_config"]
     assert list(meta["train"]) == [
         "batch_size", "segment_samples", "learning_rate", "max_steps", "seed",
         "checkpoint_every",
@@ -267,13 +266,29 @@ def test_load_state_rejects_mismatched_checkpoint(toy_ckpt, tmp_path, edit):
         load_state(bad)
 
 
-def stray_schedule(tensors, meta):
+def stray_schedule(tensors, meta):  # an older archive's mode key, and a schedule
+    meta["conditioning_mode"] = "continuous"
     meta["discrete_schedule"] = schedule_to_text(linear_schedule(1e-4, 0.05, 50))
 
 
-def test_continuous_checkpoint_ignores_a_stray_schedule(toy_ckpt, tmp_path):
-    state, _ = load_state(rewrite(toy_ckpt, tmp_path / "stray.ckpt", stray_schedule))
-    assert state.config.discrete_schedule is None
+def test_continuous_checkpoint_with_a_stray_schedule_is_refused(toy_ckpt, tmp_path):
+    # the schedule's presence says discrete and the retired key says continuous
+    with pytest.raises(CheckpointError, match="discrete_schedule"):
+        load_state(rewrite(toy_ckpt, tmp_path / "stray.ckpt", stray_schedule))
+
+
+@pytest.mark.parametrize("schedule", [None, linear_schedule(1e-4, 0.05, 50)])
+def test_an_agreeing_conditioning_mode_still_loads(schedule, tmp_path):
+    # archives written before the key was retired carry it
+    config = TrainConfig(discrete_schedule=schedule)
+    state = TrainState(model=DenoiserModel(ModelConfig.toy(), seed=0), config=config)
+    save_state(tmp_path / "new.ckpt", state, mel_cfg=MelConfig.toy())
+
+    def old_mode(tensors, meta):
+        meta["conditioning_mode"] = "continuous" if schedule is None else "discrete"
+
+    old = rewrite(tmp_path / "new.ckpt", tmp_path / "old.ckpt", old_mode)
+    assert load_state(old)[0].config == config
 
 
 def oversized(tensors, meta):

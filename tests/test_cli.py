@@ -1,13 +1,14 @@
 """Command-line surface: config parsing, exit codes, and file outputs."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradvoc.cli
 import gradvoc.dsp
 from gradvoc.cli import (
     EXIT_DATA,
@@ -38,6 +39,13 @@ def test_parse_kv_file(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("# comment\nkey = value\n\nnum=3\n")
     assert parse_kv_file(p) == {"key": "value", "num": "3"}
+
+
+def test_parse_kv_refuses_a_repeated_key(tmp_path):
+    p = tmp_path / "twice.cfg"
+    p.write_text("batch_size = 1\n# later\nbatch_size = 2\n")
+    with pytest.raises(UsageError, match=r"twice\.cfg:3: key 'batch_size' already set on line 1"):
+        parse_kv_file(p)
 
 
 def test_parse_kv_reports_line_number(tmp_path):
@@ -138,11 +146,13 @@ def eval_argv(tmp_path, hyp_samples, hyp_rate):
 
 
 def train_argv(tmp_path, data_dir, extra=""):
+    """A one-step, one-item train run; the ``extra`` lines replace any key they set."""
+    keys = {"data_dir": data_dir, "max_steps": 1, "batch_size": 1,
+            "checkpoint_dir": tmp_path / "ckpt"}
+    for line in extra.splitlines():
+        keys.pop(line.partition("=")[0].strip(), None)
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(
-        f"data_dir = {data_dir}\nmax_steps = 1\nbatch_size = 1\n"
-        f"checkpoint_dir = {tmp_path / 'ckpt'}\n{extra}"
-    )
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()) + extra)
     return ["train", str(cfg)]
 
 
@@ -227,7 +237,8 @@ def test_bad_train_config_is_usage_error(extra, expected, untrained_ckpt, corpus
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert expected in err
+    # an unread key is named in quotes; a setting out of range states its range
+    assert (expected if expected.startswith("'") else f"{expected} must be ") in err
     assert not (tmp_path / "ckpt").exists()
 
 
@@ -240,21 +251,24 @@ def test_every_model_profile_takes_its_mel_profile():
 def test_a_discrete_schedule_alone_trains_a_discrete_checkpoint(corpus_dirs, tmp_path):
     assert main(train_argv(tmp_path, corpus_dirs[0], "discrete_schedule = manual6\n")) == EXIT_OK
     final = tmp_path / "ckpt" / "final.ckpt"
-    assert load_tensors(final)[1]["conditioning_mode"] == "discrete"
+    assert "discrete_schedule" in load_tensors(final)[1]
     assert load_state(final)[0].config.discrete_schedule == resolve_schedule("manual6")
+
+
+def train_run(tmp_path, name, text):
+    """Run `train` on ``text`` into ``tmp_path / name``; return its step,loss rows."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"{text}checkpoint_dir = {tmp_path / name}\n"
+                   f"loss_log = {tmp_path / name}.csv\n")
+    assert main(["train", str(cfg)]) == EXIT_OK
+    rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+    return [row.rsplit(",", 1)[0] for row in rows if row[0].isdigit()]  # step,loss
 
 
 def train_six_steps(data_dir, tmp_path, name, extra):
     """Run `train` to step 6 into ``tmp_path / name``; return its step,loss rows."""
-    cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text(
-        f"data_dir = {data_dir}\nbatch_size = 2\nlearning_rate = 1e-3\n"
-        f"max_steps = 6\ncheckpoint_dir = {tmp_path / name}\n"
-        f"loss_log = {tmp_path / name}.csv\n{extra}"
-    )
-    assert main(["train", str(cfg)]) == EXIT_OK
-    rows = (tmp_path / f"{name}.csv").read_text().splitlines()
-    return [row.rsplit(",", 1)[0] for row in rows if row[0].isdigit()]  # step,loss
+    return train_run(tmp_path, name, f"data_dir = {data_dir}\nbatch_size = 2\n"
+                     f"learning_rate = 1e-3\nmax_steps = 6\n{extra}")
 
 
 def test_resumed_train_command_repeats_the_uninterrupted_losses(corpus_dirs, tmp_path):
@@ -270,7 +284,7 @@ def test_resume_keeps_the_checkpoints_discrete_conditioning(corpus_dirs, tmp_pat
                            "discrete_schedule = manual6\ncheckpoint_every = 3\n")
     resumed = train_six_steps(corpus_dirs[0], tmp_path, "resumed",
                               f"resume = {tmp_path / 'full' / 'step0000003.ckpt'}\n")
-    assert load_tensors(tmp_path / "resumed" / "final.ckpt")[1]["conditioning_mode"] == "discrete"
+    assert "discrete_schedule" in load_tensors(tmp_path / "resumed" / "final.ckpt")[1]
     assert resumed == full[3:]
 
 
@@ -293,6 +307,60 @@ def test_a_resumed_run_keeps_its_checkpoints_segment(corpus_dirs, tmp_path):
                        f"checkpoint_dir = {tmp_path / name}\n{extra}")
         assert main(["train", str(cfg)]) == EXIT_OK
         assert load_state(tmp_path / name / "final.ckpt")[0].config.segment_samples == 128
+
+
+# a run whose five settings all differ from TrainConfig's defaults
+SETTINGS = ("learning_rate = 2e-3\nbatch_size = 2\ncheckpoint_every = 1\n"
+            "training_prior = linear(1e-5,0.02,100)\nmax_steps = 4\n")
+
+
+def test_a_resumed_run_keeps_its_checkpoints_settings(corpus_dirs, tmp_path):
+    full = train_run(tmp_path, "full", f"data_dir = {corpus_dirs[0]}\n{SETTINGS}")
+    # no max_steps: the run trains on to its checkpoint's target
+    resumed = train_run(tmp_path, "resumed", f"data_dir = {corpus_dirs[0]}\n"
+                        f"resume = {tmp_path / 'full' / 'step0000002.ckpt'}\n")
+    config = load_state(tmp_path / "resumed" / "final.ckpt")[0].config
+    assert config == load_state(tmp_path / "full" / "final.ckpt")[0].config
+    assert (config.learning_rate, config.batch_size, config.checkpoint_every,
+            config.training_prior, config.max_steps) == (
+        2e-3, 2, 1, linear_schedule(1e-5, 0.02, 100), 4)
+    assert resumed == full[2:]
+
+
+@pytest.mark.parametrize("key, text, value", [
+    ("learning_rate", "5e-4", 5e-4), ("batch_size", "3", 3), ("checkpoint_every", "2", 2),
+    ("training_prior", "linear1000", linear_schedule(1e-4, 0.005, 1000)),
+    ("max_steps", "3", 3), ("segment_samples", "128", 128),
+])
+def test_a_setting_in_the_resume_config_wins(key, text, value, corpus_dirs, tmp_path):
+    train_run(tmp_path, "first", f"data_dir = {corpus_dirs[0]}\n{SETTINGS}")
+    train_run(tmp_path, "resumed", f"data_dir = {corpus_dirs[0]}\n{key} = {text}\n"
+              f"resume = {tmp_path / 'first' / 'step0000002.ckpt'}\n")
+    first = load_state(tmp_path / "first" / "final.ckpt")[0].config
+    resumed = load_state(tmp_path / "resumed" / "final.ckpt")[0].config
+    assert resumed == replace(first, **{key: value})
+
+
+def test_train_reads_each_train_config_field_and_five_run_keys(corpus_dirs, tmp_path,
+                                                               monkeypatch):
+    # a TrainConfig field without a key could not be set from a config
+    looked_up = set()
+
+    class ReadKeys(dict):
+        def __contains__(self, key):
+            looked_up.add(key)
+            return super().__contains__(key)
+
+    monkeypatch.setattr(gradvoc.cli, "parse_kv_file", lambda path: ReadKeys(parse_kv_file(path)))
+    assert main(train_argv(tmp_path, corpus_dirs[0], "max_steps = 0\n")) == EXIT_OK
+    keys = {f.name for f in fields(TrainConfig)} | {
+        "resume", "model", "data_dir", "checkpoint_dir", "loss_log"}
+    assert looked_up == keys and len(keys) == 13
+    # a resumed run's checkpoint brings its model, seed and conditioning
+    looked_up.clear()
+    resume = f"max_steps = 0\nresume = {tmp_path / 'ckpt' / 'final.ckpt'}\n"
+    assert main(train_argv(tmp_path, corpus_dirs[0], resume)) == EXIT_OK
+    assert looked_up == keys - {"model", "seed", "discrete_schedule"}
 
 
 @pytest.mark.parametrize(

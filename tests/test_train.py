@@ -292,14 +292,15 @@ def test_discrete_conditioning_mode(train_set, toy_mel_config):
 
 
 def test_discrete_mode_requires_schedule(tmp_path):
-    # a config is discrete exactly when it holds a schedule; a checkpoint
+    # a config is discrete exactly when it holds a schedule; an older checkpoint
     # whose metadata says discrete but carries none is refused
     path = tmp_path / "s.ckpt"
     save_state(path, fresh_state(discrete_schedule=linear_schedule(1e-4, 0.05, 50)),
                mel_cfg=toy_mel())
     tensors, meta = load_tensors(path)
-    assert meta["conditioning_mode"] == "discrete"
+    assert "discrete_schedule" in meta
     del meta["discrete_schedule"]
+    meta["conditioning_mode"] = "discrete"
     save_tensors(path, tensors, meta=meta)
     with pytest.raises(CheckpointError, match="discrete_schedule"):
         load_state(path)
