@@ -127,7 +127,8 @@ def resolve_schedule(spec: str) -> NoiseSchedule:
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    """Parse `key = value` lines, each key at most once; comments start with '#'."""
+    """Parse `key = value` lines, each key at most once and never with an empty
+    value; comments start with '#'."""
     out, lines = {}, {}
     try:
         text = Path(path).read_text()
@@ -147,6 +148,8 @@ def parse_kv_file(path) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: empty key")
         if key in out:
             raise UsageError(f"{path}:{lineno}: key {key!r} already set on line {lines[key]}")
+        if not value.strip():  # `resume =` would otherwise read as no resume at all
+            raise UsageError(f"{path}:{lineno}: key {key!r} has no value")
         out[key], lines[key] = value.strip(), lineno
     return out
 

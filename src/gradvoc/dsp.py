@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.fft import dct, irfft, next_fast_len, rfft
 
 from .checkpoint import CheckpointError, load_tensors, save_tensors
 
@@ -163,15 +162,14 @@ class MelSpectrogram:
 
 
 def _frame(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
-    """Right-pad by win - hop zeros and slice into (n_frames, win)."""
+    """Right-pad by win - hop zeros and view as (n_frames, win) overlapping
+    frames: one read-only view of the padded copy, never a copy per frame."""
     if samples.size < win:
         raise ValueError(
             f"signal of {samples.size} samples is shorter than one {win}-sample window"
         )
     padded = np.concatenate([samples, np.zeros(max(win - hop, 0))])
-    n_frames = 1 + (padded.size - win) // hop
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    return padded[idx]
+    return np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
 
 
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
@@ -210,10 +208,23 @@ def mel_spectrogram(y: Waveform, cfg: MelConfig) -> MelSpectrogram:
     return MelSpectrogram(values=values, config=cfg)
 
 
+@cache
+def _dct_matrix(n: int, n_coeffs: int) -> np.ndarray:
+    """The first ``min(n_coeffs, n)`` rows of the orthonormal DCT-II matrix
+    of size n, read-only: row k is s_k cos(pi k (2j + 1) / 2n) over j, with
+    s_0 = sqrt(1/n) and s_k = sqrt(2/n) for k > 0."""
+    k = np.arange(min(n_coeffs, n))[:, None]
+    matrix = np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n)) * math.sqrt(2.0 / n)
+    matrix[0] = math.sqrt(1.0 / n)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def mfcc(mel: MelSpectrogram, n_coeffs: int = 13) -> np.ndarray:
     """Cepstral coefficients c0..c(n_coeffs-1), (n_coeffs x frames): the
-    orthonormal DCT-II over the log-mel bins."""
-    return dct(mel.values, type=2, norm="ortho", axis=0)[:n_coeffs]
+    orthonormal DCT-II over the log-mel bins (all of them when there are
+    fewer than ``n_coeffs``)."""
+    return _dct_matrix(mel.values.shape[0], n_coeffs) @ mel.values
 
 
 def metric_length(n_ref: int, n_hyp: int, hop: int) -> int:
@@ -256,6 +267,21 @@ def mcd(ref: MelSpectrogram, hyp: MelSpectrogram) -> float:
     return float(MCD_SCALE * np.mean(dist))
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth length (2^a 3^b 5^c) of at least n samples: the
+    FFT lengths that run fast."""
+    best = 1 << (n - 1).bit_length()  # the least power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-n // p35) - 1).bit_length()  # least power of two with p2 p35 >= n
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _pitch_hop(sample_rate: int) -> int:
     return int(round(PITCH_HOP_MS * sample_rate / 1000.0))
 
@@ -277,8 +303,9 @@ def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
 
     Frames are scored ``_PITCH_BLOCK`` at a time: the a.b products of every
     lag come from one FFT autocorrelation per frame, and a.a and b.b from
-    forward and reverse cumulative sums of the squared frame.  Blocks keep
-    the FFT buffers small beside the frame matrix.
+    forward and reverse cumulative sums of the squared frame.  The frames
+    are a view of the padded signal, so beyond that one copy the memory
+    is one block's, whatever the signal's length.
     """
     sr = y.sample_rate
     win = int(round(PITCH_FRAME_MS * sr / 1000.0))
@@ -287,7 +314,7 @@ def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
     lags = np.arange(lag_min, lag_max + 1)
     ends = win - 1 - lags  # a.a and b.b each sum win - lag squared samples
     floor = (win - lags) * ENERGY_FLOOR**2
-    n_fft = next_fast_len(win + lag_max, real=True)  # no circular wrap up to lag_max
+    n_fft = _fast_len(win + lag_max)  # no circular wrap up to lag_max
     frames = _frame(y.samples, win, _pitch_hop(sr))
     f0 = np.zeros(frames.shape[0])
     voiced = np.zeros(frames.shape[0], dtype=bool)
@@ -295,8 +322,8 @@ def track_pitch(y: Waveform) -> tuple[np.ndarray, np.ndarray]:
         block = slice(start, start + _PITCH_BLOCK)
         x = frames[block] - frames[block].mean(axis=1, keepdims=True)
         sq = x**2
-        spectrum = rfft(x, n_fft, axis=1)
-        ab = irfft(spectrum.real**2 + spectrum.imag**2, n_fft, axis=1)[:, lags]
+        spectrum = np.fft.rfft(x, n_fft, axis=1)
+        ab = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n_fft, axis=1)[:, lags]
         aa = np.cumsum(sq, axis=1)[:, ends]
         bb = np.cumsum(sq[:, ::-1], axis=1)[:, ends]
         corr = np.full(ab.shape, -1.0)

@@ -3,7 +3,8 @@
 Closed-form quantities of the diffusion process, a plain sum reduction for
 autodiff checks, the padded ``tensordot`` convolution, a fixed-noise batch
 loss with its per-item loop, the per-parameter clip-and-Adam training step,
-and the per-lag loop pitch tracker; the library itself never needs them.
+the cosine-sum DCT and the per-lag loop pitch tracker; the library itself
+never needs them.
 """
 
 import math
@@ -187,6 +188,20 @@ def loop_train_step(state, batch, rng):
         v_hat = v / (1 - b2**t)
         p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state, float(loss.data)
+
+
+def dct2_ortho(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II as its cosine sum in float64:
+    X_k = s_k sum_j v_j cos(pi k (2j + 1) / 2n), s_0 = sqrt(1/n), s_k = sqrt(2/n)."""
+    n = v.size
+    scale = np.full(n, math.sqrt(2.0 / n))
+    scale[0] = math.sqrt(1.0 / n)
+    out = np.empty(n)
+    for k in range(n):
+        out[k] = scale[k] * sum(
+            float(v[j]) * math.cos(math.pi * k * (2 * j + 1) / (2 * n)) for j in range(n)
+        )
+    return out
 
 
 def track_pitch(y: Waveform, scores=None) -> tuple[np.ndarray, np.ndarray]:

@@ -48,6 +48,13 @@ def test_parse_kv_refuses_a_repeated_key(tmp_path):
         parse_kv_file(p)
 
 
+def test_parse_kv_refuses_an_empty_value(tmp_path):
+    p = tmp_path / "empty.cfg"
+    p.write_text("max_steps = 2\nresume =  \n")
+    with pytest.raises(UsageError, match=r"empty\.cfg:2: key 'resume' has no value"):
+        parse_kv_file(p)
+
+
 def test_parse_kv_reports_line_number(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("good = 1\nthis line is broken\n")
@@ -363,6 +370,19 @@ def test_train_reads_each_train_config_field_and_five_run_keys(corpus_dirs, tmp_
     assert looked_up == keys - {"model", "seed", "discrete_schedule"}
 
 
+@pytest.mark.parametrize("key, line", [("resume", 5), ("checkpoint_dir", 4), ("loss_log", 5)])
+def test_empty_train_config_value_is_usage_error(key, line, corpus_dirs, tmp_path, monkeypatch,
+                                                  capsys):
+    """An empty value is refused, not read as an absent key: `resume =` would
+    start a fresh run, and `checkpoint_dir =` train into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(train_argv(tmp_path, corpus_dirs[0], f"{key} =\n")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"train.cfg:{line}: key '{key}' has no value" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
+
 @pytest.mark.parametrize(
     "extra, code, expected",
     [("segment_samples = 255\n", EXIT_USAGE, "samples per mel frame"),
@@ -408,7 +428,7 @@ def test_any_config_bytes_parse_or_raise_cli_error(tmp_path_factory, content):
         parsed = parse_kv_file(path)
     except (UsageError, DataError):
         return
-    assert all(key and "=" not in key for key in parsed)
+    assert all(key and "=" not in key and value for key, value in parsed.items())
 
 
 def test_divergent_chain_names_the_step(untrained_ckpt, corpus_dirs, tmp_path, capsys):

@@ -5,6 +5,7 @@ implementation written independently of the library code paths.
 """
 
 import gc
+import itertools
 import math
 import struct
 import sys
@@ -22,6 +23,7 @@ from gradvoc.dsp import (
     PITCH_FRAME_MS,
     VOICING_THRESHOLD,
     MelConfig,
+    MelSpectrogram,
     Waveform,
     WavFormatError,
     ffe,
@@ -36,8 +38,11 @@ from gradvoc.dsp import (
     track_pitch,
     wav_read,
     wav_write,
+    _dct_matrix,
+    _fast_len,
     _pitch_hop,
 )
+from oracles import dct2_ortho
 from oracles import track_pitch as loop_track_pitch
 
 SR = 24000
@@ -80,19 +85,6 @@ def ref_ls_mse(ref, hyp, cfg):
     return total / count
 
 
-def ref_dct2_ortho(v):
-    # explicit orthonormal DCT-II: X_k = s_k * sum_j v_j cos(pi k (2j+1) / 2n)
-    n = v.size
-    scale = np.full(n, math.sqrt(2.0 / n))
-    scale[0] = math.sqrt(1.0 / n)
-    out = np.empty(n)
-    for k in range(n):
-        out[k] = scale[k] * sum(
-            v[j] * math.cos(math.pi * k * (2 * j + 1) / (2 * n)) for j in range(n)
-        )
-    return out
-
-
 def ref_mcd(ref, hyp, cfg, n_coeffs=13):
     cfg = cfg.metric
     n = min(len(ref), len(hyp))
@@ -101,8 +93,8 @@ def ref_mcd(ref, hyp, cfg, n_coeffs=13):
     const = 10.0 * math.sqrt(2.0) / math.log(10.0)
     dists = []
     for j in range(a.shape[1]):
-        ca = ref_dct2_ortho(a[:, j])[:n_coeffs]
-        cb = ref_dct2_ortho(b[:, j])[:n_coeffs]
+        ca = dct2_ortho(a[:, j])[:n_coeffs]
+        cb = dct2_ortho(b[:, j])[:n_coeffs]
         dists.append(math.sqrt(float(np.sum((ca - cb) ** 2))))
     return const * float(np.mean(dists))
 
@@ -422,33 +414,42 @@ def test_track_pitch_constant_signal_unvoiced(level):
         assert not voiced[:inside].any() and np.all(f0[:inside] == 0.0)
 
 
-class _FirstFrameScored(Exception):
-    pass
-
-
-class _StopAfterFirstFrame(list):
-    def append(self, item):
-        raise _FirstFrameScored
-
-
-def test_track_pitch_memory_stays_at_the_frame_matrix():
-    """Scoring in blocks keeps the traced peak at the loop's, which the
-    frame matrix sets; one FFT over all frames at once is several times
-    larger.  The loop allocates only per-frame vectors after framing, so
-    its peak is reached once it has scored its first frame (running it
-    over all 1600 frames under tracemalloc would take half a minute)."""
-    y = sine_utterance(np.random.default_rng(7), 10 * SR, SR)
+def _traced_peak_beyond_the_signal(seconds):
+    y = sine_utterance(np.random.default_rng(7), seconds * SR, SR)
     tracemalloc.start()
     try:
         track_pitch(y)
         peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        with pytest.raises(_FirstFrameScored):
-            loop_track_pitch(y, _StopAfterFirstFrame())
-        loop_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * loop_peak
+    return peak - y.samples.nbytes
+
+
+def test_track_pitch_memory_does_not_grow_with_the_signal():
+    """The frames are a view of the padded signal and are scored in blocks,
+    so beyond that one copy of the signal the traced peak of 30 s is that
+    of 2 s (a frame matrix copied out would hold win / hop = 4 copies of it)."""
+    short, long = _traced_peak_beyond_the_signal(2), _traced_peak_beyond_the_signal(30)
+    assert abs(long - short) <= 0.1 * short
+
+
+def test_track_pitch_at_22050_hz_matches_the_loop():
+    """At 22 050 Hz a frame of 551 samples and its longest lag, 441, need an
+    FFT of 992 points, which is not 5-smooth; it rounds up to 1000."""
+    assert _fast_len(551 + 441) == 1000
+    assert check_against_loop(sine_utterance(np.random.default_rng(301), 11025, 22050)) == 0
+    assert check_against_loop(_noisy(tone(210, seconds=0.5, sr=22050), 1e-3, 3)) == 0
+
+
+def test_fast_len_is_the_least_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 4097):
+        assert _fast_len(n) == next(m for m in itertools.count(n) if smooth(m))
 
 
 # -- WAV and mel file I/O ------------------------------------------------------------
@@ -549,6 +550,22 @@ def test_mel_file_round_trip(tmp_path):
     back = load_mel(path)
     assert np.array_equal(back.values, mel.values)
     assert back.config == cfg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+@pytest.mark.parametrize("n_coeffs", [1, 13, 50])
+def test_dct_matrix_matches_the_cosine_sum_oracle(n, n_coeffs):
+    full = np.column_stack([dct2_ortho(unit) for unit in np.eye(n)])
+    matrix = _dct_matrix(n, n_coeffs)
+    assert matrix.shape == (min(n, n_coeffs), n) and not matrix.flags.writeable
+    np.testing.assert_allclose(matrix, full[:n_coeffs], rtol=0, atol=1e-15)
+    assert _dct_matrix(n, n_coeffs) is matrix
+
+
+def test_mfcc_matches_the_cosine_sum_oracle():
+    values = np.random.default_rng(4).normal(-5.0, 3.0, (128, 6))
+    want = np.column_stack([dct2_ortho(col)[:13] for col in values.T])
+    np.testing.assert_allclose(mfcc(MelSpectrogram(values, MelConfig())), want, rtol=0, atol=1e-12)
 
 
 def test_mfcc_shape_and_c0_variants():
