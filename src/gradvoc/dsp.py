@@ -414,4 +414,8 @@ def load_mel(path) -> MelSpectrogram:
         raise CheckpointError(f"{path}: bad mel_config: {exc}") from exc
     if values.shape[0] != config.n_mels:
         raise CheckpointError(f"{path}: {values.shape[0]} mel bins, its config has {config.n_mels}")
+    if values.shape[1] == 0:
+        raise CheckpointError(f"{path}: a mel of no frames")
+    if not np.all(np.isfinite(values)):
+        raise CheckpointError(f"{path}: mel values must be finite")
     return MelSpectrogram(values=values.astype(np.float64, copy=False), config=config)

@@ -183,16 +183,13 @@ class Conv1d(Module):
     until ``init_weights`` draws them or a checkpoint load replaces them."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, bias: bool = True,
-                 stride: int = 1, dilation: int = 1):
-        self.stride = stride
+                 dilation: int = 1):
         self.dilation = dilation
         self.weight = Tensor(np.broadcast_to(0.0, (c_out, c_in, kernel)), requires_grad=True)
         self.bias = Tensor(np.broadcast_to(0.0, c_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(
-            x, self.weight, self.bias, stride=self.stride, dilation=self.dilation
-        )
+        return T.conv1d(x, self.weight, self.bias, dilation=self.dilation)
 
 
 def init_weights(module: Module, rng: np.random.Generator, dtype) -> None:
@@ -264,8 +261,9 @@ class UBlock(Module):
 
 
 class DBlock(Module):
-    """Downsampling residual block: decimation plus three dilated convs,
-    with an unbiased stride-f 1x1 skip."""
+    """Downsampling residual block: decimation, then three dilated convs
+    beside an unbiased 1x1 skip conv.  The skip conv commutes with the
+    decimation, so both branches read one decimated signal."""
 
     def __init__(self, c_in, c_out, factor, dilations):
         self.factor = factor
@@ -273,11 +271,11 @@ class DBlock(Module):
         self.main1 = Conv1d(c_in, c_out, 3, dilation=d0)
         self.main2 = Conv1d(c_out, c_out, 3, dilation=d1)
         self.main3 = Conv1d(c_out, c_out, 3, dilation=d2)
-        self.skip = Conv1d(c_in, c_out, 1, bias=False, stride=factor)
+        self.skip = Conv1d(c_in, c_out, 1, bias=False)
 
     def __call__(self, y: Tensor) -> Tensor:
-        skip = self.skip(y)
         h = T.downsample(y, self.factor)
+        skip = self.skip(h)
         h = self.main1(T.leaky_relu(h, LEAKY_SLOPE))
         h = self.main2(T.leaky_relu(h, LEAKY_SLOPE))
         h = self.main3(T.leaky_relu(h, LEAKY_SLOPE))
@@ -326,8 +324,8 @@ class DenoiserModel(Module):
         cfg = self.config
         dtype = cfg.np_dtype
         x = np.asarray(mel, dtype=dtype)
-        if x.ndim not in (2, 3) or x.shape[-2] != cfg.mel_bins:
-            raise ValueError(f"mel must be ([B,] {cfg.mel_bins}, frames), got {x.shape}")
+        if x.ndim not in (2, 3) or x.shape[-2] != cfg.mel_bins or x.shape[-1] < 1:
+            raise ValueError(f"mel must be ([B,] {cfg.mel_bins}, frames >= 1), got {x.shape}")
         y = np.asarray(y_noisy, dtype=dtype).reshape(*x.shape[:-2], 1, -1)
         expected = x.shape[-1] * cfg.samples_per_frame
         if y.shape[-1] != expected:

@@ -1,6 +1,6 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
-Covers exactly the operations the denoiser network needs: 1-D dilated/strided
+Covers exactly the operations the denoiser network needs: 1-D dilated
 convolution (also run at the input rate of a nearest-neighbor upsample
 before it), nearest-neighbor upsampling, decimation, leaky ReLU (also fused
 with the FiLM affine map before it), joining weights and splitting channels,
@@ -203,122 +203,108 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data + v.data[..., None], (x, v), backward)
 
 
-def _same_padding(t_in: int, kernel: int, stride: int, dilation: int):
-    """Output length and the input index that each tap meets at output step 0.
-
-    Zero padding keeps the output at ceil(t_in / stride) steps, with any odd
-    padding sample on the left.
-    """
-    span = (kernel - 1) * dilation + 1
-    t_out = -(-t_in // stride)
-    pad_left = (max((t_out - 1) * stride + span - t_in, 0) + 1) // 2
-    return t_out, tuple(k * dilation - pad_left for k in range(kernel))
+def _offsets(kernel: int, dilation: int) -> tuple:
+    """The input offset that each tap meets at output step 0: "same" zero
+    padding, symmetric for the odd kernels of ``_CONV_KERNEL_SIZES``."""
+    return tuple((k - kernel // 2) * dilation for k in range(kernel))
 
 
-def _taps(t_in: int, t_out: int, stride: int, offsets) -> tuple:
+def _taps(t: int, offsets) -> tuple:
     """For each tap k that reads the signal, the slices ``(k, steps, inputs)``
     of output steps and the input samples they meet: step i of tap k meets
-    input ``i * stride + offsets[k]``, and the steps outside ``steps`` read
+    input ``i + offsets[k]``, and the steps outside ``steps`` read
     padding."""
     taps = []
     for k, offset in enumerate(offsets):
-        lo = max(0, -(offset // stride))
-        hi = min(t_out, (t_in - 1 - offset) // stride + 1)
+        lo, hi = max(0, -offset), min(t, t - offset)
         if lo < hi:
-            start = lo * stride + offset
-            taps.append((k, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+            taps.append((k, slice(lo, hi), slice(lo + offset, hi + offset)))
     return tuple(taps)
 
 
 @functools.lru_cache(maxsize=256)  # a few µs per call, as much as a toy conv's GEMM
-def _conv_taps(t_in: int, kernel: int, stride: int, dilation: int):
-    """Output length and ``_taps`` of a zero-padded conv (see ``_same_padding``)."""
-    t_out, offsets = _same_padding(t_in, kernel, stride, dilation)
-    return t_out, _taps(t_in, t_out, stride, offsets)
+def _conv_taps(t: int, kernel: int, dilation: int):
+    """``_taps`` of a zero-padded conv over a length-``t`` signal."""
+    return _taps(t, _offsets(kernel, dilation))
 
 
-def _columns(x: np.ndarray, n_taps: int, stride: int, t_out: int, taps) -> np.ndarray:
-    """The (..., C_in * n_taps, T_out) column matrix of x (..., C_in, T): row
+def _columns(x: np.ndarray, n_taps: int, taps) -> np.ndarray:
+    """The (..., C_in * n_taps, T) column matrix of x (..., C_in, T): row
     c * n_taps + k holds the input that tap k of channel c meets at each
     step, and zero where it meets padding."""
-    if n_taps == 1 and taps[0][1] == slice(0, t_out):  # one tap that reads no padding
-        return np.ascontiguousarray(x[..., taps[0][2]])  # a strided view keeps matmul off BLAS
-    *lead, c_in, _ = x.shape
-    col = np.empty((*lead, c_in, n_taps, t_out), dtype=x.dtype)
+    *lead, c_in, t = x.shape
+    if n_taps == 1 and taps[0][1] == slice(0, t):  # one tap that reads no padding
+        return np.ascontiguousarray(x)
+    col = np.empty((*lead, c_in, n_taps, t), dtype=x.dtype)
     if len(taps) < n_taps:  # a tap that meets only padding
         col.fill(0)
     for k, steps, inputs in taps:
         if steps.start:
             col[..., k, :steps.start] = 0
         col[..., k, steps] = x[..., inputs]
-        if steps.stop < t_out:
+        if steps.stop < t:
             col[..., k, steps.stop:] = 0
-    return col.reshape(*lead, c_in * n_taps, t_out)
+    return col.reshape(*lead, c_in * n_taps, t)
 
 
-def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, dilation: int):
+def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int):
     """Check a conv's operands; return ``weight.shape``."""
     if x.data.ndim not in (2, 3) or weight.data.ndim != 3:
         raise ValueError("conv1d expects x (C_in, T) or (B, C_in, T) and weight (C_out, C_in, K)")
     c_out, c_in, kernel = weight.data.shape
     if x.data.shape[-2] != c_in:
         raise ValueError(f"channel mismatch: input {x.data.shape[-2]}, weight {c_in}")
+    if x.data.shape[-1] < 1:
+        raise ValueError("conv1d needs an input of at least one time step")
     if kernel not in _CONV_KERNEL_SIZES:
         raise ValueError(f"unsupported kernel size {kernel}")
-    if stride < 1 or dilation < 1:
-        raise ValueError("stride and dilation must be >= 1")
+    if dilation < 1:
+        raise ValueError("dilation must be >= 1")
     if bias is not None and bias.data.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
     return c_out, c_in, kernel
 
 
-def _conv_backward(g, x: np.ndarray, weight: Tensor, bias: Tensor | None, stride: int,
-                   t_out: int, taps, input_grad: bool):
+def _conv_backward(g, x: np.ndarray, weight: Tensor, bias: Tensor | None, taps,
+                   input_grad: bool):
     """Accumulate the weight and bias gradients of the conv of ``x`` whose
     output has gradient ``g``, and return the gradient of ``x`` when
     ``input_grad`` holds.  The column matrix is rebuilt from ``x`` rather
     than kept on the tape."""
     c_out, c_in, kernel = weight.shape
     batch_axes = tuple(range(g.ndim - 2))  # () for one item
-    col = _columns(x, kernel, stride, t_out, taps)
+    col = _columns(x, kernel, taps)
     _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
     if bias is not None:
         _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
     if not input_grad:
         return None
     w2 = weight.data.reshape(c_out, c_in * kernel)
-    gcol = (w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, t_out)
+    gcol = (w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, g.shape[-1])
     gx = np.zeros_like(x)
     for k, steps, inputs in taps:
         gx[..., inputs] += gcol[..., k, steps]
     return gx
 
 
-def conv1d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    dilation: int = 1,
-) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
     """Cross-correlation of (C_in, T) with (C_out, C_in, K) weights; a
     (B, C_in, T) batch convolves each item on its own.
 
-    Zero padding keeps the output length at ceil(T / stride); for stride 1
-    this is the usual "same" convolution.  One GEMM per item multiplies the
-    flattened weight with the input's column matrix, which backward rebuilds
-    from the input rather than keeping it on the tape.
+    Zero padding keeps the output length at T: the usual "same" convolution.
+    One GEMM per item multiplies the flattened weight with the input's
+    column matrix, which backward rebuilds from the input rather than
+    keeping it on the tape.
     """
-    c_out, c_in, kernel = _conv_shapes(x, weight, bias, stride, dilation)
-    t_out, taps = _conv_taps(x.data.shape[-1], kernel, stride, dilation)
+    c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
+    taps = _conv_taps(x.data.shape[-1], kernel, dilation)
     w2 = weight.data.reshape(c_out, c_in * kernel)
-    col = _columns(x.data, kernel, stride, t_out, taps)
-    out = w2 @ col
+    out = w2 @ _columns(x.data, kernel, taps)
     if bias is not None:
         out += bias.data[:, None]
 
     def backward(g):
-        gx = _conv_backward(g, x.data, weight, bias, stride, t_out, taps, x.requires_grad)
+        gx = _conv_backward(g, x.data, weight, bias, taps, x.requires_grad)
         if gx is not None:
             _accumulate(x, gx)
 
@@ -328,8 +314,8 @@ def conv1d(
 
 @functools.lru_cache(maxsize=256)
 def _upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
-    """The polyphase split of a stride-1 conv over x (length ``t_in``)
-    repeated ``factor`` times.
+    """The polyphase split of a conv over x (length ``t_in``) repeated
+    ``factor`` times.
 
     Output step ``factor * i + r`` (phase r) meets x at ``i + (r + o) //
     factor`` through the tap at upsampled offset o.  Taps of one phase that
@@ -340,7 +326,7 @@ def _upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
     (kernel, n_taps) matrix that sums the weight's taps into merged ones
     (None when no taps merge), and the ``_taps`` of the merged taps over x.
     """
-    _, offsets = _same_padding(t_in * factor, kernel, 1, dilation)
+    offsets = _offsets(kernel, dilation)
     groups: dict[tuple, list[int]] = {}
     for r in range(factor):
         groups.setdefault(tuple((r + o) // factor for o in offsets), []).append(r)
@@ -352,7 +338,7 @@ def _upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
             merge = np.equal.outer(reads, merged).astype(np.float32)
             merge.flags.writeable = False
         plan.append((slice(phases[0], phases[-1] + 1), len(merged), merge,
-                     _taps(t_in, t_in, 1, merged)))
+                     _taps(t_in, merged)))
     return tuple(plan)
 
 
@@ -370,12 +356,12 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    c_out, _, kernel = _conv_shapes(x, weight, bias, 1, dilation)
+    c_out, _, kernel = _conv_shapes(x, weight, bias, dilation)
     *lead, _, t_in = x.data.shape
     out = np.empty((*lead, c_out, t_in, factor), dtype=x.data.dtype)
     for phases, n_taps, merge, taps in _upsample_plan(t_in, kernel, factor, dilation):
         w = weight.data if merge is None else weight.data @ merge
-        y = w.reshape(c_out, -1) @ _columns(x.data, n_taps, 1, t_in, taps)
+        y = w.reshape(c_out, -1) @ _columns(x.data, n_taps, taps)
         if bias is None:
             out[..., phases] = y[..., None]
         else:
@@ -383,9 +369,9 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
     out = out.reshape(*lead, c_out, t_in * factor)
 
     def backward(g):
-        t_out, taps = _conv_taps(t_in * factor, kernel, 1, dilation)
+        taps = _conv_taps(t_in * factor, kernel, dilation)
         up = np.repeat(x.data, factor, axis=-1)
-        gx = _conv_backward(g, up, weight, bias, 1, t_out, taps, x.requires_grad)
+        gx = _conv_backward(g, up, weight, bias, taps, x.requires_grad)
         if gx is not None:
             _accumulate(x, gx.reshape(*x.shape, factor).sum(axis=-1))
 

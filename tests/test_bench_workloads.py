@@ -17,7 +17,7 @@ import pytest
 from conftest import PERFBENCH, load_perfbench
 
 
-@pytest.mark.parametrize("name", ["train-toy", "sweep-toy", "eval-base"])
+@pytest.mark.parametrize("name", ["synth-base", "train-toy", "sweep-toy", "eval-base"])
 def test_first_operation_matches_its_reference(name, tmp_path):
     workload = load_perfbench("workloads").WORKLOADS[name]
     expected, tolerance = load_perfbench("record").load(PERFBENCH, name)

@@ -163,10 +163,16 @@ def train_argv(tmp_path, data_dir, extra=""):
     return ["train", str(cfg)]
 
 
-def short_mel(tmp_path):
-    path = tmp_path / "five-bins.mel"
-    save_mel(path, MelSpectrogram(values=np.zeros((5, 6)), config=MelConfig.toy()))
+def toy_mel(tmp_path, values):
+    path = tmp_path / "x.mel"
+    save_mel(path, MelSpectrogram(values=values, config=MelConfig.toy()))
     return path
+
+
+def mel_with(value):
+    values = np.zeros((8, 6))
+    values[3, 2] = value
+    return values
 
 
 # each builds (argv, text the one error line must contain) from the untrained
@@ -191,7 +197,14 @@ DATA_ERRORS = {
     "synth-short-wav": lambda ckpt, held, tmp: (
         synth_argv(ckpt, write_tone(tmp / "a.wav", 10), tmp), "window"),
     "synth-mel-bins": lambda ckpt, held, tmp: (
-        synth_argv(ckpt, short_mel(tmp), tmp), "5 mel bins"),
+        synth_argv(ckpt, toy_mel(tmp, np.zeros((5, 6))), tmp), "x.mel: 5 mel bins"),
+    "synth-mel-no-frames": lambda ckpt, held, tmp: (
+        synth_argv(ckpt, toy_mel(tmp, np.zeros((8, 0))), tmp), "x.mel: a mel of no frames"),
+    "synth-mel-nan": lambda ckpt, held, tmp: (
+        synth_argv(ckpt, toy_mel(tmp, mel_with(np.nan)), tmp), "x.mel: mel values must be finite"),
+    "synth-mel-inf": lambda ckpt, held, tmp: (
+        synth_argv(ckpt, toy_mel(tmp, mel_with(-np.inf)), tmp),
+        "x.mel: mel values must be finite"),
     "candidates-dir": lambda ckpt, held, tmp: (
         sweep_argv(ckpt, held, "--candidates-file", str(tmp)), "candidates file"),
 }

@@ -382,6 +382,8 @@ def test_forward_rejects_misaligned_lengths():
         model.predict(np.zeros(25), np.zeros((8, 6)), 0.5)
     with pytest.raises(ValueError):
         model.predict(np.zeros(24), np.zeros((7, 6)), 0.5)
+    with pytest.raises(ValueError, match="frames >= 1"):
+        model.predict(np.zeros(0), np.zeros((8, 0)), 0.5)
 
 
 def test_no_cross_input_state():
@@ -523,6 +525,8 @@ def test_batched_forward_rejects_mismatched_items():
         model.forward(np.zeros((2, 25)), np.zeros((2, 8, 6)), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         model.forward(np.zeros((2, 24)), np.zeros((2, 8, 6)), np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="frames >= 1"):
+        model.forward(np.zeros((2, 0)), np.zeros((2, 8, 0)), np.array([0.5, 0.5]))
 
 
 def test_batched_model_finite_difference():

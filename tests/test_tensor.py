@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradvoc.tensor import (
@@ -26,6 +26,7 @@ from gradvoc.tensor import (
     sub,
     upsample_conv1d,
 )
+from gradvoc.net import DBLOCK_DILATIONS, DBlock
 import oracles
 from oracles import tsum
 
@@ -135,10 +136,19 @@ def test_conv_shift_kernel():
     assert y.data.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0]]
 
 
-def test_conv_stride_length():
+def test_conv_output_length():
     x = Tensor(np.zeros((2, 300)))
     w = Tensor(np.zeros((4, 2, 3)))
-    assert conv1d(x, w, stride=5).shape == (4, 60)
+    assert conv1d(x, w, dilation=5).shape == (4, 300)
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_convs_refuse_an_input_of_no_time_steps(batch):
+    x = Tensor(np.zeros((*batch, 2, 0)))
+    w = Tensor(np.zeros((4, 2, 3)))
+    for conv in (lambda: conv1d(x, w), lambda: upsample_conv1d(x, w, None, 2)):
+        with pytest.raises(ValueError, match="at least one time step"):
+            conv()
 
 
 def test_conv_rejects_bad_kernel():
@@ -151,9 +161,9 @@ def test_conv_fd_grads_dense():
     fd_check(lambda x, w, b: mean_abs(conv1d(x, w, b)), [x, w, b])
 
 
-def test_conv_fd_grads_strided_dilated():
+def test_conv_fd_grads_dilated():
     x, w = leaf((2, 12), 13), leaf((3, 2, 5), 14)
-    fd_check(lambda x, w: mean_abs(conv1d(x, w, stride=2, dilation=2)), [x, w])
+    fd_check(lambda x, w: mean_abs(conv1d(x, w, dilation=2)), [x, w])
 
 
 def test_conv_stack_fd():
@@ -165,7 +175,7 @@ def test_conv_stack_fd():
 
     def loss(x, w1, b1, w2, w3):
         h = leaky_relu(conv1d(x, w1, b1), 0.2)
-        h = leaky_relu(conv1d(h, w2, stride=2, dilation=2), 0.2)
+        h = leaky_relu(conv1d(downsample(h, 2), w2, dilation=2), 0.2)
         return mean_abs(conv1d(h, w3))
 
     fd_check(loss, leaves)
@@ -200,26 +210,28 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
-def conv_grads(conv, x, w, b, g, stride, dilation):
+def conv_grads(conv, x, w, b, g):
     """The output of ``conv`` and the gradients of its leaves under cotangent ``g``."""
     leaves = [Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)]
     if b is not None:
         leaves.append(Tensor(b.copy(), requires_grad=True))
-    out = conv(*leaves, stride=stride, dilation=dilation)
+    out = conv(*leaves)
     tsum(mul(out, Tensor(g))).backward()
     return out.data, [leaf.grad for leaf in leaves]
 
 
-def conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed):
+def conv_vs_oracle(c_in, c_out, t, kernel, dilation, bias, dtype, seed, lean=None, factor=1):
     """Forward bit-identical to the oracle; each gradient entry within the
     rounding bound of its own sum.
 
-    With one output channel numpy hands the product to BLAS's matrix-vector
-    kernels, whose summation order follows the memory layout of the column
-    matrix.  The oracle's patches reshape to a strided view where they can
-    (one input channel, say), the lean conv's columns are always contiguous,
-    and with a stride above 1 the two layouts can round differently.  The
-    model's one single-channel conv, ``post_conv``, has stride 1.
+    ``lean`` is the conv under test, ``conv1d`` by default; the oracle is a
+    conv of stride ``factor``.  With one output channel numpy hands the
+    product to BLAS's matrix-vector kernels, whose summation order follows
+    the memory layout of the column matrix.  The oracle's patches reshape to
+    a strided view where they can (one input channel, say), the lean conv's
+    columns are always contiguous, and with a stride above 1 the two layouts
+    can round differently.  Every DBlock skip has more than one output
+    channel.
 
     A gradient entry sums at most ``terms`` products, and the conv and the
     oracle may add them in different orders.  Each order errs by at most
@@ -231,14 +243,18 @@ def conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed):
     x = rng.standard_normal((c_in, t)).astype(dtype)
     w = rng.standard_normal((c_out, c_in, kernel)).astype(dtype)
     b = rng.standard_normal(c_out).astype(dtype) if bias else None
-    t_out = -(-t // stride)
+    t_out = -(-t // factor)
     g = rng.standard_normal((c_out, t_out)).astype(dtype)
-    got, got_grads = conv_grads(conv1d, x, w, b, g, stride, dilation)
-    want, want_grads = conv_grads(oracles.conv1d, x, w, b, g, stride, dilation)
-    _, sums = conv_grads(oracles.conv1d, abs(x), abs(w), None if b is None else abs(b), abs(g),
-                         stride, dilation)
+
+    def oracle(*leaves):
+        return oracles.conv1d(*leaves, stride=factor, dilation=dilation)
+
+    got, got_grads = conv_grads(lean or (lambda *leaves: conv1d(*leaves, dilation=dilation)),
+                                x, w, b, g)
+    want, want_grads = conv_grads(oracle, x, w, b, g)
+    _, sums = conv_grads(oracle, abs(x), abs(w), None if b is None else abs(b), abs(g))
     assert got.dtype == want.dtype == dtype and got.shape == want.shape
-    if c_out > 1 or stride == 1:
+    if c_out > 1 or factor == 1:
         assert got.tobytes() == want.tobytes()
     else:
         assert rel_err(got, want) <= GRAD_RTOL[dtype]
@@ -251,26 +267,40 @@ def conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("kernel", [1, 3, 5])
 def test_conv_matches_oracle_on_the_grid(kernel, dtype):
-    for t, stride, dilation in itertools.product((1, 2, 7, 13, 30), (1, 2, 3, 5), (1, 2, 8)):
-        seed = t * 100 + stride * 10 + dilation
-        conv_vs_oracle(3, 2, t, kernel, stride, dilation, t % 2 == 1, dtype, seed)
-        conv_vs_oracle(1, 4, t, kernel, stride, dilation, True, dtype, seed)  # as pre_conv
-        conv_vs_oracle(8, 1, t, kernel, 1, dilation, True, dtype, seed)  # as post_conv
+    for t, dilation in itertools.product((1, 2, 7, 13, 30), (1, 2, 8)):
+        seed = t * 100 + 10 + dilation
+        conv_vs_oracle(3, 2, t, kernel, dilation, t % 2 == 1, dtype, seed)
+        conv_vs_oracle(1, 4, t, kernel, dilation, True, dtype, seed)  # as pre_conv
+        conv_vs_oracle(8, 1, t, kernel, dilation, True, dtype, seed)  # as post_conv
 
 
 @settings(max_examples=150, deadline=None)
-# the one weight-gradient entry sums 6 products that cancel ~900-fold
-@example(c_in=1, c_out=1, t=34, kernel=1, stride=6, dilation=1, bias=True, dtype=np.float32,
-         seed=343)
 @given(
     c_in=st.integers(1, 6), c_out=st.integers(1, 6), t=st.integers(1, 40),
-    kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 6), dilation=st.integers(1, 9),
+    kernel=st.sampled_from([1, 3, 5]), dilation=st.integers(1, 9),
     bias=st.booleans(), dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**16),
 )
-def test_conv_matches_oracle_on_any_shape(c_in, c_out, t, kernel, stride, dilation, bias, dtype,
-                                          seed):
-    conv_vs_oracle(c_in, c_out, t, kernel, stride, dilation, bias, dtype, seed)
+def test_conv_matches_oracle_on_any_shape(c_in, c_out, t, kernel, dilation, bias, dtype, seed):
+    conv_vs_oracle(c_in, c_out, t, kernel, dilation, bias, dtype, seed)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("factor", [1, 2, 3, 5])
+def test_dblock_skip_of_the_decimation_is_a_strided_conv(factor, dtype):
+    """A 1x1 conv commutes with decimation: the DBlock's skip conv of its
+    decimated input equals the oracle's stride-``factor`` 1x1 conv of the
+    input, forward and gradients, on the model's widths and on one channel."""
+    skip = DBlock(1, 1, factor, DBLOCK_DILATIONS).skip
+    assert skip.bias is None and skip.weight.shape[-1] == 1
+
+    def lean(x, w):
+        skip.weight = w
+        return skip(downsample(x, factor))
+
+    for c_in, c_out, frames in ((4, 8, 1), (3, 2, 5), (1, 1, 6), (32, 128, 3), (5, 1, 7)):
+        seed = 1000 * factor + 10 * c_in + frames
+        conv_vs_oracle(c_in, c_out, frames * factor, 1, 1, False, dtype, seed, lean, factor)
 
 
 # -- a leading batch axis: B items at once equal B single calls -------------------------
@@ -308,16 +338,17 @@ def batched_vs_single(op, xs, params=(), dtype=np.float64):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("kernel, stride, dilation, t", [
+@pytest.mark.parametrize("kernel, factor, dilation, t", [
     (3, 1, 1, 16), (5, 1, 1, 9), (1, 2, 1, 9), (1, 1, 1, 6),
     (3, 1, 8, 5),  # every tap but the centre reads padding
-    (5, 3, 2, 7),  # padding on both sides of a strided, dilated kernel
+    (5, 3, 2, 7),  # padding on both sides of a dilated kernel over a decimation
 ])
-def test_batched_conv_equals_single_items(kernel, stride, dilation, t, dtype):
+def test_batched_conv_equals_single_items(kernel, factor, dilation, t, dtype):
+    """The conv of items decimated by ``factor`` to ``t`` steps, as in a DBlock."""
     rng = np.random.default_rng(61)
-    xs = [rng.standard_normal((3, t)) for _ in range(4)]
+    xs = [rng.standard_normal((3, t * factor)) for _ in range(4)]
     w, b = rng.standard_normal((2, 3, kernel)), rng.standard_normal(2)
-    batched_vs_single(lambda x, w, b: conv1d(x, w, b, stride=stride, dilation=dilation),
+    batched_vs_single(lambda x, w, b: conv1d(downsample(x, factor), w, b, dilation=dilation),
                       xs, [w, b], dtype)
 
 
@@ -329,12 +360,12 @@ def test_batched_conv_keeps_items_apart():
     x[1] = 1e6
     w = Tensor(np.ones((2, 2, 5)), requires_grad=True)
     xt = Tensor(x, requires_grad=True)
-    out = conv1d(xt, w, stride=3, dilation=2)
-    assert out.shape == (3, 2, 3)
+    out = conv1d(xt, w, dilation=2)
+    assert out.shape == (3, 2, 7)
     assert not out.data[0].any() and not out.data[2].any()
     tsum(out).backward()
     alone = Tensor(np.zeros((2, 7)), requires_grad=True)
-    tsum(conv1d(alone, w, stride=3, dilation=2)).backward()
+    tsum(conv1d(alone, w, dilation=2)).backward()
     for i in range(3):
         assert np.array_equal(xt.grad[i], alone.grad)
 
@@ -371,9 +402,9 @@ def test_batched_op_composition_fd():
     def loss(x, w1, b1, w2, emb, w_skip):
         h = conv1d(x, w1, b1)
         h = downsample(h, 2)
-        h = add_channel_bias(h, emb)
-        skip = conv1d(h, w_skip, stride=2)
-        h = leaky_relu(conv1d(h, w2, stride=2, dilation=2), 0.2)
+        h = downsample(add_channel_bias(h, emb), 2)  # a DBlock: one decimation, two branches
+        skip = conv1d(h, w_skip)
+        h = leaky_relu(conv1d(h, w2, dilation=2), 0.2)
         h = nearest_upsample(add(h, skip), 2)
         return mean_abs(h)
 
