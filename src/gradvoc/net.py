@@ -206,8 +206,9 @@ class FiLM(Module):
     The waveform-derived features go through a 3x1 conv and leaky ReLU, the
     noise embedding is added channel-wise, and two parallel 3x1 convs emit
     gamma and xi at the modulated stage's channel count.  Both read the same
-    features, so they run as one conv of their stacked weights, whose output
-    channels split into gamma and xi.
+    features, so they run as one conv of their stacked weights, and FiLM
+    returns its output whole: gamma in the first half of the channels, xi in
+    the second.
     """
 
     def __init__(self, c_in, c_out):
@@ -215,12 +216,11 @@ class FiLM(Module):
         self.gamma_conv = Conv1d(c_out, c_out, 3)
         self.xi_conv = Conv1d(c_out, c_out, 3)
 
-    def __call__(self, features: Tensor, noise_embedding: Tensor):
+    def __call__(self, features: Tensor, noise_embedding: Tensor) -> Tensor:
         h = T.leaky_relu(self.input_conv(features), LEAKY_SLOPE)
         h = T.add_channel_bias(h, noise_embedding)
         g, x = self.gamma_conv, self.xi_conv
-        both = T.conv1d(h, T.concat([g.weight, x.weight]), T.concat([g.bias, x.bias]))
-        return T.split_channels(both, 2)
+        return T.conv1d(h, T.concat([g.weight, x.weight]), T.concat([g.bias, x.bias]))
 
 
 class UBlock(Module):
@@ -228,7 +228,9 @@ class UBlock(Module):
 
     Main branch: LReLU, upsample, conv(d0), affine, LReLU, conv(d1); skip:
     upsample then unbiased 1x1 conv.  Their sum feeds a second residual of
-    affine, LReLU, conv(d2), affine, LReLU, conv(d3).
+    affine, LReLU, conv(d2), affine, LReLU, conv(d3).  Every affine map
+    scales by gamma and shifts by xi, the two channel halves of the FiLM
+    output ``film``.
 
     Two steps run in a cheaper order with the same result: the upsample and
     conv(d0) are one ``upsample_conv1d`` at the input rate, and the skip's
@@ -245,17 +247,17 @@ class UBlock(Module):
         self.res2b = Conv1d(c_out, c_out, 3, dilation=d3)
         self.skip = Conv1d(c_in, c_out, 1, bias=False)
 
-    def __call__(self, x: Tensor, gamma: Tensor, xi: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, film: Tensor) -> Tensor:
         skip = self.skip(x)  # kept at the input rate until the add
         h = T.leaky_relu(x, LEAKY_SLOPE)
         h = T.upsample_conv1d(h, self.main1.weight, self.main1.bias, self.factor,
                               self.main1.dilation)
-        h = T.affine_leaky_relu(h, gamma, xi, LEAKY_SLOPE)
+        h = T.affine_leaky_relu(h, film, LEAKY_SLOPE)
         h = self.main2(h)
         first = T.add(T.nearest_upsample(skip, self.factor), h)
-        h = T.affine_leaky_relu(first, gamma, xi, LEAKY_SLOPE)
+        h = T.affine_leaky_relu(first, film, LEAKY_SLOPE)
         h = self.res2a(h)
-        h = T.affine_leaky_relu(h, gamma, xi, LEAKY_SLOPE)
+        h = T.affine_leaky_relu(h, film, LEAKY_SLOPE)
         h = self.res2b(h)
         return T.add(first, h)
 
@@ -335,6 +337,8 @@ class DenoiserModel(Module):
             )
         if not np.all(np.isfinite(y)):
             raise ValueError("non-finite noisy waveform")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite mel")
 
         chain = [self.pre_conv(Tensor(y))]
         for block in self.dblocks:
@@ -346,8 +350,10 @@ class DenoiserModel(Module):
             emb = positional_encoding(
                 sqrt_alpha_bar, self.config.ublock_channels[j], POSITIONAL_SCALE
             ).astype(dtype)
-            gamma, xi = film(chain[n_up - 1 - j], Tensor(emb))
-            u = ublock(u, gamma, xi)
+            # held until the next FiLM replaces it: freeing it before that call
+            # raised base synthesis's peak RSS by ~6 MiB (glibc heap placement)
+            mod = film(chain[n_up - 1 - j], Tensor(emb))
+            u = ublock(u, mod)
         return self.post_conv(u)
 
     def predict(self, y_noisy, mel, sqrt_alpha_bar: float) -> np.ndarray:

@@ -3,8 +3,9 @@
 Covers exactly the operations the denoiser network needs: 1-D dilated
 convolution (also run at the input rate of a nearest-neighbor upsample
 before it), nearest-neighbor upsampling, decimation, leaky ReLU (also fused
-with the FiLM affine map before it), joining weights and splitting channels,
-and the elementwise/reduction glue for the loss.  Each of them also takes a
+with the FiLM affine map before it, which reads its scale and shift from
+one tensor), joining weights, and the elementwise/reduction glue for the
+loss.  Each of them also takes a
 leading batch axis, (B, C, T), and treats every item as it would alone, so
 a training step is one graph.  The computation graph is the
 implicit tape of parent links recorded on each result; ``backward`` replays
@@ -50,7 +51,6 @@ __all__ = [
     "leaky_relu",
     "affine_leaky_relu",
     "concat",
-    "split_channels",
     "mean_abs",
     "orthogonal_init",
 ]
@@ -134,15 +134,11 @@ def _result(data, parents, backward):
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, index=None):
-    """Add ``g`` to the gradient of ``t``, or of ``t.data[index]``."""
+def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` to the gradient of ``t``."""
     if not t.requires_grad:
         return
-    if index is not None:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad[index] += g
-    elif t.grad is None:
+    if t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
         t.grad += g
@@ -418,26 +414,28 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _result(np.maximum(x.data, slope * x.data), (x,), backward)
 
 
-def affine_leaky_relu(x: Tensor, gamma: Tensor, xi: Tensor, slope: float = 0.2) -> Tensor:
-    """``leaky_relu(add(mul(gamma, x), xi), slope)`` with one temporary, by
-    the same float arithmetic."""
-    if not x.shape == gamma.shape == xi.shape:
-        raise ValueError(f"shape mismatch: {x.shape}, {gamma.shape}, {xi.shape}")
+def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
+    """``leaky_relu(gamma * x + xi, slope)`` with one temporary, by the
+    composed ops' float arithmetic; gamma and xi are the first and second
+    channel halves of ``film``, (..., 2C, T) for x (..., C, T)."""
+    c = x.shape[-2]
+    if film.shape != (*x.shape[:-2], 2 * c, x.shape[-1]):
+        raise ValueError(f"film shape {film.shape} does not hold two halves of {x.shape}")
     if not (0.0 < slope < 1.0):
         raise ValueError("slope must be in (0, 1)")
 
-    out = gamma.data * x.data
-    out += xi.data
+    gamma = film.data[..., :c, :]
+    out = gamma * x.data
+    out += film.data[..., c:, :]
     np.maximum(out, slope * out, out=out)
     one, low = out.dtype.type(1.0), out.dtype.type(slope)
 
     def backward(g):  # the output is positive exactly where the affine map is
         g = g * np.where(out > 0.0, one, low)
-        _accumulate(gamma, g * x.data)
-        _accumulate(x, g * gamma.data)
-        _accumulate(xi, g)
+        _accumulate(film, np.concatenate([g * x.data, g], axis=-2))
+        _accumulate(x, g * gamma)
 
-    return _result(out, (x, gamma, xi), backward)
+    return _result(out, (x, film), backward)
 
 
 def concat(tensors) -> Tensor:
@@ -451,23 +449,6 @@ def concat(tensors) -> Tensor:
             start += len(t.data)
 
     return _result(np.concatenate([t.data for t in tensors]), tensors, backward)
-
-
-def split_channels(x: Tensor, n: int) -> tuple[Tensor, ...]:
-    """Cut the channels of a (C, T) map, or of each (B, C, T) item, into
-    ``n`` equal parts; each part is a view of x."""
-    size, rest = divmod(x.shape[-2], n)
-    if rest:
-        raise ValueError(f"{x.shape[-2]} channels do not split into {n} parts")
-    parts = []
-    for i in range(n):
-        index = (..., slice(i * size, (i + 1) * size), slice(None))
-
-        def backward(g, index=index):
-            _accumulate(x, g, index)
-
-        parts.append(_result(x.data[index], (x,), backward))
-    return tuple(parts)
 
 
 def mean_abs(x: Tensor) -> Tensor:

@@ -92,21 +92,18 @@ def tsum(x: Tensor) -> Tensor:
     return _result(np.sum(x.data), (x,), backward)
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
-           dilation: int = 1) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
     """``tensor.conv1d`` of one (C_in, T) item as a padded copy, a strided
     patch view and a ``tensordot``, with the patches kept for backward."""
     c_out, c_in, kernel = weight.shape
     t_in = x.shape[1]
-    span = (kernel - 1) * dilation + 1
-    t_out = -(-t_in // stride)
-    pad_total = max((t_out - 1) * stride + span - t_in, 0)
+    pad_total = (kernel - 1) * dilation
     pad_left = (pad_total + 1) // 2
     xp = np.pad(x.data, ((0, 0), (pad_left, pad_total - pad_left)))
     patches = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(c_in, kernel, t_out),
-        strides=(xp.strides[0], xp.strides[1] * dilation, xp.strides[1] * stride),
+        shape=(c_in, kernel, t_in),
+        strides=(xp.strides[0], xp.strides[1] * dilation, xp.strides[1]),
     )
     out = np.tensordot(weight.data, patches, axes=([1, 2], [0, 1]))
     if bias is not None:
@@ -117,12 +114,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         if bias is not None:
             _accumulate(bias, g.sum(axis=1))
         if x.requires_grad:
-            col = np.tensordot(weight.data, g, axes=([0], [0]))  # (C_in, K, T_out)
+            col = np.tensordot(weight.data, g, axes=([0], [0]))  # (C_in, K, T)
             gxp = np.zeros_like(xp)
             for k in range(kernel):
                 start = k * dilation
-                stop = start + (t_out - 1) * stride + 1
-                gxp[:, start:stop:stride] += col[:, k, :]
+                gxp[:, start:start + t_in] += col[:, k, :]
             _accumulate(x, gxp[:, pad_left : pad_left + t_in])
 
     parents = (x, weight) if bias is None else (x, weight, bias)

@@ -136,6 +136,22 @@ def test_criterion_4_gaussian_oracle_sampling():
     )
 
 
+FD_STEP = 1e-6
+
+
+def fd_agrees(got, up, dn, tol):
+    """Whether a gradient entry matches the central difference of the loss
+    values ``up`` and ``dn``, a step either side, to relative ``tol``.
+
+    The difference carries the rounding of the two losses, about
+    4 eps max(|up|, |dn|) / step, so near a zero gradient that much absolute
+    error is allowed on top.
+    """
+    fd = (up - dn) / (2 * FD_STEP)
+    rounding = 4 * np.finfo(np.float64).eps * max(abs(up), abs(dn)) / FD_STEP
+    return abs(got - fd) <= tol * max(abs(fd), abs(got), 1e-6) + rounding
+
+
 def test_criterion_5_gradient_correctness():
     def fd_scalar(build, leaves, tol):
         for leaf in leaves:
@@ -146,15 +162,12 @@ def test_criterion_5_gradient_correctness():
             flat = leaf.data.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + 1e-6
+                flat[i] = orig + FD_STEP
                 up = float(build().data)
-                flat[i] = orig - 1e-6
+                flat[i] = orig - FD_STEP
                 dn = float(build().data)
                 flat[i] = orig
-                fd = (up - dn) / 2e-6
-                got = leaf.grad.reshape(-1)[i]
-                denom = max(abs(fd), abs(got), 1e-6)
-                assert abs(got - fd) / denom <= tol
+                assert fd_agrees(leaf.grad.reshape(-1)[i], up, dn, tol)
 
     rng = np.random.default_rng(2)
 
@@ -177,9 +190,19 @@ def test_criterion_5_gradient_correctness():
     fused = np.random.default_rng(4)
     w, b = mk((3, 2, 3), fused), mk((3,), fused)
     fd_scalar(lambda: T.mean_abs(T.upsample_conv1d(x, w, b, 3)), [x, w, b], 1e-4)
-    gamma, xi = mk((2, 8), fused), mk((2, 8), fused)
-    fd_scalar(lambda: T.mean_abs(T.affine_leaky_relu(x, gamma, xi, 0.2)), [x, gamma, xi], 1e-4)
-    fd_scalar(lambda: T.mean_abs(T.mul(*T.split_channels(T.concat([x, y2]), 2))), [x, y2], 1e-4)
+    film = mk((4, 8), fused)  # gamma stacked on xi
+    fd_scalar(lambda: T.mean_abs(T.affine_leaky_relu(x, film, 0.2)), [x, film], 1e-4)
+    fd_scalar(lambda: T.mean_abs(T.mul(T.concat([x, y2]), T.concat([y2, x]))), [x, y2], 1e-4)
+
+    # the check itself fails on a gradient of the wrong sign or twice the size
+    for factor in (-1.0, 2.0):
+        def off(a, factor=factor):
+            def backward(g):
+                T._accumulate(a, factor * float(g) / a.data.size * np.sign(a.data))
+            return T._result(np.mean(np.abs(a.data)), (a,), backward)
+
+        with pytest.raises(AssertionError):
+            fd_scalar(lambda: off(x), [x], 1e-4)
 
     # the full toy model at 64-bit, three sampled entries per parameter
     model = DenoiserModel(ModelConfig.toy(dtype="float64"), seed=1)
@@ -194,15 +217,12 @@ def test_criterion_5_gradient_correctness():
         flat = p.data.reshape(-1)
         for i in pick.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[i]
-            flat[i] = orig + 1e-6
+            flat[i] = orig + FD_STEP
             up = float(T.mean_abs(model.forward(y0, mel, 0.6)).data)
-            flat[i] = orig - 1e-6
+            flat[i] = orig - FD_STEP
             dn = float(T.mean_abs(model.forward(y0, mel, 0.6)).data)
             flat[i] = orig
-            fd = (up - dn) / 2e-6
-            got = grads[name].reshape(-1)[i]
-            denom = max(abs(fd), abs(got), 1e-6)
-            assert abs(got - fd) / denom <= 1e-4, name
+            assert fd_agrees(grads[name].reshape(-1)[i], up, dn, 1e-4), name
     print("criterion 5 PASS: all ops and the full toy model match finite differences")
 
 

@@ -16,9 +16,9 @@ from gradvoc.dsp import MelConfig, Waveform, mel_spectrogram
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.train import TrainConfig, TrainState, train_step
 
-# measured with Python 3.11 and numpy 2.4: 706 calls per forward, 2650 per step
-FORWARD_CALLS = 706
-STEP_CALLS = 2650
+# measured with Python 3.11 and numpy 2.4: 680 calls per forward, 2562 per step
+FORWARD_CALLS = 680
+STEP_CALLS = 2562
 SLACK = 1.1
 
 

@@ -90,16 +90,17 @@ def test_film_zero_inputs_zero_outputs():
     rng = np.random.default_rng(0)
     film = FiLM(4, 6)
     init_weights(film, rng, np.float64)
-    gamma, xi = film(Tensor(np.zeros((4, 10))), Tensor(np.zeros(6)))
+    out = film(Tensor(np.zeros((4, 10))), Tensor(np.zeros(6)))
     # biases are zero-initialized, so the whole map is linear and vanishes
-    assert np.allclose(gamma.data, 0.0, atol=0) and np.allclose(xi.data, 0.0, atol=0)
+    assert not out.data.any()
 
 
 def test_film_output_channels_match_modulated_stage():
+    """gamma and xi, stacked: twice the modulated stage's channels."""
     film = FiLM(3, 8)
     init_weights(film, np.random.default_rng(1), np.float64)
-    gamma, xi = film(Tensor(np.ones((3, 12))), Tensor(np.ones(8)))
-    assert gamma.shape == (8, 12) and xi.shape == (8, 12)
+    assert film(Tensor(np.ones((3, 12))), Tensor(np.ones(8))).shape == (16, 12)
+    assert film(Tensor(np.ones((2, 3, 12))), Tensor(np.ones((2, 8)))).shape == (2, 16, 12)
 
 
 FILM_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
@@ -107,8 +108,9 @@ FILM_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_film_gamma_and_xi_are_the_two_convs_of_the_features(dtype):
-    """One GEMM of the stacked weights gives what the two convs give alone,
-    byte for byte at the toy model's FiLM widths.
+    """The two channel halves of FiLM's one GEMM of the stacked weights are
+    what the two convs give alone, byte for byte at the toy model's FiLM
+    widths.
 
     BLAS may sum a product with twice the rows in another order (it does for
     FiLM(3, 6) in float64 with OpenBLAS 0.3), so another width is held to
@@ -123,14 +125,29 @@ def test_film_gamma_and_xi_are_the_two_convs_of_the_features(dtype):
             conv.bias.data = rng.standard_normal(c_out).astype(dtype)
         f = Tensor(rng.standard_normal((*batch, c_in, 16)).astype(dtype))
         e = Tensor(rng.standard_normal((*batch, c_out)).astype(dtype))
-        gamma, xi = film(f, e)
+        out = film(f, e).data
+        gamma, xi = out[..., :c_out, :], out[..., c_out:, :]
         h = T.add_channel_bias(T.leaky_relu(film.input_conv(f), 0.2), e)
-        for got, want in ((gamma.data, film.gamma_conv(h).data), (xi.data, film.xi_conv(h).data)):
+        for got, want in ((gamma, film.gamma_conv(h).data), (xi, film.xi_conv(h).data)):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             if exact:
                 assert got.tobytes() == want.tobytes()
             else:
                 assert np.max(np.abs(got - want)) <= FILM_RTOL[dtype] * np.max(np.abs(want))
+
+
+def fd_entries(loss, p, tol=1e-5):
+    """Compare ``p.grad`` with central differences of the scalar ``loss()``."""
+    flat, got = p.data.reshape(-1), p.grad.reshape(-1).copy()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + 1e-6
+        up = float(loss().data)
+        flat[i] = orig - 1e-6
+        dn = float(loss().data)
+        flat[i] = orig
+        fd = (up - dn) / 2e-6
+        assert abs(got[i] - fd) <= tol * max(abs(fd), abs(got[i]), 1e-6)
 
 
 def test_film_gradients_reach_both_convs():
@@ -141,34 +158,47 @@ def test_film_gradients_reach_both_convs():
     params = [film.gamma_conv.weight, film.gamma_conv.bias, film.xi_conv.weight, film.xi_conv.bias]
     for p in params:
         p.data = rng.standard_normal(p.shape)
+    weights = Tensor(np.repeat([1.0, 2.0], 4)[:, None] * np.ones((8, 7)))  # xi counts twice
 
     def loss():
-        gamma, xi = film(f, e)
-        return T.add(T.mean_abs(gamma), T.scale(T.mean_abs(xi), 2.0))
+        return T.mean_abs(T.mul(film(f, e), weights))
 
     loss().backward()
     for p in params:
-        flat, got = p.data.reshape(-1), p.grad.reshape(-1).copy()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + 1e-6
-            up = float(loss().data)
-            flat[i] = orig - 1e-6
-            dn = float(loss().data)
-            flat[i] = orig
-            fd = (up - dn) / 2e-6
-            assert abs(got[i] - fd) <= 1e-5 * max(abs(fd), abs(got[i]), 1e-6)
+        fd_entries(loss, p)
+
+
+def test_ublock_gradient_reaches_both_halves_of_film():
+    """Each of the three affine maps sends g * x to gamma's half of the film
+    and g to xi's half; their sum matches central differences."""
+    rng = np.random.default_rng(15)
+    block = UBlock(3, 2, 2, (1, 2, 1, 2))
+    init_weights(block, np.random.default_rng(16), np.float64)
+    x = Tensor(rng.standard_normal((3, 5)))
+    film = Tensor(rng.standard_normal((4, 10)), requires_grad=True)
+
+    def loss():
+        return T.mean_abs(block(x, film))
+
+    loss().backward()
+    assert film.grad[:2].any() and film.grad[2:].any()
+    fd_entries(loss, film)
 
 
 def test_neutral_affine_is_identity():
     """The fused FiLM affine map and leaky ReLU, with gamma = 1 and xi = 0,
     is exactly the leaky ReLU."""
     x = Tensor(np.random.default_rng(2).standard_normal((4, 9)))
-    out = T.affine_leaky_relu(x, Tensor(np.ones((4, 9))), Tensor(np.zeros((4, 9))), 0.2)
+    out = T.affine_leaky_relu(x, neutral_film(4, 9), 0.2)
     assert np.array_equal(out.data, T.leaky_relu(x, 0.2).data)
 
 
 # -- UBlock -------------------------------------------------------------------------
+
+
+def neutral_film(channels, t):
+    """gamma = 1 stacked on xi = 0."""
+    return Tensor(np.concatenate([np.ones((channels, t)), np.zeros((channels, t))]))
 
 
 def test_ublock_hand_trace_identity_wiring():
@@ -182,19 +212,14 @@ def test_ublock_hand_trace_identity_wiring():
     for conv in (block.main1, block.main2, block.res2a, block.res2b, block.skip):
         make_identity(conv)
     x = np.array([[0.1, 0.7, 0.4]])
-    ones, zeros = Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3)))
-    out = block(Tensor(x), ones, zeros)
+    out = block(Tensor(x), neutral_film(1, 3))
     assert np.allclose(out.data, 4 * x, atol=1e-15)
 
 
 def test_ublock_upsamples_by_factor():
     block = UBlock(3, 2, 5, (1, 2, 4, 8))
     init_weights(block, np.random.default_rng(5), np.float64)
-    out = block(
-        Tensor(np.random.default_rng(6).standard_normal((3, 7))),
-        Tensor(np.ones((2, 35))),
-        Tensor(np.zeros((2, 35))),
-    )
+    out = block(Tensor(np.random.default_rng(6).standard_normal((3, 7))), neutral_film(2, 35))
     assert out.shape == (2, 35)
 
 
@@ -386,6 +411,18 @@ def test_forward_rejects_misaligned_lengths():
         model.predict(np.zeros(0), np.zeros((8, 0)), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_refuses_a_non_finite_mel(bad):
+    """A non-finite mel is the caller's data, not a network failure."""
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    y, mel = toy_input(6)
+    mel[5, 4] = bad
+    with pytest.raises(ValueError, match="non-finite mel"):
+        model.predict(y, mel, 0.5)
+    with pytest.raises(ValueError, match="non-finite mel"):
+        model.forward(np.stack([y, y]), np.stack([toy_input(6)[1], mel]), np.array([0.5, 0.5]))
+
+
 def test_no_cross_input_state():
     """Outputs depend only on the current input: no batch statistics."""
     cfg = ModelConfig.toy()
@@ -452,8 +489,13 @@ def test_failed_predict_leaves_training_tracked():
     model = DenoiserModel(ModelConfig.toy(), seed=0)
     bad_mel = mel.copy()
     bad_mel[3, 2] = np.nan
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(ValueError, match="non-finite mel"):  # refused inside the forward
         model.predict(y, bad_mel, 0.5)
+    bias = model.post_conv.bias
+    saved, bias.data = bias.data, np.full_like(bias.data, np.nan)
+    with pytest.raises(FloatingPointError, match="non-finite network output"):
+        model.predict(y, mel, 0.5)
+    bias.data = saved
     loss, grads = step(model)
     assert loss == fresh_loss
     assert list(grads) == list(fresh_grads)

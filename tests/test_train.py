@@ -150,7 +150,27 @@ def test_batched_loss_draws_like_the_item_loop(train_set, toy_mel_config, dtype,
         assert np.max(np.abs(g - want[k])) <= tol * np.max(np.abs(want[k])), k
 
 
-def test_non_finite_item_names_its_batch_index(train_set, toy_mel_config):
+def test_non_finite_item_names_its_batch_index(train_set, toy_mel_config, monkeypatch):
+    """The forward refuses a non-finite input, so the fault goes into item
+    2's prediction, as a diverged network would put it there."""
+    batch = make_batch(train_set, np.random.default_rng(8), 4, SEGMENT, toy_mel_config)
+    state = fresh_state(seed=0)
+    forward = state.model.forward
+
+    def diverged(y_noisy, mel, levels):
+        out = forward(y_noisy, mel, levels)
+        out.data[2, 0, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(state.model, "forward", diverged)
+    before = {k: p.data.copy() for k, p in state.model.parameters().items()}
+    with pytest.raises(TrainError, match="non-finite loss at batch index 2$"):
+        train_step(state, batch, np.random.default_rng(9))
+    assert state.step == 0
+    assert all(np.array_equal(p.data, before[k]) for k, p in state.model.parameters().items())
+
+
+def test_non_finite_mel_item_is_refused_before_the_step(train_set, toy_mel_config):
     batch = make_batch(train_set, np.random.default_rng(8), 4, SEGMENT, toy_mel_config)
     y0, mel = batch[2]
     mel = mel.copy()
@@ -158,7 +178,7 @@ def test_non_finite_item_names_its_batch_index(train_set, toy_mel_config):
     batch[2] = (y0, mel)
     state = fresh_state(seed=0)
     before = {k: p.data.copy() for k, p in state.model.parameters().items()}
-    with pytest.raises(TrainError, match="non-finite loss at batch index 2$"):
+    with pytest.raises(ValueError, match="non-finite mel"):
         train_step(state, batch, np.random.default_rng(9))
     assert state.step == 0
     assert all(np.array_equal(p.data, before[k]) for k, p in state.model.parameters().items())
