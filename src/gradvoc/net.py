@@ -207,8 +207,9 @@ class FiLM(Module):
     noise embedding is added channel-wise, and two parallel 3x1 convs emit
     gamma and xi at the modulated stage's channel count.  Both read the same
     features, so they run as one conv of their stacked weights, and FiLM
-    returns its output whole: gamma in the first half of the channels, xi in
-    the second.
+    returns its output whole.  ``tensor.affine_leaky_relu`` owns the channel
+    order, gamma's half first and xi's second, and the weights are stacked
+    in that order.
     """
 
     def __init__(self, c_in, c_out):

@@ -1,10 +1,10 @@
 """Reference functions that only the tests use.
 
 Closed-form quantities of the diffusion process, a plain sum reduction for
-autodiff checks, the padded ``tensordot`` convolution, a fixed-noise batch
-loss with its per-item loop, the per-parameter clip-and-Adam training step,
-the cosine-sum DCT and the per-lag loop pitch tracker; the library itself
-never needs them.
+autodiff checks, a slice decimation, the padded ``tensordot`` convolution, a
+fixed-noise batch loss with its per-item loop, the per-parameter
+clip-and-Adam training step, the cosine-sum DCT and the per-lag loop pitch
+tracker; the library itself never needs them.
 """
 
 import math
@@ -90,6 +90,18 @@ def tsum(x: Tensor) -> Tensor:
         _accumulate(x, np.full_like(x.data, float(g)))
 
     return _result(np.sum(x.data), (x,), backward)
+
+
+def decimate(x: Tensor, factor: int) -> Tensor:
+    """Every ``factor``-th time step of ``x`` as a slice view; its gradient is
+    scattered back into zeros."""
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[..., ::factor] = g
+        _accumulate(x, gx)
+
+    return _result(x.data[..., ::factor], (x,), backward)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
