@@ -29,7 +29,6 @@ from .dsp import (
     ls_mse,
     mcd,
     mel_spectrogram,
-    metric_length,
     metric_mels,
     wav_read,
     wav_write,
@@ -295,14 +294,14 @@ def cmd_synth(args) -> int:
 
 def _score_schedule(model, schedule, mels, targets, seed) -> float:
     scores = []
-    for i, (mel, (n, ref_mel)) in enumerate(zip(mels, targets)):
+    for i, (mel, ref_mel) in enumerate(zip(mels, targets)):
         hyp = synthesize(
             SynthRequest(
                 mel=mel, inference_schedule=schedule, model=model, seed=seed + i
             )
         )
         metric = ref_mel.config
-        hyp_mel = mel_spectrogram(Waveform(hyp[:n], metric.sample_rate), metric)
+        hyp_mel = mel_spectrogram(Waveform(hyp, metric.sample_rate), metric)
         scores.append(ls_mse(ref_mel, hyp_mel))
     return float(np.mean(scores))
 
@@ -316,16 +315,16 @@ def cmd_sweep(args) -> int:
         )
     validation_dir = _resolve(args.validation_dir, "GRADVOC_DATA_ROOT")
     refs = load_corpus(validation_dir, sample_rate=mel_cfg.sample_rate)
-    # every candidate's synthesis has the same length, so each reference is
-    # trimmed, and its metric mel made, once
+    # every candidate's synthesis has the model's output length, whole
+    # conditioning frames and so less than one hop shorter than its reference;
+    # each reference is trimmed to it, and its metric mel made, once
     metric = mel_cfg.metric
     try:
         mels = [mel_spectrogram(ref, mel_cfg).values for ref in refs]
         targets = []
         for ref, mel in zip(refs, mels):
-            n = metric_length(len(ref), state.model.output_length(mel), metric.hop_length)
-            trimmed = Waveform(ref.samples[:n], ref.sample_rate)
-            targets.append((n, mel_spectrogram(trimmed, metric)))
+            trimmed = Waveform(ref.samples[:state.model.output_length(mel)], ref.sample_rate)
+            targets.append(mel_spectrogram(trimmed, metric))
     except ValueError as exc:
         raise DataError(f"{validation_dir}: {exc}") from exc
 

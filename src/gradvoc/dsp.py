@@ -29,7 +29,6 @@ __all__ = [
     "WavFormatError",
     "mel_spectrogram",
     "mel_filterbank",
-    "metric_length",
     "metric_mels",
     "mfcc",
     "ls_mse",
@@ -227,20 +226,16 @@ def mfcc(mel: MelSpectrogram, n_coeffs: int = 13) -> np.ndarray:
     return _dct_matrix(mel.values.shape[0], n_coeffs) @ mel.values
 
 
-def metric_length(n_ref: int, n_hyp: int, hop: int) -> int:
-    """The length both signals of a pair are trimmed to before a metric
-    compares them: the shorter one's.  Raises ValueError when the two differ
-    by more than one ``hop`` of the metric's framing."""
-    mismatch = abs(n_ref - n_hyp)
-    if mismatch > hop:
-        raise ValueError(f"length mismatch of {mismatch} samples exceeds one hop ({hop})")
-    return min(n_ref, n_hyp)
-
-
 def _metric_pair(y_ref: Waveform, y_hyp: Waveform, hop: int):
+    """Both signals trimmed to the shorter one's length before a metric
+    compares them.  Raises ValueError when the two differ by more than one
+    ``hop`` of the metric's framing."""
     if y_ref.sample_rate != y_hyp.sample_rate:
         raise ValueError("sample rates differ")
-    n = metric_length(len(y_ref), len(y_hyp), hop)
+    mismatch = abs(len(y_ref) - len(y_hyp))
+    if mismatch > hop:
+        raise ValueError(f"length mismatch of {mismatch} samples exceeds one hop ({hop})")
+    n = min(len(y_ref), len(y_hyp))
     ref = Waveform(y_ref.samples[:n], y_ref.sample_rate)
     hyp = Waveform(y_hyp.samples[:n], y_hyp.sample_rate)
     return ref, hyp
@@ -250,7 +245,7 @@ def metric_mels(
     y_ref: Waveform, y_hyp: Waveform, cfg: MelConfig
 ) -> tuple[MelSpectrogram, MelSpectrogram]:
     """The pair's mels under the metric framing of ``cfg``, the signals first
-    trimmed to their ``metric_length``; ``ls_mse`` and ``mcd`` take them."""
+    trimmed to the shorter one's length; ``ls_mse`` and ``mcd`` take them."""
     metric = cfg.metric
     ref, hyp = _metric_pair(y_ref, y_hyp, metric.hop_length)
     return mel_spectrogram(ref, metric), mel_spectrogram(hyp, metric)

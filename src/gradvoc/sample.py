@@ -60,14 +60,13 @@ def reverse_step(
     """One refinement step: y_{n-1} from y_n and the predicted noise.
 
     y_{n-1} = (y_n - ((1 - alpha_n) / sqrt(1 - abar_n)) * eps_pred) / sqrt(alpha_n),
-    plus sigma_n * z for n > 1 (z ignored at n = 1).
+    plus sigma_n * z for n > 1 (z ignored at n = 1).  Both denominators are
+    positive for every schedule: ``NoiseSchedule`` keeps each abar_n below 1.
     """
     if not (1 <= n <= len(schedule)):
         raise ValueError(f"step index {n} outside [1, {len(schedule)}]")
     alpha_n = float(schedule.alphas[n - 1])
     abar_n = float(schedule.alpha_bars[n - 1])
-    if abar_n >= 1.0:
-        raise SamplerError(f"alpha_bar_{n} = 1: degenerate denominator")
     y_n = np.asarray(y_n, dtype=np.float64)
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
     if y_n.shape != eps_pred.shape:
@@ -90,9 +89,6 @@ def reverse_chain(request: SynthRequest):
     the step, after the iterates before it, without numpy overflow warnings.
     """
     schedule = request.inference_schedule
-    n_steps = len(schedule)
-    if n_steps < 1:
-        raise ValueError("inference schedule is empty")
     mel = np.asarray(request.mel, dtype=np.float64)
     model = request.model
     rng = np.random.default_rng(request.seed)
@@ -100,8 +96,8 @@ def reverse_chain(request: SynthRequest):
     length = model.output_length(mel)
     y = rng.standard_normal(length)
     yield y
-    for n in range(n_steps, 0, -1):
-        sqrt_abar = math.sqrt(float(schedule.alpha_bars[n - 1]))
+    for n in range(len(schedule), 0, -1):
+        sqrt_abar = float(schedule.ell[n])
         where = f"at reverse step n={n} (sqrt_alpha_bar={sqrt_abar:.6g})"
         # never yield inside errstate: the caller would run under it while suspended
         with np.errstate(over="ignore", invalid="ignore"):

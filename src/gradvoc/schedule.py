@@ -42,8 +42,9 @@ MAX_STEPS = 10**6
 class NoiseSchedule:
     """Immutable beta sequence with derived alpha, alpha_bar and ell arrays.
 
-    ``ell`` has length N+1 and includes the leading exact 1.0 boundary.
-    Instances are safe to share across threads.
+    ``ell`` has length N+1 and includes the leading exact 1.0 boundary.  Each
+    step lowers it, leaving a float64 strictly inside (ell_s, ell_{s-1}), and
+    ell_N > 0.  Instances are safe to share across threads.
     """
 
     betas: np.ndarray
@@ -67,6 +68,12 @@ class NoiseSchedule:
         ell = np.empty(betas.size + 1, dtype=np.float64)
         ell[0] = 1.0
         ell[1:] = np.sqrt(alpha_bars)
+        usable = (ell[1:] > 0.0) & (ell[1:] < np.nextafter(ell[:-1], 0.0))
+        if not usable.all():
+            s = int(np.argmin(usable)) + 1
+            raise ScheduleError(f"step {s} (beta {betas[s - 1]}) takes ell from {ell[s - 1]} to "
+                                f"{ell[s]}: each step must lower the noise level, leave a "
+                                "float64 strictly between the two and keep it above 0")
         for arr in (alphas, alpha_bars, ell):
             arr.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
@@ -132,8 +139,8 @@ def sample_noise_level(
     """Hierarchically sample a continuous noise level sqrt(alpha_bar).
 
     A segment s is drawn uniformly from {1..S}, then the level uniformly from
-    the open interval (ell_s, ell_{s-1}).  Exact endpoint hits (possible only
-    with degenerate generators) are rejected and redrawn.
+    the open interval (ell_s, ell_{s-1}).  A draw rounded onto an endpoint is
+    redrawn; the loop ends, as every segment holds a float64 strictly inside.
     """
     s = int(rng.integers(1, len(training_prior) + 1))
     lo = training_prior.ell[s]
@@ -151,6 +158,7 @@ def kl_terminal_diagnostic(schedule: NoiseSchedule, y0: np.ndarray) -> float:
 
         0.5 * sum_i [ abar_N * y0_i^2 + (1 - abar_N) - 1 - ln(1 - abar_N) ]
 
+    It is finite for every schedule, whose terminal abar_N lies in (0, 1).
     Small values indicate the schedule injects enough terminal noise that
     starting inference from pure Gaussian noise is consistent with training.
     """
@@ -158,11 +166,6 @@ def kl_terminal_diagnostic(schedule: NoiseSchedule, y0: np.ndarray) -> float:
     if not np.all(np.isfinite(y0)):
         raise ValueError("y0 must be finite")
     abar = float(schedule.alpha_bars[-1])
-    if 1.0 - abar <= 0.0:
-        raise ScheduleError(
-            "terminal alpha_bar is 1: the schedule injects zero terminal noise, "
-            "so the KL diagnostic is undefined (log singularity)"
-        )
     quad = abar * float(np.sum(y0 * y0))
     dim = y0.size
     return 0.5 * (quad + dim * (-abar - math.log1p(-abar)))

@@ -200,8 +200,7 @@ def _draw_noise_level(config: TrainConfig, rng: np.random.Generator) -> float:
     if config.discrete_schedule is None:
         return sample_noise_level(config.training_prior, rng)
     sched = config.discrete_schedule
-    n = int(rng.integers(1, len(sched) + 1))
-    return float(np.sqrt(sched.alpha_bars[n - 1]))
+    return float(sched.ell[int(rng.integers(1, len(sched) + 1))])
 
 
 def _batch_loss(model: DenoiserModel, batch, config: TrainConfig, rng) -> Tensor:
@@ -278,6 +277,9 @@ def run_training(
             f"segment_samples {config.segment_samples} not divisible by the "
             f"model's {spf} samples per mel frame"
         )
+    if config.segment_samples < mel_cfg.win_length:
+        raise TrainConfigError(f"segment_samples {config.segment_samples} is shorter than "
+                               f"the {mel_cfg.win_length}-sample mel window")
     check_mel_config(state.model.config, mel_cfg)
     usable = _usable_utterances(dataset, config.segment_samples)
     if checkpoint_dir:

@@ -245,6 +245,8 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
      ("model = toy\nresume = {ckpt}\n", "'model'"), ("seed = 5\nresume = {ckpt}\n", "'seed'"),
      # and its conditioning
      ("discrete_schedule = manual6\nresume = {ckpt}\n", "'discrete_schedule'"),
+     # a schedule whose alpha_bar underflows to 0 at step 708
+     ("discrete_schedule = linear(0.5,0.9,1000)\n", "'discrete_schedule'"),
      ("batch_size = 0\n", "batch_size"), ("batch_size = -2\n", "batch_size"),
      ("seed = -1\n", "seed"), ("segment_samples = 0\n", "segment_samples"),
      ("checkpoint_every = -1\n", "checkpoint_every"), ("max_steps = -1\n", "max_steps"),
@@ -399,11 +401,16 @@ def test_empty_train_config_value_is_usage_error(key, line, corpus_dirs, tmp_pat
 @pytest.mark.parametrize(
     "extra, code, expected",
     [("segment_samples = 255\n", EXIT_USAGE, "samples per mel frame"),
-     ("segment_samples = 8000\n", EXIT_DATA, "at least one segment long")],
+     ("segment_samples = 8000\n", EXIT_DATA, "at least one segment long"),
+     # shorter than the toy (32) and base (1200) mel windows
+     ("segment_samples = 8\n", EXIT_USAGE, "32-sample mel window"),
+     ("model = base\nsegment_samples = 300\ndata_dir = {full}\n", EXIT_USAGE,
+      "1200-sample mel window")],
 )
 def test_segment_the_model_or_corpus_cannot_use(extra, code, expected, corpus_dirs,
                                                  tmp_path, capsys):
-    assert main(train_argv(tmp_path, corpus_dirs[0], extra)) == code
+    full = write_tone(tmp_path / "full" / "a.wav", 2400, 24000).parent
+    assert main(train_argv(tmp_path, corpus_dirs[0], extra.format(full=full))) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
@@ -421,6 +428,7 @@ def test_periodic_checkpoint_synthesizes_from_wav(corpus_dirs, tmp_path):
 @pytest.mark.parametrize(
     "spec, code",
     [("fibonacci(2000)", EXIT_USAGE), ("linear(1e-4,0.5,100000000000)", EXIT_USAGE),
+     ("manual(1e-20,1e-20,0.5)", EXIT_USAGE), ("linear(0.5,0.9,1000)", EXIT_USAGE),
      ("@{dir}", EXIT_USAGE), ("@{dir}/abc.txt", EXIT_USAGE), ("@{dir}/accent.txt", EXIT_USAGE),
      ("@{dir}/none.txt", EXIT_DATA)],
 )
@@ -430,6 +438,25 @@ def test_bad_schedule_spec_is_one_line_error(spec, code, tmp_path, capsys):
     assert main(["inspect-schedule", spec.format(dir=tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, spec", [
+    # alpha_bar underflows to 0 at step 708; beta_1 = 1e-20 leaves alpha_bar_1 at 1
+    ("synth", "linear(0.5,0.9,1000)"), ("synth", "manual(1e-20,0.5)"),
+    ("sweep", "linear(0.5,0.9,1000)"), ("sweep", "manual(1e-20,0.5)"),
+])
+def test_unusable_schedule_is_one_line_usage_error(command, spec, untrained_ckpt, corpus_dirs,
+                                                   tmp_path, capsys):
+    if command == "synth":
+        argv = synth_argv(untrained_ckpt, sorted(corpus_dirs[1].glob("*.wav"))[0], tmp_path, spec)
+    else:
+        cands = tmp_path / "cands.txt"
+        cands.write_text(f"manual6\n{spec}\n")
+        argv = sweep_argv(untrained_ckpt, corpus_dirs[1], "--candidates-file", str(cands))
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ") and err.count("\n") == 1
+    assert not (tmp_path / "o.wav").exists()
 
 
 @settings(max_examples=300, deadline=None)
@@ -861,6 +888,19 @@ def test_sweep_single_fixed_candidate(toy_checkpoint, corpus_dirs, tmp_path):
     rank, score, betas = lines[2].split(",", 2)
     assert rank == "1" and float(score) > 0
     assert betas == "0.0001;0.001;0.009;0.05;0.2;0.5"
+
+
+def test_sweep_takes_references_off_a_frame_boundary(toy_checkpoint, tmp_path, capsys):
+    # 4003 samples leave 3 past the last whole 4-sample frame: more than one
+    # metric hop (2), less than one conditioning hop
+    val = tmp_path / "val"
+    generate_corpus(val, n_utterances=2, n_samples=4003, sample_rate=4000, seed=100)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--checkpoint", str(toy_checkpoint), "--validation-dir", str(val),
+                 "--candidates-file", str(two_candidates(tmp_path)),
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 4  # fingerprint, header, two candidates
 
 
 def test_sweep_random_candidates_non_decreasing(toy_checkpoint, corpus_dirs, tmp_path):

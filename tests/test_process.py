@@ -1,6 +1,7 @@
-"""The process gradvoc makes: what importing it loads, and how its heap is
-reused from one training step to the next.  Each check runs in a fresh
-interpreter, so that nothing an earlier test imported or freed counts."""
+"""The process gradvoc makes: what importing it loads, how its heap is
+reused from one training step to the next, and that a refused command ends.
+Each check runs in a fresh interpreter, so that nothing an earlier test
+imported or freed counts."""
 
 import ctypes
 import json
@@ -19,12 +20,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TRAIN_STEP_FAULTS_BOUND = 1000
 
 
-def run_python(code: str) -> str:
+def run(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter on ``args`` with gradvoc's source first on its path."""
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
-                          capture_output=True, text=True, check=True)
-    return done.stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def run_python(code: str) -> str:
+    return run("-c", textwrap.dedent(code), check=True).stdout
 
 
 def has_glibc_mallopt() -> bool:
@@ -66,3 +71,16 @@ def test_warm_train_steps_reuse_the_heap():
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
     """)
     assert int(out) < TRAIN_STEP_FAULTS_BOUND
+
+
+def test_an_unusable_training_prior_is_refused_without_hanging(corpus_dirs, tmp_path):
+    # alpha_bar underflows to 0 from step 708 on, so 293 of its 1000 segments
+    # hold no noise level to draw: a run that drew from one would never end
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data_dir = {corpus_dirs[0]}\nmax_steps = 20\n"
+                   f"checkpoint_dir = {tmp_path / 'ckpt'}\n"
+                   "training_prior = linear(0.5,0.9,1000)\n")
+    done = run("-m", "gradvoc.cli", "train", str(cfg), timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "'training_prior'" in done.stderr and not (tmp_path / "ckpt").exists()

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradvoc.checkpoint import load_tensors
+from gradvoc.cli import SCHEDULE_PRESETS, resolve_schedule
+from gradvoc.sample import sigma
 from gradvoc.schedule import (
     NoiseSchedule,
     ScheduleError,
@@ -87,6 +89,30 @@ def test_manual_rejects_zero_and_one():
         manual_schedule([0.0])
     with pytest.raises(ScheduleError):
         manual_schedule([0.5, 1.0])
+
+
+@pytest.mark.parametrize("betas, step", [
+    # alpha_bar underflows to 0: 0.1**324 is below the least subnormal, and
+    # so is the linear(0.5, 0.9, 1000) product at step 708
+    ([0.9] * 400, 324), (np.linspace(0.5, 0.9, 1000), 708),
+    # alpha_n rounds to 1, so ell does not move
+    ([1e-20, 0.5], 1), ([0.5, 1e-20], 2),
+    # ell moves by one ulp only, leaving no float64 strictly inside the segment
+    ([2.2e-16], 1), ([0.5, 2.2e-16], 2),
+], ids=["underflow-324", "linear-underflow-708", "unmoved-1", "unmoved-2", "one-ulp-1",
+        "one-ulp-2"])
+def test_unusable_schedule_is_refused_at_its_first_bad_step(betas, step):
+    with pytest.raises(ScheduleError, match=rf"^step {step} "):
+        manual_schedule(betas)
+
+
+def test_every_schedule_the_repo_uses_builds():
+    candidates = Path(__file__).parent.parent / "perfbench" / "candidates.txt"
+    specs = [line for line in candidates.read_text().splitlines()
+             if line.strip() and not line.startswith("#")]
+    schedules = [resolve_schedule(spec) for spec in [*SCHEDULE_PRESETS, *specs]]
+    for s in [*schedules, default_training_prior()]:
+        assert s.ell[-1] > 0 and np.all(np.diff(s.ell) < 0)
 
 
 def test_derived_quantities_definitions():
@@ -266,13 +292,17 @@ inline_specs = st.text(max_size=40) | st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(spec=inline_specs)
+@example("manual(1e-20,1e-20,0.5)")
 def test_any_inline_spec_parses_or_raises_schedule_error(spec):
     if spec.strip().startswith("@"):
         return
     try:
-        parse_schedule_spec(spec)
+        schedule = parse_schedule_spec(spec)
     except ScheduleError:
-        pass
+        return
+    # a schedule that builds is usable: each step's noise and the terminal KL are finite
+    assert all(math.isfinite(sigma(schedule, n)) for n in range(2, len(schedule) + 1))
+    assert math.isfinite(kl_terminal_diagnostic(schedule, np.ones(4)))
 
 
 @settings(max_examples=300, deadline=None)
