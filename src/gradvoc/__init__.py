@@ -69,7 +69,8 @@ __version__ = "0.1.0"
 def _pin_heap() -> None:
     """Fix glibc's mmap and trim thresholds (``mallopt``), which it otherwise
     moves as blocks are freed: 32 MiB is its own ceiling for the mmap one,
-    and 256 MiB holds what loading a base checkpoint frees."""
+    and 256 MiB holds what one base training step on its default segment
+    frees."""
     libc = _ctypes.CDLL(None) if _os.name == "posix" else None
     if libc is None or not hasattr(libc, "gnu_get_libc_version"):
         return

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -24,6 +25,8 @@ import numpy as np
 __all__ = ["save_tensors", "load_tensors", "CheckpointError"]
 
 _MAGIC = b"GVMODEL1\n"
+_HEAD = len(_MAGIC) + 8  # the magic line and the manifest length
+_ALIGN = 64
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 
@@ -73,19 +76,30 @@ def _is_count(value) -> bool:
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a tensor archive, verifying the manifest checksum and bounds."""
+    """Read a tensor archive, verifying the manifest checksum and bounds.
+
+    The payload is read into one buffer that starts 64-byte aligned, and each
+    array is a view into it, so every array of an archive keeps the whole
+    buffer alive.  An entry is copied only where a view cannot serve: a byte
+    order other than the machine's, or an offset that is not a multiple of
+    its item size.
+    """
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    head = len(_MAGIC) + 8
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise CheckpointError(f"{path}: not a tensor archive (bad magic)")
-    if len(raw) < head:
-        raise CheckpointError(f"{path}: truncated header")
-    (mlen,) = struct.unpack("<Q", raw[len(_MAGIC) : head])
-    if mlen > len(raw) - head:
-        raise CheckpointError(f"{path}: truncated manifest")
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEAD)
+        if header[: len(_MAGIC)] != _MAGIC:
+            raise CheckpointError(f"{path}: not a tensor archive (bad magic)")
+        if len(header) < _HEAD:
+            raise CheckpointError(f"{path}: truncated header")
+        (mlen,) = struct.unpack("<Q", header[len(_MAGIC) :])
+        if mlen > size - _HEAD:
+            raise CheckpointError(f"{path}: truncated manifest")
+        manifest_raw = fh.read(mlen)
+        payload = _aligned_bytes(size - _HEAD - mlen)
+        if len(manifest_raw) != mlen or fh.readinto(payload) != len(payload):
+            raise CheckpointError(f"{path}: archive changed while it was read")
     try:
-        manifest = json.loads(bytes(raw[head : head + mlen]).decode("utf-8"))
+        manifest = json.loads(manifest_raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("entries"), list):
@@ -93,7 +107,6 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path}: corrupt manifest: meta is not a mapping")
-    payload = raw[head + mlen :]
     if hashlib.sha256(payload).hexdigest() != manifest.get("sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch")
     tensors = {}
@@ -105,7 +118,14 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
-def _entry_array(where: str, entry: dict, payload: memoryview) -> np.ndarray:
+def _aligned_bytes(n: int) -> np.ndarray:
+    """An uninitialised (n,) uint8 array whose first byte is 64-byte aligned."""
+    raw = np.empty(n + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + n]
+
+
+def _entry_array(where: str, entry: dict, payload: np.ndarray) -> np.ndarray:
     code, shape = entry.get("dtype"), entry.get("shape")
     offset, nbytes = entry.get("offset"), entry.get("nbytes")
     dtype = _DTYPES.get(code) if isinstance(code, str) else None
@@ -118,7 +138,9 @@ def _entry_array(where: str, entry: dict, payload: memoryview) -> np.ndarray:
     if nbytes != math.prod(shape) * dtype.itemsize:
         raise CheckpointError(f"{where}: {nbytes} bytes cannot hold shape {shape}")
     try:
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype).reshape(shape)
+        arr = payload[offset : offset + nbytes].view(dtype).reshape(shape)
     except ValueError as exc:  # zero-size arrays with out-of-range dimensions
         raise CheckpointError(f"{where}: bad shape {shape!r}: {exc}") from exc
+    if dtype.isnative and offset % dtype.itemsize == 0:
+        return arr
     return arr.astype(dtype.newbyteorder("="))

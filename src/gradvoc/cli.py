@@ -50,6 +50,7 @@ from .train import (
     TrainDataError,
     TrainError,
     TrainState,
+    check_train_config,
     load_state,
     run_training,
     save_state,
@@ -215,10 +216,12 @@ def cmd_train(args) -> int:
         config = replace(base, **settings)
     except TrainConfigError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+    model_cfg = state.model.config if resume_path else model_profile()
+    check_train_config(model_cfg, config, mel_cfg)  # before a fresh model's init and the corpus
     if resume_path:
         state.config = config
     else:
-        state = TrainState(model=DenoiserModel(model_profile(), seed=config.seed), config=config)
+        state = TrainState(model=DenoiserModel(model_cfg, seed=config.seed), config=config)
     dataset = load_corpus(data_dir, sample_rate=mel_cfg.sample_rate)
     state = run_training(
         state, dataset, mel_cfg, loss_log_path=loss_log, checkpoint_dir=ckpt_dir

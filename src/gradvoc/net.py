@@ -345,15 +345,17 @@ class DenoiserModel(Module):
         for block in self.dblocks:
             chain.append(block(chain[-1]))
 
-        n_up = len(self.ublocks)
         u = self.mel_conv(Tensor(x))
         for j, (ublock, film) in enumerate(zip(self.ublocks, self.films)):
             emb = positional_encoding(
                 sqrt_alpha_bar, self.config.ublock_channels[j], POSITIONAL_SCALE
             ).astype(dtype)
-            # held until the next FiLM replaces it: freeing it before that call
-            # raised base synthesis's peak RSS by ~6 MiB (glibc heap placement)
-            mod = film(chain[n_up - 1 - j], Tensor(emb))
+            # FiLM j reads DBlock-chain output n_up-1-j, always the last one
+            # left, which is freed once read (a tape still holds it).  Its own
+            # output is held until the next FiLM replaces it: freeing it before
+            # that call raised base synthesis's peak RSS by ~6 MiB (glibc heap
+            # placement)
+            mod = film(chain.pop(), Tensor(emb))
             u = ublock(u, mod)
         return self.post_conv(u)
 

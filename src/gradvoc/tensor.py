@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 _CONV_KERNEL_SIZES = (1, 3, 5)
+# the most bytes of column matrix a conv builds at once; see ``conv1d``
+COLUMN_TILE_BYTES = 2 << 20
+# values per block of affine_leaky_relu's in-place activation
+_LEAKY_BLOCK = 1 << 16
 _TRACKING = contextvars.ContextVar("gradvoc_tracking", default=True)
 
 
@@ -205,42 +209,59 @@ def _offsets(kernel: int, dilation: int) -> tuple:
     return tuple((k - kernel // 2) * dilation for k in range(kernel))
 
 
-def _taps(t: int, offsets) -> tuple:
+def _taps(t: int, offsets, start: int = 0, stop: int | None = None) -> tuple:
     """For each tap k that reads the signal, the slices ``(k, steps, inputs)``
-    of output steps and the input samples they meet: step i of tap k meets
-    input ``i + offsets[k]``, and the steps outside ``steps`` read
-    padding."""
+    of output steps ``start`` to ``stop`` (all by default), counted from
+    ``start``, and the input samples they meet: step i of tap k meets input
+    ``i + offsets[k]`` of a length-``t`` signal, and the steps outside
+    ``steps`` read padding."""
+    stop = t if stop is None else stop
     taps = []
     for k, offset in enumerate(offsets):
-        lo, hi = max(0, -offset), min(t, t - offset)
+        lo, hi = max(start, -offset), min(stop, t - offset)
         if lo < hi:
-            taps.append((k, slice(lo, hi), slice(lo + offset, hi + offset)))
+            taps.append((k, slice(lo - start, hi - start), slice(lo + offset, hi + offset)))
     return tuple(taps)
 
 
 @functools.lru_cache(maxsize=256)  # a few µs per call, as much as a toy conv's GEMM
-def _conv_taps(t: int, kernel: int, dilation: int):
+def _conv_taps(t: int, kernel: int, dilation: int) -> tuple:
     """``_taps`` of a zero-padded conv over a length-``t`` signal."""
     return _taps(t, _offsets(kernel, dilation))
 
 
-def _columns(x: np.ndarray, n_taps: int, taps) -> np.ndarray:
-    """The (..., C_in * n_taps, T) column matrix of x (..., C_in, T): row
-    c * n_taps + k holds the input that tap k of channel c meets at each
-    step, and zero where it meets padding."""
+def _tiles(x: np.ndarray, n_taps: int, offsets, taps) -> tuple:
+    """The runs of output steps over which to build the column matrix of x
+    (..., C_in, T) for taps at ``offsets``, each as ``(start, stop, taps)``.
+    That is one run, with the whole signal's ``taps``, when the matrix takes
+    at most ``COLUMN_TILE_BYTES`` or is x itself (one tap); else runs of as
+    many steps as fit in it, at least one, each with its own ``_taps``."""
+    t = x.shape[-1]
+    step_bytes = x.nbytes // t * n_taps
+    if n_taps == 1 or step_bytes * t <= COLUMN_TILE_BYTES:
+        return ((0, t, taps),)
+    tile = max(1, COLUMN_TILE_BYTES // step_bytes)
+    return tuple((start, min(start + tile, t), _taps(t, offsets, start, min(start + tile, t)))
+                 for start in range(0, t, tile))
+
+
+def _columns(x: np.ndarray, n_taps: int, taps, width: int) -> np.ndarray:
+    """The (..., C_in * n_taps, width) column matrix of x (..., C_in, T) over
+    the output steps of ``taps``: row c * n_taps + k holds the input that tap
+    k of channel c meets at each step, and zero where it meets padding."""
     *lead, c_in, t = x.shape
     if n_taps == 1 and taps[0][1] == slice(0, t):  # one tap that reads no padding
         return np.ascontiguousarray(x)
-    col = np.empty((*lead, c_in, n_taps, t), dtype=x.dtype)
+    col = np.empty((*lead, c_in, n_taps, width), dtype=x.dtype)
     if len(taps) < n_taps:  # a tap that meets only padding
         col.fill(0)
     for k, steps, inputs in taps:
         if steps.start:
             col[..., k, :steps.start] = 0
         col[..., k, steps] = x[..., inputs]
-        if steps.stop < t:
+        if steps.stop < width:
             col[..., k, steps.stop:] = 0
-    return col.reshape(*lead, c_in * n_taps, t)
+    return col.reshape(*lead, c_in * n_taps, width)
 
 
 def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int):
@@ -269,7 +290,7 @@ def _conv_backward(g, x: np.ndarray, weight: Tensor, bias: Tensor | None, taps,
     than kept on the tape."""
     c_out, c_in, kernel = weight.shape
     batch_axes = tuple(range(g.ndim - 2))  # () for one item
-    col = _columns(x, kernel, taps)
+    col = _columns(x, kernel, taps, x.shape[-1])
     _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
     if bias is not None:
         _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
@@ -288,14 +309,23 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
     (B, C_in, T) batch convolves each item on its own.
 
     Zero padding keeps the output length at T: the usual "same" convolution.
-    One GEMM per item multiplies the flattened weight with the input's
-    column matrix, which backward rebuilds from the input rather than
-    keeping it on the tape.
+    A GEMM multiplies the flattened weight with the input's column matrix.
+    Above ``COLUMN_TILE_BYTES`` that matrix is built one run of output steps
+    at a time (``_tiles``), and each run's GEMM writes its slice of the
+    output.  Backward rebuilds the whole column matrix from the input rather
+    than keeping it on the tape.
     """
     c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
-    taps = _conv_taps(x.data.shape[-1], kernel, dilation)
+    t = x.data.shape[-1]
     w2 = weight.data.reshape(c_out, c_in * kernel)
-    out = w2 @ _columns(x.data, kernel, taps)
+    taps = _conv_taps(t, kernel, dilation)
+    if x.data.nbytes * kernel <= COLUMN_TILE_BYTES:  # all at once: every toy conv fits
+        out = w2 @ _columns(x.data, kernel, taps, t)
+    else:
+        out = np.empty((*x.shape[:-2], c_out, t), np.result_type(w2, x.data))
+        for start, stop, tile_taps in _tiles(x.data, kernel, _offsets(kernel, dilation), taps):
+            np.matmul(w2, _columns(x.data, kernel, tile_taps, stop - start),
+                      out=out[..., start:stop])
     if bias is not None:
         out += bias.data[:, None]
 
@@ -317,10 +347,11 @@ def _upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
     factor`` through the tap at upsampled offset o.  Taps of one phase that
     meet the same sample of x merge into one; phases that meet x at the same
     offsets, tap for tap, give the same output and form one group, always a
-    run of consecutive phases.  Each group is ``(phases, n_taps, merge,
-    taps)``: the slice of its phases, its number of merged taps, the 0/1
-    (kernel, n_taps) matrix that sums the weight's taps into merged ones
-    (None when no taps merge), and the ``_taps`` of the merged taps over x.
+    run of consecutive phases.  Each group is ``(phases, offsets, merge,
+    taps)``: the slice of its phases, the offsets in x of its merged taps, the
+    0/1 (kernel, merged taps) matrix that sums the weight's taps into merged
+    ones (None when no taps merge), and the ``_taps`` of the merged taps over
+    x.
     """
     offsets = _offsets(kernel, dilation)
     groups: dict[tuple, list[int]] = {}
@@ -328,13 +359,12 @@ def _upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
         groups.setdefault(tuple((r + o) // factor for o in offsets), []).append(r)
     plan = []
     for reads, phases in groups.items():
-        merged = sorted(set(reads))
+        merged = tuple(sorted(set(reads)))
         merge = None
         if len(merged) < kernel:  # float32: a weight keeps its own dtype through the product
             merge = np.equal.outer(reads, merged).astype(np.float32)
             merge.flags.writeable = False
-        plan.append((slice(phases[0], phases[-1] + 1), len(merged), merge,
-                     _taps(t_in, merged)))
+        plan.append((slice(phases[0], phases[-1] + 1), merged, merge, _taps(t_in, merged)))
     return tuple(plan)
 
 
@@ -343,9 +373,10 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
     """``conv1d(nearest_upsample(x, factor), weight, bias, dilation=dilation)``,
     computed at the input rate.
 
-    Each group of output phases in ``_upsample_plan`` is one GEMM over x with
-    the weight's taps summed where they meet the same input sample, written
-    to every phase of the group.  With dilation 1 and a 3-tap kernel that is
+    Each group of output phases in ``_upsample_plan`` is a GEMM over x with
+    the weight's taps summed where they meet the same input sample, run on
+    ``conv1d``'s tiles of the column matrix and written to every phase of
+    the group.  With dilation 1 and a 3-tap kernel that is
     5 of 15 taps at factor 5, 5 of 9 at factor 3 and 4 of 6 at factor 2.
     Backward repeats x and takes ``conv1d``'s gradients at the upsampled
     rate, then sums each repeat's gradient.
@@ -355,13 +386,18 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
     c_out, _, kernel = _conv_shapes(x, weight, bias, dilation)
     *lead, _, t_in = x.data.shape
     out = np.empty((*lead, c_out, t_in, factor), dtype=x.data.dtype)
-    for phases, n_taps, merge, taps in _upsample_plan(t_in, kernel, factor, dilation):
-        w = weight.data if merge is None else weight.data @ merge
-        y = w.reshape(c_out, -1) @ _columns(x.data, n_taps, taps)
-        if bias is None:
-            out[..., phases] = y[..., None]
-        else:
-            np.add(y[..., None], bias.data[:, None, None], out=out[..., phases])
+    whole = x.data.nbytes * kernel <= COLUMN_TILE_BYTES  # one tile per group
+    for phases, offsets, merge, taps in _upsample_plan(t_in, kernel, factor, dilation):
+        n_taps = len(offsets)
+        w = (weight.data if merge is None else weight.data @ merge).reshape(c_out, -1)
+        tiles = ((0, t_in, taps),) if whole else _tiles(x.data, n_taps, offsets, taps)
+        for start, stop, tile_taps in tiles:
+            y = w @ _columns(x.data, n_taps, tile_taps, stop - start)
+            if bias is None:
+                out[..., start:stop, phases] = y[..., None]
+            else:
+                np.add(y[..., None], bias.data[:, None, None], out=out[..., start:stop, phases])
+            del y  # before the next tile's columns
     out = out.reshape(*lead, c_out, t_in * factor)
 
     def backward(g):
@@ -411,12 +447,13 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     def backward(g):  # the subgradient at 0 is taken as slope
         _accumulate(x, g * np.where(x.data > 0.0, one, low))
 
-    return _result(np.maximum(x.data, slope * x.data), (x,), backward)
+    out = slope * x.data
+    return _result(np.maximum(x.data, out, out=out), (x,), backward)
 
 
 def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
-    """``leaky_relu(gamma * x + xi, slope)`` with one temporary, by the
-    composed ops' float arithmetic; gamma and xi are the first and second
+    """``leaky_relu(gamma * x + xi, slope)`` in the output's own memory, by
+    the composed ops' float arithmetic; gamma and xi are the first and second
     channel halves of ``film``, (..., 2C, T) for x (..., C, T)."""
     c = x.shape[-2]
     if film.shape != (*x.shape[:-2], 2 * c, x.shape[-1]):
@@ -425,9 +462,15 @@ def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
         raise ValueError("slope must be in (0, 1)")
 
     gamma = film.data[..., :c, :]
-    out = gamma * x.data
+    out = np.multiply(gamma, x.data, order="C")
     out += film.data[..., c:, :]
-    np.maximum(out, slope * out, out=out)
+    if out.size <= _LEAKY_BLOCK:
+        np.maximum(out, slope * out, out=out)
+    else:  # slope * v one block at a time, not as a temporary the size of out
+        flat = out.reshape(-1)  # a view: out is contiguous
+        for start in range(0, flat.size, _LEAKY_BLOCK):
+            block = flat[start:start + _LEAKY_BLOCK]
+            np.maximum(block, slope * block, out=block)
     one, low = out.dtype.type(1.0), out.dtype.type(slope)
 
     def backward(g):  # the output is positive exactly where the affine map is

@@ -43,8 +43,8 @@ from .schedule import (
 from .tensor import Tensor
 
 __all__ = ["TrainConfig", "TrainState", "TrainError", "TrainConfigError", "TrainDataError",
-           "check_mel_config", "make_batch", "train_step", "run_training", "save_state",
-           "load_state"]
+           "check_mel_config", "check_train_config", "make_batch", "train_step", "run_training",
+           "save_state", "load_state"]
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +95,22 @@ def check_mel_config(model_cfg: ModelConfig, mel_cfg: MelConfig) -> None:
         raise TrainConfigError(f"mel hop {mel_cfg.hop_length} != model samples-per-frame {spf}")
     if mel_cfg.n_mels != bins:
         raise TrainConfigError(f"mel analysis has {mel_cfg.n_mels} bins, the model takes {bins}")
+
+
+def check_train_config(model_cfg: ModelConfig, config: TrainConfig, mel_cfg: MelConfig) -> None:
+    """Raise TrainConfigError unless ``config``'s segment and ``mel_cfg`` suit
+    a ``model_cfg`` model: the checks that need neither the model nor the
+    corpus."""
+    spf = model_cfg.samples_per_frame
+    if config.segment_samples % spf != 0:
+        raise TrainConfigError(
+            f"segment_samples {config.segment_samples} not divisible by the "
+            f"model's {spf} samples per mel frame"
+        )
+    if config.segment_samples < mel_cfg.win_length:
+        raise TrainConfigError(f"segment_samples {config.segment_samples} is shorter than "
+                               f"the {mel_cfg.win_length}-sample mel window")
+    check_mel_config(model_cfg, mel_cfg)
 
 
 class _FlatStore:
@@ -271,16 +287,7 @@ def run_training(
 ) -> TrainState:
     """Check the segment, corpus and log directory, then train, logging loss as CSV."""
     config = state.config
-    spf = state.model.config.samples_per_frame
-    if config.segment_samples % spf != 0:
-        raise TrainConfigError(
-            f"segment_samples {config.segment_samples} not divisible by the "
-            f"model's {spf} samples per mel frame"
-        )
-    if config.segment_samples < mel_cfg.win_length:
-        raise TrainConfigError(f"segment_samples {config.segment_samples} is shorter than "
-                               f"the {mel_cfg.win_length}-sample mel window")
-    check_mel_config(state.model.config, mel_cfg)
+    check_train_config(state.model.config, config, mel_cfg)
     usable = _usable_utterances(dataset, config.segment_samples)
     if checkpoint_dir:
         ckpt_dir = Path(checkpoint_dir).resolve()
@@ -379,6 +386,8 @@ def load_state(path) -> tuple[TrainState, MelConfig]:
 
     Raises CheckpointError unless the archive carries every metadata key, a mel
     analysis the model takes and exactly its parameters, each with its shape.
+    Parameters and moments in the model's dtype stay views of the archive's
+    one buffer (``load_tensors``); others are converted.
     """
     arrays, meta = load_tensors(path)
     missing = [key for key in _REQUIRED_META if key not in meta]
@@ -414,7 +423,7 @@ def load_state(path) -> tuple[TrainState, MelConfig]:
             raise CheckpointError(
                 f"{path}: {key} has shape {value.shape}, not {params[name].shape}"
             )
-        groups[kind][name] = value.astype(model.config.np_dtype)
+        groups[kind][name] = value.astype(model.config.np_dtype, copy=False)
     absent = sorted(set(params) - set(groups["param"]))
     if absent:
         raise CheckpointError(

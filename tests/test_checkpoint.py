@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradvoc import checkpoint
 from gradvoc.checkpoint import CheckpointError, load_tensors, save_tensors
 from gradvoc.cli import EXIT_DATA, main
 from gradvoc.dsp import MelConfig, MelSpectrogram, load_mel, save_mel
@@ -155,6 +156,62 @@ def test_any_bytes_load_or_raise_checkpoint_error(tmp_path_factory, data):
             load(path)
         except CheckpointError:
             pass
+
+
+def root_buffer(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``arr`` views."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def test_loaded_arrays_are_views_of_one_buffer(tmp_path):
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    moments = {k: np.full_like(p.data, 0.5) for k, p in model.parameters().items()}
+    state = TrainState(model=model, config=TrainConfig(), adam_m=moments, adam_v=moments)
+    save_state(tmp_path / "s.ckpt", state, mel_cfg=MelConfig.toy())
+    back, _ = load_state(tmp_path / "s.ckpt")
+    arrays = [p.data for p in back.model.parameters().values()]
+    arrays += [*back.adam_m.values(), *back.adam_v.values()]
+    buffer = root_buffer(arrays[0])
+    assert buffer.nbytes <= sum(a.nbytes for a in arrays) + 64  # the payload, once
+    for arr in arrays:
+        assert root_buffer(arr) is buffer and np.shares_memory(arr, buffer)
+        assert arr.flags.aligned and arr.flags.c_contiguous
+
+
+def test_a_flipped_payload_byte_is_refused_before_any_array_is_made(toy_ckpt, tmp_path,
+                                                                    monkeypatch):
+    data = bytearray(toy_ckpt.read_bytes())
+    data[-5] ^= 0x10
+    (tmp_path / "flipped.ckpt").write_bytes(data)
+    made = []
+    entry_array = checkpoint._entry_array
+    monkeypatch.setattr(checkpoint, "_entry_array",
+                        lambda *args: made.append(args) or entry_array(*args))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_tensors(tmp_path / "flipped.ckpt")
+    assert made == []
+    load_tensors(toy_ckpt)
+    assert made
+
+
+def test_a_float64_entry_off_its_alignment_loads_equal_values(tmp_path):
+    # three float32 values put the float64 entry at offset 12, 4 mod 8
+    tensors = {"a": np.arange(3, dtype=np.float32), "b": np.linspace(-1.0, 1.0, 5),
+               "c": np.arange(2, dtype=np.float32)}
+    save_tensors(tmp_path / "t.bin", tensors)
+    raw = (tmp_path / "t.bin").read_bytes()
+    (size,) = struct.unpack("<Q", raw[len(MAGIC):len(MAGIC) + 8])
+    manifest = json.loads(raw[len(MAGIC) + 8:len(MAGIC) + 8 + size])
+    assert [entry["offset"] for entry in manifest["entries"]] == [0, 12, 52]
+    back, _ = load_tensors(tmp_path / "t.bin")
+    for name, arr in tensors.items():
+        assert back[name].dtype == arr.dtype and np.array_equal(back[name], arr)
+        assert back[name].flags.aligned
+    # the float64 entry is copied; the float32 ones are views
+    assert root_buffer(back["a"]) is root_buffer(back["c"])
+    assert not np.shares_memory(root_buffer(back["a"]), back["b"])
 
 
 # -- the checkpoint schema ---------------------------------------------------------
@@ -403,6 +460,8 @@ def test_mel_file_is_a_tensor_archive(tmp_path):
     assert list(tensors) == ["mel"] and tensors["mel"].dtype == np.float64
     assert np.array_equal(tensors["mel"], values)
     assert MelConfig(**meta["mel_config"]) == MelConfig.toy()
+    mel = load_mel(tmp_path / "m.mel")
+    assert mel.values.dtype == np.float64 and np.array_equal(mel.values, values)
 
 
 @pytest.mark.parametrize(

@@ -417,6 +417,20 @@ def test_segment_the_model_or_corpus_cannot_use(extra, code, expected, corpus_di
     assert not (tmp_path / "ckpt").exists()
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a config refusal built a model or read the corpus")
+
+
+@pytest.mark.parametrize("extra", ["segment_samples = 255\n", "segment_samples = 8\n",
+                                   "model = base\nsegment_samples = 300\n"])
+def test_a_segment_the_model_cannot_use_is_refused_before_the_model(extra, corpus_dirs,
+                                                                   tmp_path, monkeypatch):
+    # a base model's init alone takes seconds; a config check needs none
+    monkeypatch.setattr(gradvoc.cli, "DenoiserModel", refuse)
+    monkeypatch.setattr(gradvoc.cli, "load_corpus", refuse)
+    assert main(train_argv(tmp_path, corpus_dirs[0], extra)) == EXIT_USAGE
+
+
 def test_periodic_checkpoint_synthesizes_from_wav(corpus_dirs, tmp_path):
     assert main(train_argv(tmp_path, corpus_dirs[0], "checkpoint_every = 1\n")) == EXIT_OK
     ckpt = tmp_path / "ckpt" / "step0000001.ckpt"

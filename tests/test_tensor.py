@@ -1,6 +1,8 @@
 """Reverse-mode autodiff: every op checked against central finite differences."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from gradvoc.tensor import (
     sub,
     upsample_conv1d,
 )
+from gradvoc import tensor as T
 from gradvoc.net import DBLOCK_DILATIONS, DBlock
 import oracles
 from oracles import tsum
@@ -88,6 +91,20 @@ def test_leaky_relu_values_and_grad():
     tsum(y).backward()
     # subgradient at exactly 0 is the slope (the one-sided limit from below)
     assert np.allclose(x.grad, [[1.0, 0.2, 0.2]], atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_leaky_relu_keeps_signed_zeros_and_nans(dtype):
+    """The output equals ``np.maximum(v, slope * v)`` byte for byte, also
+    for -0.0, nan and infinities, alone and as the fused op's activation."""
+    v = np.array([[-0.0, 0.0, np.nan, -np.inf, np.inf, -3.0, 3.0, 1e-300]]).astype(dtype)
+    want = np.maximum(v, dtype(0.2) * v)
+    film = np.concatenate([np.ones_like(v), np.full_like(v, -0.0)])  # 1 * v + -0.0 is v
+    with np.errstate(invalid="ignore", under="ignore"):
+        got = leaky_relu(Tensor(v), 0.2).data
+        fused = affine_leaky_relu(Tensor(v), Tensor(film), 0.2).data
+    assert got.tobytes() == want.tobytes()
+    assert fused.tobytes() == want.tobytes()
 
 
 def test_leaky_relu_identity_on_nonnegative():
@@ -475,6 +492,115 @@ def test_upsample_conv_rejects_bad_operands():
         upsample_conv1d(x, w, Tensor(np.zeros(2)), 2)
 
 
+# -- column tiles: a long conv builds its column matrix one run of steps at a time ---------
+
+
+def tile_steps(x_shape, n_taps, dtype):
+    """Output steps per column tile of a conv over x (..., C_in, T)."""
+    step_bytes = math.prod(x_shape[:-1]) * n_taps * np.dtype(dtype).itemsize
+    return max(1, T.COLUMN_TILE_BYTES // step_bytes)
+
+
+def within_rounding_of_the_oracle(got, x, w, b, dilation, terms):
+    """Each item of ``got`` against the oracle conv of that item of x, to the
+    rounding bound of each entry's own sum of ``terms`` products."""
+    eps = np.finfo(x.dtype).eps
+    bias = (None, None) if b is None else (Tensor(b), Tensor(abs(b)))
+    for item, out in zip(x.reshape(-1, *x.shape[-2:]), got.reshape(-1, *got.shape[-2:])):
+        want = oracles.conv1d(Tensor(item), Tensor(w), bias[0], dilation=dilation).data
+        sums = oracles.conv1d(Tensor(abs(item)), Tensor(abs(w)), bias[1], dilation=dilation).data
+        assert np.all(np.abs(out - want) <= terms * eps * sums)
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """A 4 KiB column tile, and the size of every column matrix built (one
+    tap's is its input)."""
+    monkeypatch.setattr(T, "COLUMN_TILE_BYTES", 4096)
+    built, columns = [], T._columns
+
+    def recorded(*args):
+        col = columns(*args)
+        if not np.shares_memory(col, args[0]):
+            built.append(col.nbytes)
+        return col
+
+    monkeypatch.setattr(T, "_columns", recorded)
+    return built
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_tiled_conv_matches_the_oracle(kernel, dtype, small_tiles):
+    """Lengths of 1, a tile - 1, a tile, a tile + 1 and 3.5 tiles, every
+    dilation 1-8, one item and a batch."""
+    rng = np.random.default_rng(120 + kernel)
+    for batch, dilation in itertools.product(((), (2,)), range(1, 9)):
+        tile = tile_steps((*batch, 3, 1), kernel, dtype)
+        for t in (1, tile - 1, tile, tile + 1, 7 * tile // 2):
+            x = rng.standard_normal((*batch, 3, t)).astype(dtype)
+            w = rng.standard_normal((2, 3, kernel)).astype(dtype)
+            b = rng.standard_normal(2).astype(dtype)
+            got = conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=dilation).data
+            assert got.dtype == dtype and got.shape == (*batch, 2, t)
+            within_rounding_of_the_oracle(got, x, w, b, dilation, 3 * kernel + 1)
+    if kernel > 1:
+        assert 0 < max(small_tiles) <= 4096
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("factor", [2, 3, 5])
+def test_tiled_upsample_conv_matches_the_oracle(factor, dtype, small_tiles):
+    """As above, for the conv of a nearest upsample, on tiles of the most
+    merged taps a group can have; summing taps first adds one rounding per
+    tap to the bound."""
+    rng = np.random.default_rng(130 + factor)
+    for kernel, batch, dilation in itertools.product((1, 3, 5), ((), (2,)), range(1, 9)):
+        tile = tile_steps((*batch, 3, 1), kernel, dtype)
+        for t in (1, tile - 1, tile, tile + 1, 7 * tile // 2):
+            x = rng.standard_normal((*batch, 3, t)).astype(dtype)
+            w = rng.standard_normal((2, 3, kernel)).astype(dtype)
+            b = rng.standard_normal(2).astype(dtype) if t % 2 else None
+            got = upsample_conv1d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                                  factor, dilation).data
+            assert got.dtype == dtype and got.shape == (*batch, 2, t * factor)
+            within_rounding_of_the_oracle(got, np.repeat(x, factor, axis=-1), w, b, dilation,
+                                          3 * kernel + kernel + 1)
+    assert 0 < max(small_tiles) <= 4096
+
+
+def test_a_conv_of_three_and_a_half_tiles_matches_the_oracle():
+    rng = np.random.default_rng(140)
+    t = 7 * tile_steps((2, 1), 5, np.float64) // 2
+    x, w, b = rng.standard_normal((2, t)), rng.standard_normal((3, 2, 5)), rng.standard_normal(3)
+    got = conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=3).data
+    within_rounding_of_the_oracle(got, x, w, b, 3, 2 * 5 + 1)
+
+
+def traced_workspace(run):
+    """Peak traced bytes of ``run()`` beyond the array it returns."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.data.nbytes
+
+
+def test_a_long_conv_works_in_one_tile_of_columns():
+    """15 MiB of columns at once before the tiles; now at most one tile."""
+    rng = np.random.default_rng(141)
+    x, w = Tensor(rng.standard_normal((16, 40000))), Tensor(rng.standard_normal((16, 16, 3)))
+    assert 3 * x.data.nbytes > 4 * T.COLUMN_TILE_BYTES  # several tiles long
+    slack = 64 * 1024
+    assert traced_workspace(lambda: conv1d(x, w, None, dilation=2)) <= T.COLUMN_TILE_BYTES + slack
+    # two merged taps per phase: each tile's GEMM product is half its columns
+    x = Tensor(rng.standard_normal((16, 20000)))
+    workspace = traced_workspace(lambda: upsample_conv1d(x, w, None, 2))
+    assert workspace <= 1.5 * T.COLUMN_TILE_BYTES + slack
+
+
 def composed_affine_leaky_relu(x, gamma, xi):
     return leaky_relu(add(mul(gamma, x), xi), 0.2)
 
@@ -483,24 +609,26 @@ def composed_affine_leaky_relu(x, gamma, xi):
 def test_affine_leaky_relu_is_byte_equal_to_the_composed_ops(dtype):
     """The fused op reads gamma and xi as the two channel halves of one film
     tensor; its output and gradients equal the composed ops' byte for byte,
-    the film's gradient being gamma's gradient stacked on xi's."""
+    the film's gradient being gamma's gradient stacked on xi's.  At 20 000
+    steps the 160 000 values take three blocks of the in-place activation."""
     rng = np.random.default_rng(92)
-    x, gamma, xi = [rng.standard_normal((2, 4, 9)).astype(dtype) for _ in range(3)]
-    x[0, 0, :3] = 0.0  # zero pre-activations take the slope, as in leaky_relu
-    xi[0, 0, :3] = 0.0
-    g = Tensor(rng.standard_normal((2, 4, 9)).astype(dtype))
-    fused = [Tensor(x.copy(), requires_grad=True),
-             Tensor(np.concatenate([gamma, xi], axis=1), requires_grad=True)]
-    composed = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, xi)]
-    got = affine_leaky_relu(*fused, 0.2)
-    want = composed_affine_leaky_relu(*composed)
-    for out in (got, want):
-        tsum(mul(out, g)).backward()
-    film_grad = np.concatenate([composed[1].grad, composed[2].grad], axis=1)
-    for a, b in ((got.data, want.data), (fused[0].grad, composed[0].grad),
-                 (fused[1].grad, film_grad)):
-        assert a.dtype == b.dtype == dtype
-        assert a.tobytes() == b.tobytes()
+    for t in (9, 20000):
+        x, gamma, xi = [rng.standard_normal((2, 4, t)).astype(dtype) for _ in range(3)]
+        x[0, 0, :3] = 0.0  # zero pre-activations take the slope, as in leaky_relu
+        xi[0, 0, :3] = 0.0
+        g = Tensor(rng.standard_normal((2, 4, t)).astype(dtype))
+        fused = [Tensor(x.copy(), requires_grad=True),
+                 Tensor(np.concatenate([gamma, xi], axis=1), requires_grad=True)]
+        composed = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, xi)]
+        got = affine_leaky_relu(*fused, 0.2)
+        want = composed_affine_leaky_relu(*composed)
+        for out in (got, want):
+            tsum(mul(out, g)).backward()
+        film_grad = np.concatenate([composed[1].grad, composed[2].grad], axis=1)
+        for a, b in ((got.data, want.data), (fused[0].grad, composed[0].grad),
+                     (fused[1].grad, film_grad)):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_affine_leaky_relu_fd_grads():

@@ -261,6 +261,29 @@ def test_resume_reproduces_uninterrupted_run(train_set, toy_mel_config, tmp_path
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_loaded_checkpoints_train_on_byte_for_byte(train_set, toy_mel_config, tmp_path, dtype):
+    """30 steps that save and reload their state every 10 steps give the
+    losses and archives of 30 uninterrupted steps, byte for byte.  A loaded
+    state's parameters and moments view the archive's buffer until its first
+    step copies them into the flat store."""
+
+    def fresh():
+        config = TrainConfig(segment_samples=SEGMENT, batch_size=2, learning_rate=1e-3, seed=6)
+        return TrainState(model=DenoiserModel(ModelConfig.toy(dtype), seed=1), config=config)
+
+    straight, straight_losses = run_steps(fresh(), train_set, toy_mel_config, 30)
+    save_state(tmp_path / "straight.ckpt", straight, mel_cfg=toy_mel_config)
+    state, losses = fresh(), []
+    for start in (0, 10, 20):
+        state, more = run_steps(state, train_set, toy_mel_config, 10, start=start)
+        losses += more
+        save_state(tmp_path / f"step{start + 10}.ckpt", state, mel_cfg=toy_mel_config)
+        state, _ = load_state(tmp_path / f"step{start + 10}.ckpt")
+    assert losses == straight_losses
+    assert (tmp_path / "step30.ckpt").read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_flat_store_steps_like_the_per_parameter_loop(train_set, toy_mel_config, tmp_path,
                                                       dtype):
     """30 steps of the flat store against the loop it replaced: losses
