@@ -15,9 +15,11 @@ read.  All payloads are little-endian.  Any malformed archive raises
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -82,10 +84,15 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     array is a view into it, so every array of an archive keeps the whole
     buffer alive.  An entry is copied only where a view cannot serve: a byte
     order other than the machine's, or an offset that is not a multiple of
-    its item size.
+    its item size.  A source that is not a regular file, such as a pipe, is
+    read whole first and then copied into that buffer.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    with open(path, "rb") as file:
+        fh, info = file, os.fstat(file.fileno())
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size: read it whole first
+            fh = io.BytesIO(file.read())
+            size = len(fh.getbuffer())
         header = fh.read(_HEAD)
         if header[: len(_MAGIC)] != _MAGIC:
             raise CheckpointError(f"{path}: not a tensor archive (bad magic)")

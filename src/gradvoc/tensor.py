@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 _CONV_KERNEL_SIZES = (1, 3, 5)
-# the most bytes of column matrix a conv builds at once; see ``conv1d``
+# the most bytes of column matrix a conv builds at once per item; see ``_tiles``
 COLUMN_TILE_BYTES = 2 << 20
 # values per block of affine_leaky_relu's in-place activation
 _LEAKY_BLOCK = 1 << 16
@@ -203,6 +203,7 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data + v.data[..., None], (x, v), backward)
 
 
+@functools.lru_cache(maxsize=64)  # every conv1d call asks
 def _offsets(kernel: int, dilation: int) -> tuple:
     """The input offset that each tap meets at output step 0: "same" zero
     padding, symmetric for the odd kernels of ``_CONV_KERNEL_SIZES``."""
@@ -232,13 +233,16 @@ def _conv_taps(t: int, kernel: int, dilation: int) -> tuple:
 
 def _tiles(x: np.ndarray, n_taps: int, offsets, taps) -> tuple:
     """The runs of output steps over which to build the column matrix of x
-    (..., C_in, T) for taps at ``offsets``, each as ``(start, stop, taps)``.
-    That is one run, with the whole signal's ``taps``, when the matrix takes
-    at most ``COLUMN_TILE_BYTES`` or is x itself (one tap); else runs of as
-    many steps as fit in it, at least one, each with its own ``_taps``."""
+    (..., C_in, T) for the ``n_taps`` taps at ``offsets``, each as ``(start,
+    stop, taps)``.  That is one run, with the whole signal's ``taps``, when
+    one item's matrix takes at most ``COLUMN_TILE_BYTES`` or is the item
+    itself (one tap); else runs of as many steps as one item's tile holds,
+    at least one, each with its own ``_taps``.  A batch's GEMM is one GEMM
+    per item, so the run width, which sets each GEMM's width, does not
+    shrink with the batch."""
     t = x.shape[-1]
-    step_bytes = x.nbytes // t * n_taps
-    if n_taps == 1 or step_bytes * t <= COLUMN_TILE_BYTES:
+    step_bytes = x.shape[-2] * x.itemsize * n_taps  # one item's columns per step
+    if step_bytes * t <= COLUMN_TILE_BYTES or n_taps == 1:
         return ((0, t, taps),)
     tile = max(1, COLUMN_TILE_BYTES // step_bytes)
     return tuple((start, min(start + tile, t), _taps(t, offsets, start, min(start + tile, t)))
@@ -310,20 +314,21 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
 
     Zero padding keeps the output length at T: the usual "same" convolution.
     A GEMM multiplies the flattened weight with the input's column matrix.
-    Above ``COLUMN_TILE_BYTES`` that matrix is built one run of output steps
-    at a time (``_tiles``), and each run's GEMM writes its slice of the
-    output.  Backward rebuilds the whole column matrix from the input rather
-    than keeping it on the tape.
+    Where one item's matrix exceeds ``COLUMN_TILE_BYTES`` it is built one
+    run of output steps at a time (``_tiles``), and each run's GEMM writes
+    its slice of the output.  Backward rebuilds the whole column matrix
+    from the input rather than keeping it on the tape.
     """
     c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
     t = x.data.shape[-1]
     w2 = weight.data.reshape(c_out, c_in * kernel)
     taps = _conv_taps(t, kernel, dilation)
-    if x.data.nbytes * kernel <= COLUMN_TILE_BYTES:  # all at once: every toy conv fits
+    tiles = _tiles(x.data, kernel, _offsets(kernel, dilation), taps)
+    if len(tiles) == 1:  # all at once: every toy conv fits
         out = w2 @ _columns(x.data, kernel, taps, t)
     else:
         out = np.empty((*x.shape[:-2], c_out, t), np.result_type(w2, x.data))
-        for start, stop, tile_taps in _tiles(x.data, kernel, _offsets(kernel, dilation), taps):
+        for start, stop, tile_taps in tiles:
             np.matmul(w2, _columns(x.data, kernel, tile_taps, stop - start),
                       out=out[..., start:stop])
     if bias is not None:
@@ -386,12 +391,10 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
     c_out, _, kernel = _conv_shapes(x, weight, bias, dilation)
     *lead, _, t_in = x.data.shape
     out = np.empty((*lead, c_out, t_in, factor), dtype=x.data.dtype)
-    whole = x.data.nbytes * kernel <= COLUMN_TILE_BYTES  # one tile per group
     for phases, offsets, merge, taps in _upsample_plan(t_in, kernel, factor, dilation):
         n_taps = len(offsets)
         w = (weight.data if merge is None else weight.data @ merge).reshape(c_out, -1)
-        tiles = ((0, t_in, taps),) if whole else _tiles(x.data, n_taps, offsets, taps)
-        for start, stop, tile_taps in tiles:
+        for start, stop, tile_taps in _tiles(x.data, n_taps, offsets, taps):
             y = w @ _columns(x.data, n_taps, tile_taps, stop - start)
             if bias is None:
                 out[..., start:stop, phases] = y[..., None]
@@ -464,13 +467,10 @@ def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
     gamma = film.data[..., :c, :]
     out = np.multiply(gamma, x.data, order="C")
     out += film.data[..., c:, :]
-    if out.size <= _LEAKY_BLOCK:
-        np.maximum(out, slope * out, out=out)
-    else:  # slope * v one block at a time, not as a temporary the size of out
-        flat = out.reshape(-1)  # a view: out is contiguous
-        for start in range(0, flat.size, _LEAKY_BLOCK):
-            block = flat[start:start + _LEAKY_BLOCK]
-            np.maximum(block, slope * block, out=block)
+    flat = out.reshape(-1)  # a view: out is contiguous
+    for start in range(0, flat.size, _LEAKY_BLOCK):  # no temporary the size of out
+        block = flat[start:start + _LEAKY_BLOCK]
+        np.maximum(block, slope * block, out=block)
     one, low = out.dtype.type(1.0), out.dtype.type(slope)
 
     def backward(g):  # the output is positive exactly where the affine map is

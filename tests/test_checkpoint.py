@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import struct
+import threading
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -212,6 +214,25 @@ def test_a_float64_entry_off_its_alignment_loads_equal_values(tmp_path):
     # the float64 entry is copied; the float32 ones are views
     assert root_buffer(back["a"]) is root_buffer(back["c"])
     assert not np.shares_memory(root_buffer(back["a"]), back["b"])
+
+
+def test_an_archive_read_from_a_pipe_loads(toy_ckpt, tmp_path):
+    """A pipe (``--checkpoint <(cat x.ckpt)``) has no file size; it is read to
+    its end, as a regular file is."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(toy_ckpt.read_bytes()),
+                              daemon=True)
+    writer.start()
+    try:
+        back, meta = load_tensors(fifo)
+    finally:
+        writer.join(timeout=10)
+    want, want_meta = load_tensors(toy_ckpt)
+    assert meta == want_meta and list(back) == list(want)
+    for name, arr in want.items():
+        assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes()
+        assert back[name].flags.aligned
 
 
 # -- the checkpoint schema ---------------------------------------------------------

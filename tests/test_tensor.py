@@ -495,10 +495,9 @@ def test_upsample_conv_rejects_bad_operands():
 # -- column tiles: a long conv builds its column matrix one run of steps at a time ---------
 
 
-def tile_steps(x_shape, n_taps, dtype):
+def tile_steps(c_in, n_taps, dtype):
     """Output steps per column tile of a conv over x (..., C_in, T)."""
-    step_bytes = math.prod(x_shape[:-1]) * n_taps * np.dtype(dtype).itemsize
-    return max(1, T.COLUMN_TILE_BYTES // step_bytes)
+    return max(1, T.COLUMN_TILE_BYTES // (c_in * n_taps * np.dtype(dtype).itemsize))
 
 
 def within_rounding_of_the_oracle(got, x, w, b, dilation, terms):
@@ -514,15 +513,15 @@ def within_rounding_of_the_oracle(got, x, w, b, dilation, terms):
 
 @pytest.fixture
 def small_tiles(monkeypatch):
-    """A 4 KiB column tile, and the size of every column matrix built (one
-    tap's is its input)."""
+    """A 4 KiB column tile, and the size of one item's part of every column
+    matrix built (one tap's is its input)."""
     monkeypatch.setattr(T, "COLUMN_TILE_BYTES", 4096)
     built, columns = [], T._columns
 
     def recorded(*args):
         col = columns(*args)
         if not np.shares_memory(col, args[0]):
-            built.append(col.nbytes)
+            built.append(col.nbytes // math.prod(col.shape[:-2]))
         return col
 
     monkeypatch.setattr(T, "_columns", recorded)
@@ -536,7 +535,7 @@ def test_tiled_conv_matches_the_oracle(kernel, dtype, small_tiles):
     dilation 1-8, one item and a batch."""
     rng = np.random.default_rng(120 + kernel)
     for batch, dilation in itertools.product(((), (2,)), range(1, 9)):
-        tile = tile_steps((*batch, 3, 1), kernel, dtype)
+        tile = tile_steps(3, kernel, dtype)
         for t in (1, tile - 1, tile, tile + 1, 7 * tile // 2):
             x = rng.standard_normal((*batch, 3, t)).astype(dtype)
             w = rng.standard_normal((2, 3, kernel)).astype(dtype)
@@ -556,7 +555,7 @@ def test_tiled_upsample_conv_matches_the_oracle(factor, dtype, small_tiles):
     tap to the bound."""
     rng = np.random.default_rng(130 + factor)
     for kernel, batch, dilation in itertools.product((1, 3, 5), ((), (2,)), range(1, 9)):
-        tile = tile_steps((*batch, 3, 1), kernel, dtype)
+        tile = tile_steps(3, kernel, dtype)
         for t in (1, tile - 1, tile, tile + 1, 7 * tile // 2):
             x = rng.standard_normal((*batch, 3, t)).astype(dtype)
             w = rng.standard_normal((2, 3, kernel)).astype(dtype)
@@ -569,9 +568,25 @@ def test_tiled_upsample_conv_matches_the_oracle(factor, dtype, small_tiles):
     assert 0 < max(small_tiles) <= 4096
 
 
+def test_a_batch_is_tiled_as_its_items_are(small_tiles):
+    """A batch's GEMM is one GEMM per item, so its tiles are as wide as one
+    item's: each batched column matrix holds the batch's columns of one
+    item's tile."""
+    rng = np.random.default_rng(142)
+    x, w = rng.standard_normal((4, 3, 700)), Tensor(rng.standard_normal((2, 3, 3)))
+    for run in (lambda x: conv1d(x, w, None, dilation=2),
+                lambda x: upsample_conv1d(x, w, None, 3)):
+        run(Tensor(x[0]))
+        one = list(small_tiles)
+        small_tiles.clear()
+        run(Tensor(x))
+        assert len(one) > 1 and small_tiles == one
+        small_tiles.clear()
+
+
 def test_a_conv_of_three_and_a_half_tiles_matches_the_oracle():
     rng = np.random.default_rng(140)
-    t = 7 * tile_steps((2, 1), 5, np.float64) // 2
+    t = 7 * tile_steps(2, 5, np.float64) // 2
     x, w, b = rng.standard_normal((2, t)), rng.standard_normal((3, 2, 5)), rng.standard_normal(3)
     got = conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=3).data
     within_rounding_of_the_oracle(got, x, w, b, 3, 2 * 5 + 1)
