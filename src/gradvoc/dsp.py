@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import asdict, dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -144,12 +144,12 @@ class MelConfig:
 
     @cached_property
     def filterbank(self) -> np.ndarray:
-        """``mel_filterbank(self)``, built on first use and read-only.  It lives
-        in the instance ``__dict__``, outside the dataclass fields, so it
-        never enters ``==``, ``hash``, ``asdict`` or ``replace``."""
-        fb = mel_filterbank(self)
-        fb.flags.writeable = False
-        return fb
+        """``mel_filterbank(self)``, read-only, and one array for all equal
+        configs: a config made anew from the same values (a profile, a
+        checkpoint's metadata) finds the one built first.  It lives in the
+        instance ``__dict__``, outside the dataclass fields, so it never
+        enters ``==``, ``hash``, ``asdict`` or ``replace``."""
+        return _shared_filterbank(self)
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,13 @@ def _frame(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
         )
     padded = np.concatenate([samples, np.zeros(max(win - hop, 0))])
     return np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
+
+
+@lru_cache(maxsize=16)  # keyed by the config's value: a few MiB at most
+def _shared_filterbank(cfg: MelConfig) -> np.ndarray:
+    fb = mel_filterbank(cfg)
+    fb.flags.writeable = False
+    return fb
 
 
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:

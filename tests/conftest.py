@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gradvoc.data import generate_corpus, load_corpus
+from gradvoc import dsp
 from gradvoc.dsp import MelConfig
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.train import (
@@ -44,6 +45,13 @@ def load_perfbench(name):
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(autouse=True)
+def no_shared_filterbanks():
+    """Each test starts without the filterbanks that equal mel configs share,
+    as a new process does, so it can count the builds its own calls make."""
+    dsp._shared_filterbank.cache_clear()
 
 
 @pytest.fixture(scope="session")

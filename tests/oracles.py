@@ -1,8 +1,9 @@
 """Reference functions that only the tests use.
 
 Closed-form quantities of the diffusion process, a plain sum reduction for
-autodiff checks, a slice decimation, the padded ``tensordot`` convolution, a
-fixed-noise batch loss with its per-item loop, the per-parameter
+autodiff checks, a slice decimation, the padded ``tensordot`` convolution,
+the select, reduction and zero-filled scatter that the tensor backward used
+to take, a fixed-noise batch loss with its per-item loop, the per-parameter
 clip-and-Adam training step, the cosine-sum DCT and the per-lag loop pitch
 tracker; the library itself never needs them.
 """
@@ -135,6 +136,26 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
+
+
+def leaky_grad(g: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
+    """``g`` times the leaky ReLU's slope at x, as a select of 1 or the slope."""
+    return g * np.where(x > 0.0, x.dtype.type(1.0), x.dtype.type(slope))
+
+
+def phase_sum(g: np.ndarray, factor: int) -> np.ndarray:
+    """The sum of each run of ``factor`` steps of g along its last axis, as
+    numpy's reduction over a (..., factor) view."""
+    return g.reshape(*g.shape[:-1], -1, factor).sum(axis=-1)
+
+
+def tap_scatter(gcol: np.ndarray, taps, dtype) -> np.ndarray:
+    """A conv's input gradient from its column matrix's gradient (..., C_in,
+    K, T), as each tap's terms added in tap order into zeros."""
+    gx = np.zeros((*gcol.shape[:-2], gcol.shape[-1]), dtype)
+    for k, steps, inputs in taps:
+        gx[..., inputs] += gcol[..., k, steps]
+    return gx
 
 
 def loop_batch_loss(model, batch, config, rng) -> Tensor:

@@ -157,6 +157,17 @@ def test_filterbank_is_built_once_per_config_and_read_only():
         fb[0, 0] = 1.0
 
 
+def test_equal_configs_share_one_filterbank():
+    """A profile made anew, or a config rebuilt from a checkpoint's values,
+    finds the filterbank that the first equal config built."""
+    first, again = MelConfig(), MelConfig(**asdict(MelConfig()))
+    assert first is not again
+    assert again.filterbank is first.filterbank
+    assert MelConfig.toy().filterbank is MelConfig.toy().filterbank
+    assert MelConfig.toy().filterbank is not first.filterbank
+    assert not first.filterbank.flags.writeable
+
+
 def test_window_is_built_once_per_config_and_read_only():
     """The periodic Hann window, made on a config's first analysis and kept
     out of the dataclass fields like the filterbank."""

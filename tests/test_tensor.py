@@ -28,7 +28,7 @@ from gradvoc.tensor import (
     upsample_conv1d,
 )
 from gradvoc import tensor as T
-from gradvoc.net import DBLOCK_DILATIONS, DBlock
+from gradvoc.net import DBLOCK_DILATIONS, DBlock, DenoiserModel, ModelConfig
 import oracles
 from oracles import tsum
 
@@ -661,6 +661,86 @@ def test_concat_routes_gradients():
     fd_check(lambda a, b: mean_abs(concat([a, b])), [a, b])
 
 
+# -- backward arithmetic against the expressions it replaced ------------------------
+
+
+def with_special_values(rng, shape, dtype):
+    """Normal draws of which about one in six is nan, +-inf, +0.0 or -0.0."""
+    a = rng.standard_normal(shape)
+    pick = rng.random(shape) < 1 / 6
+    a[pick] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], pick.sum())
+    return a.astype(dtype)
+
+
+def negative_zeros(a):
+    return (a == 0) & np.signbit(a)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_leaky_grad_is_the_select_byte_for_byte(dtype):
+    """The factor is exactly 1 or the slope in the operand's dtype, so the
+    product with g (ones alone show the factor) is the select's, nan and
+    infinities included, for every slope tried in (0, 1)."""
+    rng = np.random.default_rng(150)
+    x = with_special_values(rng, (3, 5, 40), dtype)
+    x[0, 0, :3] = (0.0, -0.0, np.nan)  # no slope of 1 at zero or nan
+    slopes = [0.01, 0.1, 0.2, 0.3, 1e-30, 0.5, 1 - 1e-9, *rng.random(8)]
+    cotangents = (np.ones_like(x), with_special_values(rng, x.shape, dtype))
+    for slope, g in itertools.product(slopes, cotangents):
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            got = T._leaky_grad(g, x, slope)
+            want = oracles.leaky_grad(g, x, slope)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes(), slope
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("factor", [1, 2, 3, 5])
+def test_phase_sum_is_the_reduction_but_for_negative_zero_runs(factor, dtype):
+    """The slice sum gives numpy's reduction byte for byte, except that a
+    run of -0.0 alone sums to -0.0, where the reduction, starting from
+    +0.0, gives +0.0; that exception is written into the expected sum."""
+    rng = np.random.default_rng(151 + factor)
+    for shape in ((3, 7 * factor), (2, 3, 7 * factor)):
+        g = with_special_values(rng, shape, dtype)
+        g[..., 0, :2 * factor] = -0.0  # two runs of -0.0 alone
+        with np.errstate(invalid="ignore"):
+            got = T._phase_sum(g, factor)
+            want = oracles.phase_sum(g, factor)
+        runs = negative_zeros(g.reshape(*g.shape[:-1], -1, factor)).all(axis=-1)
+        assert runs.any() and not np.signbit(want[runs]).any()
+        want[runs] = -0.0
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tap_sum_is_the_scatter_into_zeros_but_for_negative_zero_sums(dtype):
+    """Kernels 1/3/5 at dilations 1-8, over signals shorter and longer than
+    the kernel's span, one item and a batch: the sum from the first tap
+    equals the scatter into zeros byte for byte, except that a sum of -0.0
+    terms alone stays -0.0 where the first tap reads; that exception is
+    written into the expected sum."""
+    rng = np.random.default_rng(155)
+    for kernel, dilation, t, batch in itertools.product((1, 3, 5), range(1, 9), (1, 6, 40),
+                                                        ((), (2,))):
+        taps = T._conv_taps(t, kernel, dilation)
+        gcol = with_special_values(rng, (*batch, 3, kernel, t), dtype)
+        gcol[..., 0, :, :] = -0.0  # every term of the first channel
+        with np.errstate(invalid="ignore"):
+            got = T._tap_sum(gcol, taps, dtype)
+            want = oracles.tap_scatter(gcol, taps, dtype)
+        # a sum whose terms are all -0.0 has as many -0.0 terms as terms
+        sums = (oracles.tap_scatter(negative_zeros(gcol).astype(float), taps, float)
+                == oracles.tap_scatter(np.ones(gcol.shape), taps, float))
+        reads = taps[0][2]  # the inputs that the first tap reads
+        sums[..., :reads.start] = sums[..., reads.stop:] = False
+        assert sums.any() and not np.signbit(want[sums]).any()
+        want[sums] = -0.0
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes(), (kernel, dilation, t, batch)
+
+
 # -- engine mechanics --------------------------------------------------------------
 
 
@@ -674,6 +754,34 @@ def test_backward_twice_rejected():
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
+
+
+def test_backward_frees_the_graph_as_it_goes():
+    """A node that has passed its gradient on keeps no grad, parents or
+    closure, so the backward of a toy batch (4 x 1024 samples, a 3.7 MiB
+    tape) peaks at under half its tape, where it peaked above the whole
+    tape when every intermediate kept its gradient until the caller
+    dropped the graph; by its end the tape is gone, though the caller still
+    holds the loss.  Leaves keep their gradients."""
+    model = DenoiserModel(ModelConfig.toy(), seed=0)
+    rng = np.random.default_rng(160)
+    y, mel = rng.standard_normal((4, 1024)), rng.standard_normal((4, 8, 256))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = model.forward(y, mel, np.full(4, 0.5))
+        loss = mean_abs(out)
+        tape = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        loss.backward()
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - (start + tape) <= 0.5 * tape
+    assert end - start <= 0.1 * tape
+    assert all(p.grad is not None for p in model.parameters().values())
+    assert out.grad is None and out._parents == () and out._backward is None
+    assert loss.grad is None
 
 
 def test_grad_accumulates_through_reuse():
