@@ -28,6 +28,7 @@ __all__ = [
     "MelSpectrogram",
     "WavFormatError",
     "mel_spectrogram",
+    "log_mel",
     "mel_filterbank",
     "metric_mels",
     "mfcc",
@@ -134,6 +135,11 @@ class MelConfig:
         per config, so its filterbank is built once."""
         return replace(self, hop_length=self.hop_length // 2)
 
+    def check_rate(self, sample_rate: int) -> None:
+        """Raise ValueError unless audio at ``sample_rate`` suits this analysis."""
+        if sample_rate != self.sample_rate:
+            raise ValueError(f"waveform rate {sample_rate} != config rate {self.sample_rate}")
+
     @cached_property
     def window(self) -> np.ndarray:
         """The periodic Hann analysis window of ``win_length`` samples, built
@@ -161,14 +167,15 @@ class MelSpectrogram:
 
 
 def _frame(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
-    """Right-pad by win - hop zeros and view as (n_frames, win) overlapping
-    frames: one read-only view of the padded copy, never a copy per frame."""
-    if samples.size < win:
-        raise ValueError(
-            f"signal of {samples.size} samples is shorter than one {win}-sample window"
-        )
-    padded = np.concatenate([samples, np.zeros(max(win - hop, 0))])
-    return np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
+    """Right-pad the last axis of (..., T) samples by win - hop zeros and
+    view it as (..., n_frames, win) overlapping frames: one read-only view of
+    the padded float64 copy, never a copy per frame."""
+    t = samples.shape[-1]
+    if t < win:
+        raise ValueError(f"signal of {t} samples is shorter than one {win}-sample window")
+    padded = np.zeros((*samples.shape[:-1], t + max(win - hop, 0)))
+    padded[..., :t] = samples
+    return np.lib.stride_tricks.sliding_window_view(padded, win, axis=-1)[..., ::hop, :]
 
 
 @lru_cache(maxsize=16)  # keyed by the config's value: a few MiB at most
@@ -200,18 +207,22 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     return fb
 
 
-def mel_spectrogram(y: Waveform, cfg: MelConfig) -> MelSpectrogram:
-    """STFT magnitude -> triangular mel filterbank -> floored natural log."""
-    if y.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"waveform rate {y.sample_rate} != config rate {cfg.sample_rate}"
-        )
-    frames = _frame(y.samples, cfg.win_length, cfg.hop_length)
-    windowed = frames * cfg.window[None, :]
-    spectrum = np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=1))  # magnitude
+def log_mel(samples: np.ndarray, cfg: MelConfig) -> np.ndarray:
+    """STFT magnitude -> triangular mel filterbank -> floored natural log of
+    every signal along the last axis of (..., T) samples at ``cfg``'s rate:
+    (..., n_mels, frames).  A stack of signals gives each one's values as
+    its own analysis would, byte for byte."""
+    frames = _frame(samples, cfg.win_length, cfg.hop_length)
+    windowed = frames * cfg.window
+    spectrum = np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=-1))  # magnitude
     mel = spectrum @ cfg.filterbank.T
-    values = np.log(np.maximum(mel, cfg.log_floor)).T
-    return MelSpectrogram(values=values, config=cfg)
+    return np.log(np.maximum(mel, cfg.log_floor)).swapaxes(-1, -2)
+
+
+def mel_spectrogram(y: Waveform, cfg: MelConfig) -> MelSpectrogram:
+    """``log_mel`` of one waveform at the config's rate."""
+    cfg.check_rate(y.sample_rate)
+    return MelSpectrogram(values=log_mel(y.samples, cfg), config=cfg)
 
 
 @cache

@@ -145,12 +145,17 @@ def _result(data, parents, backward):
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    """Add ``g`` to the gradient of ``t``."""
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """Add ``g`` to the gradient of ``t``.  A ``fresh`` g is an array the
+    caller has just built and hands over: when ``t`` has no gradient yet and
+    g is in its dtype, g becomes that gradient, uncopied.  Any other first
+    gradient is copied, since the caller may pass the same g on elsewhere
+    (``add`` gives one g to both operands) or g may be a view of another
+    gradient."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g if fresh and g.dtype == t.data.dtype else g.astype(t.data.dtype)
     else:
         t.grad += g
 
@@ -172,7 +177,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(b, -g, fresh=True)
 
     return _result(a.data - b.data, (a, b), backward)
 
@@ -182,8 +187,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, g * b.data, fresh=True)
+        _accumulate(b, g * a.data, fresh=True)
 
     return _result(a.data * b.data, (a, b), backward)
 
@@ -192,7 +197,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
-        _accumulate(a, g * c)
+        _accumulate(a, g * c, fresh=True)
 
     return _result(a.data * c, (a,), backward)
 
@@ -205,7 +210,7 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(x, g)
-        _accumulate(v, g.sum(axis=-1))
+        _accumulate(v, g.sum(axis=-1), fresh=True)
 
     return _result(x.data + v.data[..., None], (x, v), backward)
 
@@ -294,17 +299,19 @@ def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int):
 
 
 def _conv_backward(g, x: np.ndarray, weight: Tensor, bias: Tensor | None, taps,
-                   input_grad: bool):
+                   input_grad: bool, col: np.ndarray | None = None):
     """Accumulate the weight and bias gradients of the conv of ``x`` whose
     output has gradient ``g``, and return the gradient of ``x`` when
-    ``input_grad`` holds.  The column matrix is rebuilt from ``x`` rather
-    than kept on the tape."""
+    ``input_grad`` holds.  ``col`` is x's whole column matrix when the
+    forward kept it; else it is rebuilt from ``x``."""
     c_out, c_in, kernel = weight.shape
     batch_axes = tuple(range(g.ndim - 2))  # () for one item
-    col = _columns(x, kernel, taps, x.shape[-1])
-    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
+    if col is None:
+        col = _columns(x, kernel, taps, x.shape[-1])
+    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape),
+                fresh=True)
     if bias is not None:
-        _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
+        _accumulate(bias, g.sum(axis=(*batch_axes, -1)), fresh=True)
     if not input_grad:
         return None
     w2 = weight.data.reshape(c_out, c_in * kernel)
@@ -339,16 +346,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
     A GEMM multiplies the flattened weight with the input's column matrix.
     Where one item's matrix exceeds ``COLUMN_TILE_BYTES`` it is built one
     run of output steps at a time (``_tiles``), and each run's GEMM writes
-    its slice of the output.  Backward rebuilds the whole column matrix
-    from the input rather than keeping it on the tape.
+    its slice of the output.  A matrix built whole stays on the tape for
+    backward's weight gradient; a tiled one is rebuilt whole there, so a
+    long conv holds no more than its input until backward reaches it.
     """
     c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
     t = x.data.shape[-1]
     w2 = weight.data.reshape(c_out, c_in * kernel)
     taps = _conv_taps(t, kernel, dilation)
     tiles = _tiles(x.data, kernel, _offsets(kernel, dilation), taps)
+    col = None
     if len(tiles) == 1:  # all at once: every toy conv fits
-        out = w2 @ _columns(x.data, kernel, taps, t)
+        col = _columns(x.data, kernel, taps, t)
+        out = w2 @ col
     else:
         out = np.empty((*x.shape[:-2], c_out, t), np.result_type(w2, x.data))
         for start, stop, tile_taps in tiles:
@@ -358,9 +368,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
         out += bias.data[:, None]
 
     def backward(g):
-        gx = _conv_backward(g, x.data, weight, bias, taps, x.requires_grad)
+        gx = _conv_backward(g, x.data, weight, bias, taps, x.requires_grad, col)
         if gx is not None:
-            _accumulate(x, gx)
+            _accumulate(x, gx, fresh=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
@@ -431,7 +441,7 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
         up = np.repeat(x.data, factor, axis=-1)
         gx = _conv_backward(g, up, weight, bias, taps, x.requires_grad)
         if gx is not None:
-            _accumulate(x, _phase_sum(gx, factor))
+            _accumulate(x, _phase_sum(gx, factor), fresh=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward)
@@ -457,7 +467,7 @@ def nearest_upsample(x: Tensor, factor: int) -> Tensor:
         raise ValueError("factor must be >= 1")
 
     def backward(g):
-        _accumulate(x, _phase_sum(g, factor))
+        _accumulate(x, _phase_sum(g, factor), fresh=True)
 
     return _result(np.repeat(x.data, factor, axis=-1), (x,), backward)
 
@@ -473,7 +483,7 @@ def downsample(x: Tensor, factor: int) -> Tensor:
     def backward(g):
         gx = np.zeros_like(x.data)
         gx[..., ::factor] = g
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _result(np.ascontiguousarray(x.data[..., ::factor]), (x,), backward)
 
@@ -499,7 +509,7 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
         raise ValueError("slope must be in (0, 1)")
 
     def backward(g):
-        _accumulate(x, _leaky_grad(g, x.data, slope))
+        _accumulate(x, _leaky_grad(g, x.data, slope), fresh=True)
 
     out = slope * x.data
     return _result(np.maximum(x.data, out, out=out), (x,), backward)
@@ -525,8 +535,8 @@ def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
 
     def backward(g):  # the output is positive exactly where the affine map is
         g = _leaky_grad(g, out, slope)
-        _accumulate(film, np.concatenate([g * x.data, g], axis=-2))
-        _accumulate(x, g * gamma)
+        _accumulate(film, np.concatenate([g * x.data, g], axis=-2), fresh=True)
+        _accumulate(x, g * gamma, fresh=True)
 
     return _result(out, (x, film), backward)
 
@@ -549,7 +559,7 @@ def mean_abs(x: Tensor) -> Tensor:
     n = x.data.size
 
     def backward(g):
-        _accumulate(x, (float(g) / n) * np.sign(x.data))
+        _accumulate(x, (float(g) / n) * np.sign(x.data), fresh=True)
 
     return _result(np.mean(np.abs(x.data)), (x,), backward)
 

@@ -31,7 +31,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import CheckpointError, load_tensors, save_tensors
 from .diffusion import forward_diffuse
-from .dsp import MelConfig, Waveform, mel_spectrogram
+from .dsp import MelConfig, Waveform, log_mel
+from .dsp import mel_spectrogram  # noqa: F401  a name perfbench's traced run wraps here
 from .net import DBLOCK_DILATIONS, LEAKY_SLOPE, POSITIONAL_SCALE, DenoiserModel, ModelConfig
 from .schedule import (
     NoiseSchedule,
@@ -191,9 +192,11 @@ def make_batch(
     segment_samples: int,
     mel_cfg: MelConfig,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Uniformly crop mel-frame-aligned segments and their ground-truth mels.
+    """Uniformly crop mel-frame-aligned segments and their ground-truth mels,
+    the mels from one ``log_mel`` of the stacked crops.
 
-    Utterances shorter than one segment are skipped with a warning.
+    Utterances shorter than one segment are skipped with a warning; a drawn
+    utterance at another rate than ``mel_cfg``'s raises ValueError.
     """
     hop = mel_cfg.hop_length
     if segment_samples % hop != 0:
@@ -201,15 +204,14 @@ def make_batch(
             f"segment of {segment_samples} samples not divisible by hop {hop}"
         )
     usable = _usable_utterances(dataset, segment_samples)
-    batch = []
-    for _ in range(batch_size):
+    crops = np.empty((batch_size, segment_samples))
+    for crop in crops:
         utt = usable[int(rng.integers(len(usable)))]
+        mel_cfg.check_rate(utt.sample_rate)
         max_frame_offset = (len(utt) - segment_samples) // hop
         offset = hop * int(rng.integers(max_frame_offset + 1))
-        y0 = utt.samples[offset : offset + segment_samples]
-        mel = mel_spectrogram(Waveform(y0, utt.sample_rate), mel_cfg)
-        batch.append((y0, mel.values))
-    return batch
+        crop[:] = utt.samples[offset : offset + segment_samples]
+    return list(zip(crops, log_mel(crops, mel_cfg)))
 
 
 def _draw_noise_level(config: TrainConfig, rng: np.random.Generator) -> float:

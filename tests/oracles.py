@@ -3,9 +3,11 @@
 Closed-form quantities of the diffusion process, a plain sum reduction for
 autodiff checks, a slice decimation, the padded ``tensordot`` convolution,
 the select, reduction and zero-filled scatter that the tensor backward used
-to take, a fixed-noise batch loss with its per-item loop, the per-parameter
-clip-and-Adam training step, the cosine-sum DCT and the per-lag loop pitch
-tracker; the library itself never needs them.
+to take, the gradient accumulation that copies every first gradient and the
+conv backward that rebuilds its column matrix, a fixed-noise batch loss with
+its per-item loop, the per-parameter clip-and-Adam training step, the
+cosine-sum DCT and the per-lag loop pitch tracker; the library itself never
+needs them.
 """
 
 import math
@@ -24,7 +26,7 @@ from gradvoc.dsp import (
 )
 from gradvoc import tensor as T
 from gradvoc.diffusion import forward_diffuse
-from gradvoc.tensor import Tensor, _accumulate, _result
+from gradvoc.tensor import Tensor, _accumulate, _columns, _result, _tap_sum
 from gradvoc.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -156,6 +158,31 @@ def tap_scatter(gcol: np.ndarray, taps, dtype) -> np.ndarray:
     for k, steps, inputs in taps:
         gx[..., inputs] += gcol[..., k, steps]
     return gx
+
+
+def accumulate_copying(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """``tensor._accumulate`` that copies every first gradient, fresh or not."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g.astype(t.data.dtype, copy=True)
+    else:
+        t.grad += g
+
+
+def conv_backward_rebuilt(g, x, weight, bias, taps, input_grad, col=None):
+    """``tensor._conv_backward`` that ignores a kept column matrix and
+    rebuilds it from ``x``."""
+    c_out, c_in, kernel = weight.shape
+    batch_axes = tuple(range(g.ndim - 2))
+    col = _columns(x, kernel, taps, x.shape[-1])
+    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
+    if bias is not None:
+        _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
+    if not input_grad:
+        return None
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, g.shape[-1]), taps, x.dtype)
 
 
 def loop_batch_loss(model, batch, config, rng) -> Tensor:

@@ -1,26 +1,32 @@
 """Dispatch guard: the Python and C calls of one toy forward and one toy
-training step stay near today's counts.
+training step stay near today's counts, and a step builds each conv's column
+matrix once.
 
 The toy workloads are bound by per-call overhead, not arithmetic, so a change
 that adds calls per op or per item (a per-item loop in place of the batch
 axis, say) shows here as a failed test rather than only as a slower
 benchmark.  The counts are deterministic for a given Python and numpy; each
-pin allows 10 % above the count measured when it was set.
+call pin allows 10 % above the count measured when it was set.
 """
 
 import sys
 
 import numpy as np
 
+from gradvoc import tensor as T
 from gradvoc.dsp import MelConfig, Waveform, mel_spectrogram
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.train import TrainConfig, TrainState, train_step
 
 # measured with Python 3.11 and numpy 2.4: 680 calls per forward when pinned
-# (733 since), 2560 per step
+# (733 since), 2454 per step
 FORWARD_CALLS = 680
-STEP_CALLS = 2560
+STEP_CALLS = 2454
 SLACK = 1.1
+# column matrices per toy step: one per conv1d (19), whose backward reuses it,
+# and for each of the two upsample convs one per phase group (2) in forward
+# and one at the upsampled rate in backward
+COLUMN_BUILDS = 25
 
 
 def count_calls(fn) -> int:
@@ -63,3 +69,13 @@ def test_one_toy_training_step_stays_lean():
     train_step(state, batch, np.random.default_rng(1))
     calls = count_calls(lambda: train_step(state, batch, np.random.default_rng(1)))
     assert calls <= SLACK * STEP_CALLS, calls
+
+
+def test_a_toy_training_step_builds_each_column_matrix_once(monkeypatch):
+    _, _, batch = toy_inputs()
+    state = TrainState(model=DenoiserModel(ModelConfig.toy(), seed=0),
+                       config=TrainConfig(batch_size=4, segment_samples=256))
+    built, columns = [], T._columns
+    monkeypatch.setattr(T, "_columns", lambda *args: built.append(args) or columns(*args))
+    train_step(state, batch, np.random.default_rng(1))
+    assert len(built) == COLUMN_BUILDS

@@ -28,6 +28,7 @@ from gradvoc.dsp import (
     WavFormatError,
     ffe,
     load_mel,
+    log_mel,
     ls_mse,
     mcd,
     mel_filterbank,
@@ -40,6 +41,7 @@ from gradvoc.dsp import (
     wav_write,
     _dct_matrix,
     _fast_len,
+    _frame,
     _pitch_hop,
 )
 from oracles import dct2_ortho
@@ -194,6 +196,28 @@ def test_mel_config_rejects_values_it_cannot_analyse_with(change):
 def test_too_short_signal_rejected():
     with pytest.raises(ValueError):
         mel_spectrogram(Waveform(np.zeros(100), SR), MelConfig())
+
+
+def test_a_short_stack_of_signals_reports_one_signals_length():
+    for run in (lambda: _frame(np.zeros((3, 10)), 32, 4),
+                lambda: log_mel(np.zeros((3, 10)), MelConfig.toy())):
+        with pytest.raises(ValueError, match="signal of 10 samples is shorter than one "
+                                             "32-sample window"):
+            run()
+
+
+@pytest.mark.parametrize("cfg", [MelConfig.toy(), MelConfig()], ids=["toy", "base"])
+def test_log_mel_of_a_stack_is_each_signals_own_analysis(cfg):
+    """Byte for byte, for frame counts on and off a multiple of 2, 4 and 8,
+    and a stack of stacks."""
+    rng = np.random.default_rng(20)
+    for frames in (1, 5, 8, 24):
+        signals = 0.3 * rng.standard_normal((2, 3, frames * cfg.hop_length + cfg.win_length))
+        got = log_mel(signals, cfg)
+        assert got.shape == (2, 3, cfg.n_mels, signals.shape[-1] // cfg.hop_length)
+        for index in np.ndindex(2, 3):
+            want = mel_spectrogram(Waveform(signals[index], cfg.sample_rate), cfg).values
+            assert got[index].dtype == want.dtype and got[index].tobytes() == want.tobytes()
 
 
 # -- metrics -------------------------------------------------------------------------

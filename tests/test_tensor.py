@@ -616,6 +616,113 @@ def test_a_long_conv_works_in_one_tile_of_columns():
     assert workspace <= 1.5 * T.COLUMN_TILE_BYTES + slack
 
 
+# -- each piece of backward work once: kept columns, handed-over gradients ---------------
+
+
+def counted_columns(monkeypatch):
+    """Count each column matrix built, in the list returned."""
+    built, columns = [], T._columns
+
+    def counting(*args):
+        built.append(args[0].shape)
+        return columns(*args)
+
+    monkeypatch.setattr(T, "_columns", counting)
+    return built
+
+
+def kept_and_rebuilt(run, x, w, b, monkeypatch):
+    """``conv_grads`` of ``run`` as it is, with the number of column matrices
+    it built, and with every conv backward rebuilding its columns."""
+    g = np.linspace(-1.0, 1.0, w.shape[0] * x.shape[-1] * math.prod(x.shape[:-2]))
+    g = g.reshape(*x.shape[:-2], w.shape[0], x.shape[-1]).astype(x.dtype)
+    with monkeypatch.context() as m:
+        built = counted_columns(m)
+        out, grads = conv_grads(run, x, w, b, g)
+    with monkeypatch.context() as m:
+        m.setattr(T, "_conv_backward", oracles.conv_backward_rebuilt)
+        want, want_grads = conv_grads(run, x, w, b, g)
+    return [out, *grads], [want, *want_grads], len(built)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["2-D", "3-D"])
+def test_conv_backward_on_the_kept_columns_equals_the_rebuild(batch, kernel, dtype,
+                                                              monkeypatch):
+    """The forward's column matrix gives backward the rebuild's bytes, for
+    every dilation 1-8 and signals shorter than, near and past the reach of
+    the outer taps; backward builds no second matrix."""
+    rng = np.random.default_rng(150 + kernel)
+    for dilation, t in itertools.product(range(1, 9), (1, 5, 17, 40)):
+        x = rng.standard_normal((*batch, 3, t)).astype(dtype)
+        w = rng.standard_normal((4, 3, kernel)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        kept, rebuilt, built = kept_and_rebuilt(
+            lambda *leaves: conv1d(*leaves, dilation=dilation), x, w, b, monkeypatch)
+        assert built == 1
+        for got, want in zip(kept, rebuilt):
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("over", [False, True], ids=["whole", "tiled"])
+def test_only_a_conv_built_whole_keeps_its_columns(over, monkeypatch):
+    """Items of one column matrix just under ``COLUMN_TILE_BYTES`` build it
+    once for forward and backward; just over, forward builds two tiles and
+    backward rebuilds the whole matrix.  Both give the rebuild's bytes."""
+    c_in, kernel = 8, 3
+    step_bytes = c_in * kernel * 8  # one float64 item's columns per output step
+    t = T.COLUMN_TILE_BYTES // step_bytes + over
+    assert (step_bytes * t > T.COLUMN_TILE_BYTES) == over
+    rng = np.random.default_rng(160)
+    x = rng.standard_normal((2, c_in, t))
+    w, b = rng.standard_normal((2, c_in, kernel)), rng.standard_normal(2)
+    kept, rebuilt, built = kept_and_rebuilt(
+        lambda *leaves: conv1d(*leaves, dilation=2), x, w, b, monkeypatch)
+    assert built == (3 if over else 1)
+    for got, want in zip(kept, rebuilt):
+        assert got.tobytes() == want.tobytes()
+
+
+def handing_over_graph(x, p, q, w1, w2, b1, b2, w3, v):
+    """A loss whose backward runs every op, with a fan-out of x and of its
+    activation, ``add`` of two leaves and of one tensor to itself, ``sub``,
+    and ``concat`` slices."""
+    a = leaky_relu(x, 0.2)  # x is read here and below: a fan-out
+    film = conv1d(x, concat([w1, w2]), concat([b1, b2]), dilation=2)
+    u = affine_leaky_relu(a, film, 0.2)
+    d = sub(add(u, u), a)
+    e = add(add(d, x), add(p, q))
+    up = upsample_conv1d(add_channel_bias(e, v), w3, None, 2)
+    h = nearest_upsample(downsample(up, 2), 2)
+    return mean_abs(sub(scale(mul(h, h), 0.5), up))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["2-D", "3-D"])
+def test_handed_over_gradients_alias_nothing_and_equal_the_copies(batch, dtype, monkeypatch):
+    rng = np.random.default_rng(170)
+    shapes = [(*batch, 3, 12), (*batch, 3, 12), (*batch, 3, 12), (3, 3, 3), (3, 3, 3),
+              (3,), (3,), (3, 3, 3), (*batch, 3)]
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+
+    def run():
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        handing_over_graph(*leaves).backward()
+        return leaves
+
+    leaves = run()
+    for one, other in itertools.combinations(leaves, 2):
+        assert not np.shares_memory(one.grad, other.grad)
+    for one, other in itertools.product(leaves, leaves):
+        assert not np.shares_memory(one.grad, other.data)
+    with monkeypatch.context() as m:
+        m.setattr(T, "_accumulate", oracles.accumulate_copying)
+        copied = run()
+    for got, want in zip(leaves, copied):
+        assert got.grad.dtype == dtype and got.grad.tobytes() == want.grad.tobytes()
+
+
 def composed_affine_leaky_relu(x, gamma, xi):
     return leaky_relu(add(mul(gamma, x), xi), 0.2)
 

@@ -9,7 +9,7 @@ import pytest
 import gradvoc.dsp
 from gradvoc.checkpoint import CheckpointError, load_tensors, save_tensors
 from gradvoc.diffusion import forward_diffuse
-from gradvoc.dsp import Waveform, mel_filterbank
+from gradvoc.dsp import MelConfig, Waveform, mel_filterbank, mel_spectrogram
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import linear_schedule
 from gradvoc.tensor import Tensor
@@ -27,6 +27,8 @@ from gradvoc.train import (
     train_step,
 )
 from conftest import SEGMENT, TOY_SR, toy_mel
+import oracles
+from gradvoc import tensor as T
 from oracles import (
     evaluate_loss,
     loop_batch_loss,
@@ -92,6 +94,56 @@ def test_cached_analysis_stays_out_of_the_config_and_checkpoint(tmp_path):
     save_state(tmp_path / "used.ckpt", state, mel_cfg=used)
     save_state(tmp_path / "fresh.ckpt", state, mel_cfg=fresh)
     assert (tmp_path / "used.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("cfg, segment", [(toy_mel(), SEGMENT), (MelConfig(), 7200)],
+                         ids=["toy", "base"])
+def test_batch_mels_are_each_crops_own_analysis(cfg, segment):
+    """One analysis of the stacked crops gives each crop's own mel, byte for byte."""
+    rng = np.random.default_rng(5)
+    lengths = (segment, 2 * segment + 3 * cfg.hop_length, 3 * segment)
+    corpus = [Waveform(0.3 * rng.standard_normal(n), cfg.sample_rate) for n in lengths]
+    batch = make_batch(corpus, np.random.default_rng(6), 4, segment, cfg)
+    assert len(batch) == 4
+    for y0, mel in batch:
+        want = mel_spectrogram(Waveform(y0, cfg.sample_rate), cfg).values
+        assert mel.dtype == want.dtype and mel.shape == want.shape
+        assert mel.tobytes() == want.tobytes()
+
+
+def test_a_drawn_utterance_at_another_rate_raises_the_analysis_error(toy_mel_config):
+    wrong = Waveform(np.zeros(SEGMENT), 8000)
+    with pytest.raises(ValueError) as want:
+        mel_spectrogram(wrong, toy_mel_config)
+    with pytest.raises(ValueError) as got:
+        make_batch([wrong], np.random.default_rng(0), 2, SEGMENT, toy_mel_config)
+    assert str(got.value) == str(want.value) == "waveform rate 8000 != config rate 4000"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_steps_on_kept_columns_and_handed_over_gradients_equal_the_copying_rebuild(
+        dtype, train_set, monkeypatch):
+    """Losses, weights and Adam moments of 3 toy steps, byte for byte, against
+    the backward that copies every first gradient and rebuilds every column
+    matrix."""
+
+    def train():
+        config = TrainConfig(segment_samples=SEGMENT, batch_size=4, learning_rate=2e-3, seed=3)
+        state = TrainState(model=DenoiserModel(ModelConfig.toy(dtype), seed=0), config=config)
+        losses = []
+        for _ in range(3):
+            rng = step_rng(3, state.step + 1)
+            state, loss = train_step(state, make_batch(train_set, rng, 4, SEGMENT, toy_mel()),
+                                     rng)
+            losses.append(loss)
+        store = state.flat_store()
+        return [np.array(losses).tobytes()] + [a.tobytes() for a in (store.values, store.m,
+                                                                        store.v)]
+
+    got = train()
+    monkeypatch.setattr(T, "_accumulate", oracles.accumulate_copying)
+    monkeypatch.setattr(T, "_conv_backward", oracles.conv_backward_rebuilt)
+    assert got == train()
 
 
 def test_empty_dataset_rejected(toy_mel_config):
