@@ -458,6 +458,8 @@ def cmd_inspect_schedule(args) -> int:
     schedule = resolve_schedule(args.schedule)
     if args.y0:
         y0 = wav_read(args.y0).samples
+        if y0.size == 0:
+            raise DataError(f"{args.y0}: a WAV of no samples has no terminal KL per sample")
     else:
         y0 = np.array([1.0])  # unit impulse stand-in
     kl = kl_terminal_diagnostic(schedule, y0)

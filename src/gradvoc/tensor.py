@@ -5,11 +5,12 @@ convolution (also run at the input rate of a nearest-neighbor upsample
 before it), nearest-neighbor upsampling, decimation, leaky ReLU (also fused
 with the FiLM affine map before it, which reads its scale and shift from
 one tensor), joining weights, and the elementwise/reduction glue for the
-loss.  Each of them also takes a
-leading batch axis, (B, C, T), and treats every item as it would alone, so
-a training step is one graph.  The computation graph is the
-implicit tape of parent links recorded on each result; ``backward`` replays
-it in reverse topological order.
+loss.  Each of them also takes a leading batch axis, (B, C, T), and treats
+every item as it would alone, so a training step is one graph.  Both
+convolutions read how they run (their taps, their groups of output phases
+and their column tiles) from one cached ``_plan``.  The computation graph
+is the implicit tape of parent links recorded on each result; ``backward``
+replays it in reverse topological order.
 
 A tensor is tracked when its ``requires_grad`` is set: leaves set it by
 request, and an operation's result sets it, and records its parents, when
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 _CONV_KERNEL_SIZES = (1, 3, 5)
-# the most bytes of column matrix a conv builds at once per item; see ``_tiles``
+# the most bytes of column matrix a conv builds at once per item; see ``_plan``
 COLUMN_TILE_BYTES = 2 << 20
 # values per block of affine_leaky_relu's in-place activation
 _LEAKY_BLOCK = 1 << 16
@@ -215,13 +216,6 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data + v.data[..., None], (x, v), backward)
 
 
-@functools.lru_cache(maxsize=64)  # every conv1d call asks
-def _offsets(kernel: int, dilation: int) -> tuple:
-    """The input offset that each tap meets at output step 0: "same" zero
-    padding, symmetric for the odd kernels of ``_CONV_KERNEL_SIZES``."""
-    return tuple((k - kernel // 2) * dilation for k in range(kernel))
-
-
 def _taps(t: int, offsets, start: int = 0, stop: int | None = None) -> tuple:
     """For each tap k that reads the signal, the slices ``(k, steps, inputs)``
     of output steps ``start`` to ``stop`` (all by default), counted from
@@ -237,28 +231,53 @@ def _taps(t: int, offsets, start: int = 0, stop: int | None = None) -> tuple:
     return tuple(taps)
 
 
-@functools.lru_cache(maxsize=256)  # a few µs per call, as much as a toy conv's GEMM
-def _conv_taps(t: int, kernel: int, dilation: int) -> tuple:
-    """``_taps`` of a zero-padded conv over a length-``t`` signal."""
-    return _taps(t, _offsets(kernel, dilation))
+@functools.lru_cache(maxsize=512)  # a few µs per call, as much as a toy conv's GEMM
+def _plan(t: int, kernel: int, dilation: int, factor: int, step_bytes: int,
+          tile_bytes: int) -> tuple:
+    """How a conv of ``kernel`` taps at ``dilation`` runs over x (length
+    ``t``) repeated ``factor`` times; a plain conv is factor 1.
 
+    Output step ``factor * i + r`` (phase r) meets x at ``i + (r + o) //
+    factor`` through the tap at upsampled offset o, for "same" zero padding,
+    symmetric for the odd kernels of ``_CONV_KERNEL_SIZES``.  Taps of one
+    phase that meet the same sample of x merge into one; phases that meet x
+    at the same offsets, tap for tap, give the same output and form one
+    group, always a run of consecutive phases.  Each group is ``(phases,
+    n_taps, merge, taps, tiles)``: the slice of its phases, its number of
+    merged taps, the 0/1 (kernel, n_taps) matrix that sums the weight's taps
+    into merged ones (None when no taps merge), the ``_taps`` of the merged
+    taps over x, and the runs of output steps over which to build x's column
+    matrix, each as ``(start, stop, taps)``.
 
-def _tiles(x: np.ndarray, n_taps: int, offsets, taps) -> tuple:
-    """The runs of output steps over which to build the column matrix of x
-    (..., C_in, T) for the ``n_taps`` taps at ``offsets``, each as ``(start,
-    stop, taps)``.  That is one run, with the whole signal's ``taps``, when
-    one item's matrix takes at most ``COLUMN_TILE_BYTES`` or is the item
-    itself (one tap); else runs of as many steps as one item's tile holds,
-    at least one, each with its own ``_taps``.  A batch's GEMM is one GEMM
-    per item, so the run width, which sets each GEMM's width, does not
-    shrink with the batch."""
-    t = x.shape[-1]
-    step_bytes = x.shape[-2] * x.itemsize * n_taps  # one item's columns per step
-    if step_bytes * t <= COLUMN_TILE_BYTES or n_taps == 1:
-        return ((0, t, taps),)
-    tile = max(1, COLUMN_TILE_BYTES // step_bytes)
-    return tuple((start, min(start + tile, t), _taps(t, offsets, start, min(start + tile, t)))
-                 for start in range(0, t, tile))
+    One item of x holds ``step_bytes`` of one tap's columns per output step
+    (0 asks for no tiles).  A group has one run, with the whole signal's
+    taps, when one item's matrix takes at most ``tile_bytes`` or is the item
+    itself (one tap); else runs of as many steps as one item's tile holds, at
+    least one, each with its own ``_taps``.  A batch's GEMM is one GEMM per
+    item, so the run width, which sets each GEMM's width, does not shrink
+    with the batch.
+    """
+    offsets = [(k - kernel // 2) * dilation for k in range(kernel)]
+    groups: dict[tuple, list[int]] = {}
+    for r in range(factor):
+        groups.setdefault(tuple((r + o) // factor for o in offsets), []).append(r)
+    plan = []
+    for reads, phases in groups.items():
+        merged = tuple(sorted(set(reads)))
+        n_taps = len(merged)
+        merge = None
+        if n_taps < kernel:  # float32: a weight keeps its own dtype through the product
+            merge = np.equal.outer(reads, merged).astype(np.float32)
+            merge.flags.writeable = False
+        taps = _taps(t, merged)
+        tiles = ((0, t, taps),)
+        if step_bytes * n_taps * t > tile_bytes and n_taps > 1:
+            tile = max(1, tile_bytes // (step_bytes * n_taps))
+            tiles = tuple((start, min(start + tile, t),
+                           _taps(t, merged, start, min(start + tile, t)))
+                          for start in range(0, t, tile))
+        plan.append((slice(phases[0], phases[-1] + 1), n_taps, merge, taps, tiles))
+    return tuple(plan)
 
 
 def _columns(x: np.ndarray, n_taps: int, taps, width: int) -> np.ndarray:
@@ -345,16 +364,17 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
     Zero padding keeps the output length at T: the usual "same" convolution.
     A GEMM multiplies the flattened weight with the input's column matrix.
     Where one item's matrix exceeds ``COLUMN_TILE_BYTES`` it is built one
-    run of output steps at a time (``_tiles``), and each run's GEMM writes
-    its slice of the output.  A matrix built whole stays on the tape for
-    backward's weight gradient; a tiled one is rebuilt whole there, so a
-    long conv holds no more than its input until backward reaches it.
+    run of output steps at a time (the tiles of its ``_plan``), and each
+    run's GEMM writes its slice of the output.  A matrix built whole stays
+    on the tape for backward's weight gradient; a tiled one is rebuilt
+    whole there, so a long conv holds no more than its input until backward
+    reaches it.
     """
     c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
     t = x.data.shape[-1]
     w2 = weight.data.reshape(c_out, c_in * kernel)
-    taps = _conv_taps(t, kernel, dilation)
-    tiles = _tiles(x.data, kernel, _offsets(kernel, dilation), taps)
+    [(_, _, _, taps, tiles)] = _plan(t, kernel, dilation, 1, c_in * x.data.itemsize,
+                                     COLUMN_TILE_BYTES)
     col = None
     if len(tiles) == 1:  # all at once: every toy conv fits
         col = _columns(x.data, kernel, taps, t)
@@ -376,58 +396,28 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
 
 
-@functools.lru_cache(maxsize=256)
-def _upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
-    """The polyphase split of a conv over x (length ``t_in``) repeated
-    ``factor`` times.
-
-    Output step ``factor * i + r`` (phase r) meets x at ``i + (r + o) //
-    factor`` through the tap at upsampled offset o.  Taps of one phase that
-    meet the same sample of x merge into one; phases that meet x at the same
-    offsets, tap for tap, give the same output and form one group, always a
-    run of consecutive phases.  Each group is ``(phases, offsets, merge,
-    taps)``: the slice of its phases, the offsets in x of its merged taps, the
-    0/1 (kernel, merged taps) matrix that sums the weight's taps into merged
-    ones (None when no taps merge), and the ``_taps`` of the merged taps over
-    x.
-    """
-    offsets = _offsets(kernel, dilation)
-    groups: dict[tuple, list[int]] = {}
-    for r in range(factor):
-        groups.setdefault(tuple((r + o) // factor for o in offsets), []).append(r)
-    plan = []
-    for reads, phases in groups.items():
-        merged = tuple(sorted(set(reads)))
-        merge = None
-        if len(merged) < kernel:  # float32: a weight keeps its own dtype through the product
-            merge = np.equal.outer(reads, merged).astype(np.float32)
-            merge.flags.writeable = False
-        plan.append((slice(phases[0], phases[-1] + 1), merged, merge, _taps(t_in, merged)))
-    return tuple(plan)
-
-
 def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
                     dilation: int = 1) -> Tensor:
     """``conv1d(nearest_upsample(x, factor), weight, bias, dilation=dilation)``,
     computed at the input rate.
 
-    Each group of output phases in ``_upsample_plan`` is a GEMM over x with
-    the weight's taps summed where they meet the same input sample, run on
-    ``conv1d``'s tiles of the column matrix and written to every phase of
-    the group.  With dilation 1 and a 3-tap kernel that is
+    Each group of output phases in its ``_plan`` is a GEMM over x with the
+    weight's taps summed where they meet the same input sample, run on the
+    group's tiles of the column matrix and written to every phase of the
+    group.  With dilation 1 and a 3-tap kernel that is
     5 of 15 taps at factor 5, 5 of 9 at factor 3 and 4 of 6 at factor 2.
     Backward repeats x and takes ``conv1d``'s gradients at the upsampled
     rate, then sums each repeat's gradient.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    c_out, _, kernel = _conv_shapes(x, weight, bias, dilation)
+    c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
     *lead, _, t_in = x.data.shape
     out = np.empty((*lead, c_out, t_in, factor), dtype=x.data.dtype)
-    for phases, offsets, merge, taps in _upsample_plan(t_in, kernel, factor, dilation):
-        n_taps = len(offsets)
+    plan = _plan(t_in, kernel, dilation, factor, c_in * x.data.itemsize, COLUMN_TILE_BYTES)
+    for phases, n_taps, merge, _, tiles in plan:
         w = (weight.data if merge is None else weight.data @ merge).reshape(c_out, -1)
-        for start, stop, tile_taps in _tiles(x.data, n_taps, offsets, taps):
+        for start, stop, tile_taps in tiles:
             y = w @ _columns(x.data, n_taps, tile_taps, stop - start)
             if bias is None:
                 out[..., start:stop, phases] = y[..., None]
@@ -437,7 +427,7 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
     out = out.reshape(*lead, c_out, t_in * factor)
 
     def backward(g):
-        taps = _conv_taps(t_in * factor, kernel, dilation)
+        taps = _plan(t_in * factor, kernel, dilation, 1, 0, 0)[0][3]  # untiled
         up = np.repeat(x.data, factor, axis=-1)
         gx = _conv_backward(g, up, weight, bias, taps, x.requires_grad)
         if gx is not None:

@@ -22,6 +22,7 @@ of an uninterrupted run.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -259,7 +260,7 @@ def train_step(
     sq = 0.0
     for span in store.spans:
         sq += float(squares[span].sum())
-    norm = np.sqrt(sq)
+    norm = math.sqrt(sq)  # a Python float: Adam runs in the store's dtype, clipped or not
     clip = min(1.0, CLIP_NORM / norm) if norm > CLIP_NORM else 1.0
 
     state.step += 1
@@ -409,7 +410,9 @@ def load_state(path) -> tuple[TrainState, MelConfig]:
             training_prior=schedule_from_text(meta["training_prior"]),
             discrete_schedule=None if discrete is None else schedule_from_text(discrete),
         )
-        step = int(meta["step"])
+        step = meta["step"]
+        if type(step) is not int or step < 0:  # bool is not int here
+            raise ValueError(f"step must be a non-negative integer, got {step!r}")
         mel_cfg = MelConfig(**meta["mel_config"])
         check_mel_config(model.config, mel_cfg)
     except (AttributeError, TypeError, ValueError, TrainError) as exc:

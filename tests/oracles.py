@@ -2,12 +2,13 @@
 
 Closed-form quantities of the diffusion process, a plain sum reduction for
 autodiff checks, a slice decimation, the padded ``tensordot`` convolution,
-the select, reduction and zero-filled scatter that the tensor backward used
-to take, the gradient accumulation that copies every first gradient and the
-conv backward that rebuilds its column matrix, a fixed-noise batch loss with
-its per-item loop, the per-parameter clip-and-Adam training step, the
-cosine-sum DCT and the per-lag loop pitch tracker; the library itself never
-needs them.
+the separate tap, tile and polyphase helpers that the conv ops used to
+consult, the select, reduction and zero-filled scatter that the tensor
+backward used to take, the gradient accumulation that copies every first
+gradient and the conv backward that rebuilds its column matrix, a
+fixed-noise batch loss with its per-item loop, the per-parameter
+clip-and-Adam training step, the cosine-sum DCT and the per-lag loop pitch
+tracker; the library itself never needs them.
 """
 
 import math
@@ -26,7 +27,7 @@ from gradvoc.dsp import (
 )
 from gradvoc import tensor as T
 from gradvoc.diffusion import forward_diffuse
-from gradvoc.tensor import Tensor, _accumulate, _columns, _result, _tap_sum
+from gradvoc.tensor import Tensor, _accumulate, _columns, _result, _tap_sum, _taps
 from gradvoc.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -140,6 +141,54 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
 
 
+def offsets(kernel: int, dilation: int) -> tuple:
+    """The input offset that each tap meets at output step 0: "same" zero
+    padding, symmetric for odd kernels."""
+    return tuple((k - kernel // 2) * dilation for k in range(kernel))
+
+
+def conv_taps(t: int, kernel: int, dilation: int) -> tuple:
+    """``tensor._taps`` of a zero-padded conv over a length-``t`` signal."""
+    return _taps(t, offsets(kernel, dilation))
+
+
+def tiles(x: np.ndarray, n_taps: int, tap_offsets, taps, tile_bytes: int) -> tuple:
+    """The runs ``(start, stop, taps)`` of output steps over which to build
+    the column matrix of x (..., C_in, T) for the ``n_taps`` taps at
+    ``tap_offsets``: one run with the whole signal's ``taps`` when one
+    item's matrix takes at most ``tile_bytes`` or is one tap, else runs of as
+    many steps as one item's tile holds, at least one."""
+    t = x.shape[-1]
+    step_bytes = x.shape[-2] * x.itemsize * n_taps
+    if step_bytes * t <= tile_bytes or n_taps == 1:
+        return ((0, t, taps),)
+    tile = max(1, tile_bytes // step_bytes)
+    return tuple((start, min(start + tile, t),
+                  _taps(t, tap_offsets, start, min(start + tile, t)))
+                 for start in range(0, t, tile))
+
+
+def upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
+    """The polyphase split of a conv over x (length ``t_in``) repeated
+    ``factor`` times, as groups ``(phases, offsets, merge, taps)``: the
+    slice of a run of phases that meet x at the same offsets, those offsets
+    with the taps that meet one sample merged, the float32 0/1 matrix that
+    sums the weight's taps into merged ones (None when none merge), and the
+    merged taps' ``tensor._taps`` over x."""
+    groups: dict[tuple, list[int]] = {}
+    for r in range(factor):
+        groups.setdefault(tuple((r + o) // factor for o in offsets(kernel, dilation)),
+                          []).append(r)
+    plan = []
+    for reads, phases in groups.items():
+        merged = tuple(sorted(set(reads)))
+        merge = None
+        if len(merged) < kernel:
+            merge = np.equal.outer(reads, merged).astype(np.float32)
+        plan.append((slice(phases[0], phases[-1] + 1), merged, merge, _taps(t_in, merged)))
+    return tuple(plan)
+
+
 def leaky_grad(g: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
     """``g`` times the leaky ReLU's slope at x, as a select of 1 or the slope."""
     return g * np.where(x > 0.0, x.dtype.type(1.0), x.dtype.type(slope))
@@ -226,7 +275,7 @@ def loop_train_step(state, batch, rng):
     for p in params.values():
         if p.grad is not None:
             sq += float(np.sum(p.grad.astype(np.float64) ** 2))
-    norm = np.sqrt(sq)
+    norm = math.sqrt(sq)
     clip = min(1.0, CLIP_NORM / norm) if norm > CLIP_NORM else 1.0
 
     state.step += 1

@@ -205,6 +205,10 @@ DATA_ERRORS = {
     "synth-mel-inf": lambda ckpt, held, tmp: (
         synth_argv(ckpt, toy_mel(tmp, mel_with(-np.inf)), tmp),
         "x.mel: mel values must be finite"),
+    # its KL per sample divided by zero
+    "inspect-empty-y0": lambda ckpt, held, tmp: (
+        ["inspect-schedule", "manual6", "--y0", str(write_tone(tmp / "empty.wav", 0))],
+        "empty.wav: a WAV of no samples"),
     "candidates-dir": lambda ckpt, held, tmp: (
         sweep_argv(ckpt, held, "--candidates-file", str(tmp)), "candidates file"),
 }
@@ -218,6 +222,22 @@ def test_bad_data_is_one_line_data_error(case, untrained_ckpt, corpus_dirs, tmp_
     assert code == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
+
+
+@pytest.mark.parametrize("step", [-3, True, 2.5, "4"])
+def test_a_resumed_checkpoints_step_must_be_a_count(step, untrained_ckpt, corpus_dirs, tmp_path,
+                                                    capsys):
+    """A step of -3 used to reach the step's generator and end in numpy's
+    traceback; the others were taken as 1, 2 and 4."""
+    def edit(tensors, meta):
+        meta["step"] = step
+        meta["train"]["segment_samples"] = SEGMENT  # the corpus's utterances are long enough
+
+    bad = rewrite(untrained_ckpt, tmp_path / "step.ckpt", edit)
+    code = main(train_argv(tmp_path, corpus_dirs[0], f"resume = {bad}\n"))
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: {bad}: bad checkpoint metadata: step must be "
+                                       f"a non-negative integer, got {step!r}\n")
 
 
 @pytest.mark.parametrize("command", ["synth", "sweep", "make-corpus"])

@@ -19,9 +19,9 @@ from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.train import TrainConfig, TrainState, train_step
 
 # measured with Python 3.11 and numpy 2.4: 680 calls per forward when pinned
-# (733 since), 2454 per step
+# (706 since), 2428 per step
 FORWARD_CALLS = 680
-STEP_CALLS = 2454
+STEP_CALLS = 2428
 SLACK = 1.1
 # column matrices per toy step: one per conv1d (19), whose backward reuses it,
 # and for each of the two upsample convs one per phase group (2) in forward

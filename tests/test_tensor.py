@@ -500,6 +500,33 @@ def tile_steps(c_in, n_taps, dtype):
     return max(1, T.COLUMN_TILE_BYTES // (c_in * n_taps * np.dtype(dtype).itemsize))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("factor", [1, 2, 3, 5])
+def test_the_plan_is_the_old_taps_groups_and_tiles(factor, dtype):
+    """One plan answers what the separate tap, polyphase and tile helpers
+    did, for kernels 1/3/5 at dilations 1-8, over signals shorter than, near
+    and past the reach of the outer taps and around the tile width."""
+    c_in, tile_bytes = 3, T.COLUMN_TILE_BYTES
+    for kernel, dilation in itertools.product((1, 3, 5), range(1, 9)):
+        tile = tile_steps(c_in, kernel, dtype)
+        for t in (1, 5, 17, 40, tile - 1, tile, tile + 1, 7 * tile // 2):
+            x = np.broadcast_to(np.zeros((), dtype), (c_in, t))  # its shape and itemsize
+            plan = T._plan(t, kernel, dilation, factor, c_in * x.itemsize, tile_bytes)
+            want = oracles.upsample_plan(t, kernel, factor, dilation)
+            assert len(plan) == len(want)
+            for got, (phases, offsets, merge, taps) in zip(plan, want):
+                assert got[:2] == (phases, len(offsets)) and got[3] == taps
+                assert (got[2] is None if merge is None else
+                        got[2].dtype == merge.dtype and np.array_equal(got[2], merge))
+                assert got[4] == oracles.tiles(x, len(offsets), offsets, taps, tile_bytes)
+            if factor == 1:
+                taps = oracles.conv_taps(t, kernel, dilation)
+                assert plan == ((slice(0, 1), kernel, None, taps, oracles.tiles(
+                    x, kernel, oracles.offsets(kernel, dilation), taps, tile_bytes)),)
+            untiled = T._plan(t, kernel, dilation, factor, 0, 0)
+            assert [group[4] for group in untiled] == [((0, t, group[3]),) for group in plan]
+
+
 def within_rounding_of_the_oracle(got, x, w, b, dilation, terms):
     """Each item of ``got`` against the oracle conv of that item of x, to the
     rounding bound of each entry's own sum of ``terms`` products."""
@@ -831,7 +858,7 @@ def test_tap_sum_is_the_scatter_into_zeros_but_for_negative_zero_sums(dtype):
     rng = np.random.default_rng(155)
     for kernel, dilation, t, batch in itertools.product((1, 3, 5), range(1, 9), (1, 6, 40),
                                                         ((), (2,))):
-        taps = T._conv_taps(t, kernel, dilation)
+        taps = T._plan(t, kernel, dilation, 1, 0, 0)[0][3]
         gcol = with_special_values(rng, (*batch, 3, kernel, t), dtype)
         gcol[..., 0, :, :] = -0.0  # every term of the first channel
         with np.errstate(invalid="ignore"):
