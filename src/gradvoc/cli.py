@@ -126,17 +126,22 @@ def resolve_schedule(spec: str) -> NoiseSchedule:
 # -- config file ----------------------------------------------------------------
 
 
+def _read_text(path, what: str) -> str:
+    """The text of ``path``: a file that cannot be read is a data error, and
+    bytes that are not text a usage error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a text file: {exc}") from exc
+
+
 def parse_kv_file(path) -> dict[str, str]:
     """Parse `key = value` lines, each key at most once and never with an empty
     value; comments start with '#'."""
     out, lines = {}, {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not a text file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, f"config {path}").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -333,10 +338,7 @@ def cmd_sweep(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     if args.candidates_file:
-        try:
-            lines = Path(args.candidates_file).read_text().splitlines()
-        except OSError as exc:
-            raise DataError(f"cannot read candidates file: {exc}") from exc
+        lines = _read_text(args.candidates_file, "candidates file").splitlines()
         candidates = [
             tuple(float(b) for b in resolve_schedule(line).betas)
             for line in lines

@@ -17,8 +17,8 @@ UBlock stage j is modulated by the DBlock-chain output whose temporal length
 matches that stage's post-upsample length; the noise embedding width equals
 the stage's channel count so FiLM can add it directly to the conv features.
 The exact op order inside UBlock/DBlock is frozen by golden hand-trace tests.
-A UBlock's first main conv runs at the input rate on the upsample it
-follows (``tensor.upsample_conv1d``), and its skip conv runs before the
+A UBlock's first main conv takes the upsample before it as its
+``factor`` and runs at the input rate, and its skip conv runs before the
 upsample: both give the same result as the order above for fewer FLOPs.
 
 Every layer is a ``Module``, whose ``parameters()`` finds the weights by
@@ -178,9 +178,11 @@ class Module:
 
 
 class Conv1d(Module):
-    """Convolution layer.  Its weight (c_out, c_in, kernel) and bias (c_out,)
-    start as placeholders that hold no memory, zero-stride views of one zero,
-    until ``init_weights`` draws them or a checkpoint load replaces them."""
+    """Convolution layer; a call with a ``factor`` convolves the input's
+    nearest upsample (``tensor.conv1d``).  Its weight (c_out, c_in, kernel)
+    and bias (c_out,) start as placeholders that hold no memory, zero-stride
+    views of one zero, until ``init_weights`` draws them or a checkpoint load
+    replaces them."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, bias: bool = True,
                  dilation: int = 1):
@@ -188,8 +190,8 @@ class Conv1d(Module):
         self.weight = Tensor(np.broadcast_to(0.0, (c_out, c_in, kernel)), requires_grad=True)
         self.bias = Tensor(np.broadcast_to(0.0, c_out), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias, dilation=self.dilation)
+    def __call__(self, x: Tensor, factor: int = 1) -> Tensor:
+        return T.conv1d(x, self.weight, self.bias, dilation=self.dilation, factor=factor)
 
 
 def init_weights(module: Module, rng: np.random.Generator, dtype) -> None:
@@ -234,9 +236,9 @@ class UBlock(Module):
     output ``film``.
 
     Two steps run in a cheaper order with the same result: the upsample and
-    conv(d0) are one ``upsample_conv1d`` at the input rate, and the skip's
-    1x1 conv, which commutes with a nearest upsample, runs before it (the
-    skip is upsampled only where the main branch joins it).
+    conv(d0) are one conv with the upsample's factor, run at the input rate,
+    and the skip's 1x1 conv, which commutes with a nearest upsample, runs
+    before it (the skip is upsampled only where the main branch joins it).
     """
 
     def __init__(self, c_in, c_out, factor, dilations):
@@ -250,9 +252,7 @@ class UBlock(Module):
 
     def __call__(self, x: Tensor, film: Tensor) -> Tensor:
         skip = self.skip(x)  # kept at the input rate until the add
-        h = T.leaky_relu(x, LEAKY_SLOPE)
-        h = T.upsample_conv1d(h, self.main1.weight, self.main1.bias, self.factor,
-                              self.main1.dilation)
+        h = self.main1(T.leaky_relu(x, LEAKY_SLOPE), self.factor)
         h = T.affine_leaky_relu(h, film, LEAKY_SLOPE)
         h = self.main2(h)
         first = T.add(T.nearest_upsample(skip, self.factor), h)

@@ -1,16 +1,17 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 Covers exactly the operations the denoiser network needs: 1-D dilated
-convolution (also run at the input rate of a nearest-neighbor upsample
-before it), nearest-neighbor upsampling, decimation, leaky ReLU (also fused
-with the FiLM affine map before it, which reads its scale and shift from
-one tensor), joining weights, and the elementwise/reduction glue for the
-loss.  Each of them also takes a leading batch axis, (B, C, T), and treats
-every item as it would alone, so a training step is one graph.  Both
-convolutions read how they run (their taps, their groups of output phases
-and their column tiles) from one cached ``_plan``.  The computation graph
-is the implicit tape of parent links recorded on each result; ``backward``
-replays it in reverse topological order.
+convolution (of the input or of its nearest-neighbor upsample, computed at
+the input rate), nearest-neighbor upsampling, decimation, leaky ReLU (also
+fused with the FiLM affine map before it, which reads its scale and shift
+from one tensor), joining weights, and the elementwise/reduction glue for
+the loss.  Each of them also takes a leading batch axis, (B, C, T), and
+treats every item as it would alone, so a training step is one graph.  The
+convolution reads how it runs (its taps, its groups of output phases and
+their column tiles) from one cached ``_plan``, whose groups its forward and
+its backward both walk.  The computation graph is the implicit tape of
+parent links recorded on each result; ``backward`` replays it in reverse
+topological order.
 
 A tensor is tracked when its ``requires_grad`` is set: leaves set it by
 request, and an operation's result sets it, and records its parents, when
@@ -46,7 +47,6 @@ __all__ = [
     "scale",
     "add_channel_bias",
     "conv1d",
-    "upsample_conv1d",
     "nearest_upsample",
     "downsample",
     "leaky_relu",
@@ -243,11 +243,12 @@ def _plan(t: int, kernel: int, dilation: int, factor: int, step_bytes: int,
     phase that meet the same sample of x merge into one; phases that meet x
     at the same offsets, tap for tap, give the same output and form one
     group, always a run of consecutive phases.  Each group is ``(phases,
-    n_taps, merge, taps, tiles)``: the slice of its phases, its number of
+    n_taps, merge, taps, tiles)``: the tuple of its phases, its number of
     merged taps, the 0/1 (kernel, n_taps) matrix that sums the weight's taps
     into merged ones (None when no taps merge), the ``_taps`` of the merged
     taps over x, and the runs of output steps over which to build x's column
-    matrix, each as ``(start, stop, taps)``.
+    matrix, each as ``(start, stop, taps, outs)``, where ``outs`` holds the
+    slice of the (..., T * factor) output that each phase of the run fills.
 
     One item of x holds ``step_bytes`` of one tap's columns per output step
     (0 asks for no tiles).  A group has one run, with the whole signal's
@@ -269,14 +270,15 @@ def _plan(t: int, kernel: int, dilation: int, factor: int, step_bytes: int,
         if n_taps < kernel:  # float32: a weight keeps its own dtype through the product
             merge = np.equal.outer(reads, merged).astype(np.float32)
             merge.flags.writeable = False
-        taps = _taps(t, merged)
-        tiles = ((0, t, taps),)
+        tile = t
         if step_bytes * n_taps * t > tile_bytes and n_taps > 1:
             tile = max(1, tile_bytes // (step_bytes * n_taps))
-            tiles = tuple((start, min(start + tile, t),
-                           _taps(t, merged, start, min(start + tile, t)))
-                          for start in range(0, t, tile))
-        plan.append((slice(phases[0], phases[-1] + 1), n_taps, merge, taps, tiles))
+        tiles = []
+        for start in range(0, t, tile):
+            stop = min(start + tile, t)
+            outs = tuple(slice(start * factor + r, stop * factor, factor) for r in phases)
+            tiles.append((start, stop, _taps(t, merged, start, stop), outs))
+        plan.append((tuple(phases), n_taps, merge, _taps(t, merged), tuple(tiles)))
     return tuple(plan)
 
 
@@ -299,7 +301,7 @@ def _columns(x: np.ndarray, n_taps: int, taps, width: int) -> np.ndarray:
     return col.reshape(*lead, c_in * n_taps, width)
 
 
-def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int):
+def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, factor: int):
     """Check a conv's operands; return ``weight.shape``."""
     if x.data.ndim not in (2, 3) or weight.data.ndim != 3:
         raise ValueError("conv1d expects x (C_in, T) or (B, C_in, T) and weight (C_out, C_in, K)")
@@ -312,29 +314,34 @@ def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int):
         raise ValueError(f"unsupported kernel size {kernel}")
     if dilation < 1:
         raise ValueError("dilation must be >= 1")
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
     if bias is not None and bias.data.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} != ({c_out},)")
     return c_out, c_in, kernel
 
 
-def _conv_backward(g, x: np.ndarray, weight: Tensor, bias: Tensor | None, taps,
-                   input_grad: bool, col: np.ndarray | None = None):
-    """Accumulate the weight and bias gradients of the conv of ``x`` whose
-    output has gradient ``g``, and return the gradient of ``x`` when
-    ``input_grad`` holds.  ``col`` is x's whole column matrix when the
-    forward kept it; else it is rebuilt from ``x``."""
-    c_out, c_in, kernel = weight.shape
+def _conv_backward(g, x: np.ndarray, weight: Tensor, merge, taps, input_grad: bool,
+                   col: np.ndarray | None = None):
+    """Accumulate the weight gradient of one phase group of the conv of
+    ``x``, whose phases' output gradients sum to ``g``, and return the
+    group's part of the gradient of x when ``input_grad`` holds.  ``merge``
+    and ``taps`` are the group's (see ``_plan``): the gradient of the merged
+    taps times mergeᵀ is the weight's, and x's is the tap sum over the
+    merged taps.  ``col`` is x's whole column matrix over the merged taps
+    when the forward kept it; else it is rebuilt from ``x``."""
+    c_out, c_in, _ = weight.shape
+    w = weight.data if merge is None else weight.data @ merge
+    n_taps = w.shape[-1]
     batch_axes = tuple(range(g.ndim - 2))  # () for one item
     if col is None:
-        col = _columns(x, kernel, taps, x.shape[-1])
-    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape),
-                fresh=True)
-    if bias is not None:
-        _accumulate(bias, g.sum(axis=(*batch_axes, -1)), fresh=True)
+        col = _columns(x, n_taps, taps, x.shape[-1])
+    gw = (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(c_out, c_in, n_taps)
+    _accumulate(weight, gw if merge is None else gw @ merge.T, fresh=True)
     if not input_grad:
         return None
-    w2 = weight.data.reshape(c_out, c_in * kernel)
-    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, g.shape[-1]), taps, x.dtype)
+    w2 = w.reshape(c_out, c_in * n_taps)
+    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, n_taps, g.shape[-1]), taps, x.dtype)
 
 
 def _tap_sum(gcol: np.ndarray, taps, dtype) -> np.ndarray:
@@ -357,97 +364,74 @@ def _tap_sum(gcol: np.ndarray, taps, dtype) -> np.ndarray:
     return gx
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int = 1) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int = 1,
+           factor: int = 1) -> Tensor:
     """Cross-correlation of (C_in, T) with (C_out, C_in, K) weights; a
-    (B, C_in, T) batch convolves each item on its own.
+    (B, C_in, T) batch convolves each item on its own.  A ``factor`` above 1
+    gives ``conv1d(nearest_upsample(x, factor), ...)``, computed at the input
+    rate.
 
-    Zero padding keeps the output length at T: the usual "same" convolution.
-    A GEMM multiplies the flattened weight with the input's column matrix.
-    Where one item's matrix exceeds ``COLUMN_TILE_BYTES`` it is built one
-    run of output steps at a time (the tiles of its ``_plan``), and each
-    run's GEMM writes its slice of the output.  A matrix built whole stays
-    on the tape for backward's weight gradient; a tiled one is rebuilt
-    whole there, so a long conv holds no more than its input until backward
-    reaches it.
+    Zero padding keeps the output length at T * factor: the usual "same"
+    convolution.  Each group of output phases in the conv's ``_plan`` is one
+    GEMM of the weight, with its taps summed where they meet the same input
+    sample, against x's column matrix, written to every phase of the group;
+    a plain conv is one group that sums no taps.  With dilation 1 and a
+    3-tap kernel, the groups hold 5 of 15 taps at factor 5, 5 of 9 at
+    factor 3 and 4 of 6 at factor 2.  Where one item's matrix exceeds
+    ``COLUMN_TILE_BYTES`` it is built one run of output steps at a time (the
+    group's tiles), and each run's GEMM writes its slice of the output.
+
+    Backward walks the same groups, each on the sum of its phases' output
+    gradients (one phase's is a view).  A group's matrix built whole stays
+    on the tape for backward; a tiled one is rebuilt whole there, so a long
+    conv holds no more than its input until backward reaches it.
     """
-    c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
+    c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation, factor)
     t = x.data.shape[-1]
-    w2 = weight.data.reshape(c_out, c_in * kernel)
-    [(_, _, _, taps, tiles)] = _plan(t, kernel, dilation, 1, c_in * x.data.itemsize,
-                                     COLUMN_TILE_BYTES)
-    col = None
-    if len(tiles) == 1:  # all at once: every toy conv fits
-        col = _columns(x.data, kernel, taps, t)
-        out = w2 @ col
-    else:
-        out = np.empty((*x.shape[:-2], c_out, t), np.result_type(w2, x.data))
-        for start, stop, tile_taps in tiles:
-            np.matmul(w2, _columns(x.data, kernel, tile_taps, stop - start),
-                      out=out[..., start:stop])
+    plan = _plan(t, kernel, dilation, factor, c_in * x.data.itemsize, COLUMN_TILE_BYTES)
+    out = np.empty((*x.data.shape[:-2], c_out, t * factor), x.data.dtype)
+    cols = []
+    for _, n_taps, merge, _, tiles in plan:
+        w = (weight.data if merge is None else weight.data @ merge).reshape(c_out, -1)
+        for start, stop, taps, outs in tiles:
+            col = _columns(x.data, n_taps, taps, stop - start)
+            np.matmul(w, col, out=out[..., outs[0]])
+            for phase in outs[1:]:
+                out[..., phase] = out[..., outs[0]]
+            if stop - start < t:
+                col = None  # one of several tiles: gone before the next one's columns
+        cols.append(col)
     if bias is not None:
         out += bias.data[:, None]
 
     def backward(g):
-        gx = _conv_backward(g, x.data, weight, bias, taps, x.requires_grad, col)
-        if gx is not None:
-            _accumulate(x, gx, fresh=True)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out.astype(x.data.dtype, copy=False), parents, backward)
-
-
-def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
-                    dilation: int = 1) -> Tensor:
-    """``conv1d(nearest_upsample(x, factor), weight, bias, dilation=dilation)``,
-    computed at the input rate.
-
-    Each group of output phases in its ``_plan`` is a GEMM over x with the
-    weight's taps summed where they meet the same input sample, run on the
-    group's tiles of the column matrix and written to every phase of the
-    group.  With dilation 1 and a 3-tap kernel that is
-    5 of 15 taps at factor 5, 5 of 9 at factor 3 and 4 of 6 at factor 2.
-    Backward repeats x and takes ``conv1d``'s gradients at the upsampled
-    rate, then sums each repeat's gradient.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation)
-    *lead, _, t_in = x.data.shape
-    out = np.empty((*lead, c_out, t_in, factor), dtype=x.data.dtype)
-    plan = _plan(t_in, kernel, dilation, factor, c_in * x.data.itemsize, COLUMN_TILE_BYTES)
-    for phases, n_taps, merge, _, tiles in plan:
-        w = (weight.data if merge is None else weight.data @ merge).reshape(c_out, -1)
-        for start, stop, tile_taps in tiles:
-            y = w @ _columns(x.data, n_taps, tile_taps, stop - start)
-            if bias is None:
-                out[..., start:stop, phases] = y[..., None]
-            else:
-                np.add(y[..., None], bias.data[:, None, None], out=out[..., start:stop, phases])
-            del y  # before the next tile's columns
-    out = out.reshape(*lead, c_out, t_in * factor)
-
-    def backward(g):
-        taps = _plan(t_in * factor, kernel, dilation, 1, 0, 0)[0][3]  # untiled
-        up = np.repeat(x.data, factor, axis=-1)
-        gx = _conv_backward(g, up, weight, bias, taps, x.requires_grad)
-        if gx is not None:
-            _accumulate(x, _phase_sum(gx, factor), fresh=True)
+        if bias is not None:
+            _accumulate(bias, g.sum(axis=(*range(g.ndim - 2), -1)), fresh=True)
+        for (phases, _, merge, taps, _), col in zip(plan, cols):
+            gx = _conv_backward(_phase_sum(g, factor, phases), x.data, weight, merge, taps,
+                                x.requires_grad, col)
+            if gx is not None:
+                _accumulate(x, gx, fresh=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward)
 
 
-def _phase_sum(g: np.ndarray, factor: int) -> np.ndarray:
-    """The sum of each run of ``factor`` steps of g along its last axis: the
-    gradient of a ``factor``-fold repeat.  Phases 1 to factor - 1 are added
-    in order, each as one strided slice, into a copy of phase 0, which is
-    several times faster than numpy's reduction over a (..., factor) view.
-    The values are that reduction's, ``g.reshape(..., factor).sum(-1)``,
-    byte for byte, except that a run of -0.0 alone sums to -0.0 here and to
-    +0.0 there (the reduction starts from +0.0)."""
-    out = g[..., ::factor].copy()
-    for r in range(1, factor):
-        out += g[..., r::factor]
+def _phase_sum(g: np.ndarray, factor: int, phases=None) -> np.ndarray:
+    """The sum of ``phases`` (all by default) of each run of ``factor`` steps
+    of g along its last axis: the gradient of a ``factor``-fold repeat.  One
+    phase is a strided view of g.  More are added in order, each as one
+    strided slice, into a copy of the first, which is several times faster
+    than numpy's reduction over a (..., factor) view.  The values are that
+    reduction's, ``g.reshape(..., factor)[..., phases].sum(-1)``, byte for
+    byte, except that a run of -0.0 alone sums to -0.0 here and to +0.0
+    there (the reduction starts from +0.0)."""
+    first, *rest = range(factor) if phases is None else phases
+    out = g[..., first::factor]
+    if rest:
+        out = out.copy()
+        for r in rest:
+            out += g[..., r::factor]
     return out
 
 
@@ -456,8 +440,8 @@ def nearest_upsample(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ValueError("factor must be >= 1")
 
-    def backward(g):
-        _accumulate(x, _phase_sum(g, factor), fresh=True)
+    def backward(g):  # one phase is a view of g, which x must not keep
+        _accumulate(x, _phase_sum(g, factor), fresh=factor > 1)
 
     return _result(np.repeat(x.data, factor, axis=-1), (x,), backward)
 

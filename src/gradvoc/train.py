@@ -288,7 +288,8 @@ def run_training(
     loss_log_path=None,
     checkpoint_dir=None,
 ) -> TrainState:
-    """Check the segment, corpus and log directory, then train, logging loss as CSV."""
+    """Check the segment, corpus and log directory, then train, appending
+    each step's loss to the CSV log, which opens with a header when empty."""
     config = state.config
     check_train_config(state.model.config, config, mel_cfg)
     usable = _usable_utterances(dataset, config.segment_samples)
@@ -300,7 +301,7 @@ def run_training(
             raise FileNotFoundError(f"loss_log {loss_log_path}: no directory {log_dir}")
         ckpt_dir.mkdir(parents=True, exist_ok=True)
     log_fh = open(loss_log_path, "a") if loss_log_path else None
-    if log_fh and state.step == 0:
+    if log_fh and log_fh.tell() == 0:  # a new or empty log; rows follow any others
         log_fh.write("step,loss,wall_time_s\n")
     t0 = time.monotonic()
     try:

@@ -3,9 +3,11 @@
 Closed-form quantities of the diffusion process, a plain sum reduction for
 autodiff checks, a slice decimation, the padded ``tensordot`` convolution,
 the separate tap, tile and polyphase helpers that the conv ops used to
-consult, the select, reduction and zero-filled scatter that the tensor
-backward used to take, the gradient accumulation that copies every first
-gradient and the conv backward that rebuilds its column matrix, a
+consult, the two conv ops that ``tensor.conv1d`` replaced (a plain
+column-matrix conv and a polyphase upsampling conv whose backward ran at the
+upsampled rate), the select, reduction and zero-filled scatter that the
+tensor backward used to take, the gradient accumulation that copies every
+first gradient and the conv backward that rebuilds its column matrix, a
 fixed-noise batch loss with its per-item loop, the per-parameter
 clip-and-Adam training step, the cosine-sum DCT and the per-lag loop pitch
 tracker; the library itself never needs them.
@@ -189,6 +191,91 @@ def upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
     return tuple(plan)
 
 
+def column_conv_backward(g, x, weight, bias, taps, input_grad, col=None):
+    """The backward of ``column_conv1d``: accumulate the weight and bias
+    gradients of the conv of ``x`` whose output has gradient ``g``, and
+    return the gradient of ``x`` when ``input_grad`` holds.  ``col`` is x's
+    whole column matrix when the forward kept it; else it is rebuilt."""
+    c_out, c_in, kernel = weight.shape
+    batch_axes = tuple(range(g.ndim - 2))
+    if col is None:
+        col = _columns(x, kernel, taps, x.shape[-1])
+    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape),
+                fresh=True)
+    if bias is not None:
+        _accumulate(bias, g.sum(axis=(*batch_axes, -1)), fresh=True)
+    if not input_grad:
+        return None
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, g.shape[-1]), taps, x.dtype)
+
+
+def column_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+                  dilation: int = 1) -> Tensor:
+    """``tensor.conv1d`` at factor 1 as it was before it took a factor: one
+    GEMM of the flattened weight against x's column matrix, built one run of
+    output steps at a time past ``tensor.COLUMN_TILE_BYTES`` per item, with a
+    matrix built whole kept for backward."""
+    c_out, c_in, kernel = weight.shape
+    t = x.shape[-1]
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    taps = conv_taps(t, kernel, dilation)
+    runs = tiles(x.data, kernel, offsets(kernel, dilation), taps, T.COLUMN_TILE_BYTES)
+    col = None
+    if len(runs) == 1:
+        col = _columns(x.data, kernel, taps, t)
+        out = w2 @ col
+    else:
+        out = np.empty((*x.shape[:-2], c_out, t), np.result_type(w2, x.data))
+        for start, stop, tile_taps in runs:
+            np.matmul(w2, _columns(x.data, kernel, tile_taps, stop - start),
+                      out=out[..., start:stop])
+    if bias is not None:
+        out += bias.data[:, None]
+
+    def backward(g):
+        gx = column_conv_backward(g, x.data, weight, bias, taps, x.requires_grad, col)
+        if gx is not None:
+            _accumulate(x, gx, fresh=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out.astype(x.data.dtype, copy=False), parents, backward)
+
+
+def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
+                    dilation: int = 1) -> Tensor:
+    """``conv1d(nearest_upsample(x, factor), weight, bias, dilation=dilation)``
+    as the separate op that ``tensor.conv1d`` replaced: each phase group is a
+    GEMM of the merged weight, on the group's tiles, written to every phase
+    of the group through a (..., T, factor) view; backward repeats x and
+    takes ``column_conv_backward`` at the upsampled rate, then sums each
+    repeat's gradient."""
+    c_out, c_in, kernel = weight.shape
+    *lead, _, t_in = x.shape
+    out = np.empty((*lead, c_out, t_in, factor), dtype=x.data.dtype)
+    for phases, merged, merge, taps in upsample_plan(t_in, kernel, factor, dilation):
+        w = (weight.data if merge is None else weight.data @ merge).reshape(c_out, -1)
+        for start, stop, tile_taps in tiles(x.data, len(merged), merged, taps,
+                                            T.COLUMN_TILE_BYTES):
+            y = w @ _columns(x.data, len(merged), tile_taps, stop - start)
+            if bias is None:
+                out[..., start:stop, phases] = y[..., None]
+            else:
+                np.add(y[..., None], bias.data[:, None, None], out=out[..., start:stop, phases])
+            del y  # before the next tile's columns
+    out = out.reshape(*lead, c_out, t_in * factor)
+
+    def backward(g):
+        up = np.repeat(x.data, factor, axis=-1)
+        gx = column_conv_backward(g, up, weight, bias, conv_taps(t_in * factor, kernel, dilation),
+                                  x.requires_grad)
+        if gx is not None:
+            _accumulate(x, T._phase_sum(gx, factor), fresh=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out, parents, backward)
+
+
 def leaky_grad(g: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
     """``g`` times the leaky ReLU's slope at x, as a select of 1 or the slope."""
     return g * np.where(x > 0.0, x.dtype.type(1.0), x.dtype.type(slope))
@@ -219,19 +306,20 @@ def accumulate_copying(t: Tensor, g: np.ndarray, fresh: bool = False):
         t.grad += g
 
 
-def conv_backward_rebuilt(g, x, weight, bias, taps, input_grad, col=None):
-    """``tensor._conv_backward`` that ignores a kept column matrix and
-    rebuilds it from ``x``."""
-    c_out, c_in, kernel = weight.shape
+def conv_backward_rebuilt(g, x, weight, merge, taps, input_grad, col=None):
+    """``tensor._conv_backward`` of one phase group that ignores a kept
+    column matrix and rebuilds it from ``x``."""
+    c_out, c_in, _ = weight.shape
+    w = weight.data if merge is None else weight.data @ merge
+    n_taps = w.shape[-1]
     batch_axes = tuple(range(g.ndim - 2))
-    col = _columns(x, kernel, taps, x.shape[-1])
-    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape))
-    if bias is not None:
-        _accumulate(bias, g.sum(axis=(*batch_axes, -1)))
+    col = _columns(x, n_taps, taps, x.shape[-1])
+    gw = (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(c_out, c_in, n_taps)
+    _accumulate(weight, gw if merge is None else gw @ merge.T)
     if not input_grad:
         return None
-    w2 = weight.data.reshape(c_out, c_in * kernel)
-    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, g.shape[-1]), taps, x.dtype)
+    w2 = w.reshape(c_out, c_in * n_taps)
+    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, n_taps, g.shape[-1]), taps, x.dtype)
 
 
 def loop_batch_loss(model, batch, config, rng) -> Tensor:

@@ -548,12 +548,16 @@ def test_sweep_budget_beyond_distinct_candidates_is_usage_error(
     (["--iterations", "1", "--budget", "0"], "argument --budget: budget must be >= 1, got 0"),
     (["--iterations", "1", "--budget", "-3"], "argument --budget: budget must be >= 1, got -3"),
     (["--candidates-file", "comments.txt"], "comments.txt: no candidate schedules"),
+    # it ended in a UnicodeDecodeError traceback
+    (["--candidates-file", "binary.txt"], "binary.txt: not a text file: 'utf-8' codec can't "
+                                          "decode byte 0xff in position 0: invalid start byte"),
 ])
 def test_sweep_with_nothing_to_score_is_usage_error(
     extra, expected, toy_checkpoint, corpus_dirs, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "comments.txt").write_text("# no schedules here\n\n")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00bad")
     code = main(["sweep", "--checkpoint", str(toy_checkpoint),
                  "--validation-dir", str(corpus_dirs[1]), "--refine-passes", "0", *extra])
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
@@ -692,6 +696,23 @@ def test_train_command_and_loss_log(corpus_dirs, tmp_path):
     lines = (tmp_path / "loss.csv").read_text().splitlines()
     assert lines[0] == "step,loss,wall_time_s"
     assert len(lines) == 4
+
+
+def test_a_loss_log_gets_its_header_exactly_when_it_is_empty(corpus_dirs, tmp_path):
+    """A fresh run appending to a log of rows used to write a second header
+    among them, and a resumed run into a new log wrote rows with none."""
+    log = tmp_path / "loss.csv"
+
+    def train(extra):
+        run = f"max_steps = 2\ncheckpoint_every = 1\nloss_log = {log}\n"
+        assert main(train_argv(tmp_path, corpus_dirs[0], run + extra)) == EXIT_OK
+        return [row.split(",")[0] for row in log.read_text().splitlines()]
+
+    assert train("") == ["step", "1", "2"]
+    assert train("") == ["step", "1", "2", "1", "2"]
+    log.unlink()
+    resume = f"resume = {tmp_path / 'ckpt' / 'step0000001.ckpt'}\n"
+    assert train(resume) == ["step", "2"]
 
 
 def test_synth_deterministic_output(toy_checkpoint, corpus_dirs, tmp_path):

@@ -25,7 +25,6 @@ from gradvoc.tensor import (
     orthogonal_init,
     scale,
     sub,
-    upsample_conv1d,
 )
 from gradvoc import tensor as T
 from gradvoc.net import DBLOCK_DILATIONS, DBlock, DenoiserModel, ModelConfig
@@ -162,7 +161,7 @@ def test_conv_output_length():
 def test_convs_refuse_an_input_of_no_time_steps(batch):
     x = Tensor(np.zeros((*batch, 2, 0)))
     w = Tensor(np.zeros((4, 2, 3)))
-    for conv in (lambda: conv1d(x, w), lambda: upsample_conv1d(x, w, None, 2)):
+    for conv in (lambda: conv1d(x, w), lambda: conv1d(x, w, factor=2)):
         with pytest.raises(ValueError, match="at least one time step"):
             conv()
 
@@ -452,44 +451,27 @@ def test_upsample_conv_matches_conv_of_the_upsample(factor, dtype):
         x = Tensor(rng.standard_normal((*batch, 3, t)).astype(dtype))
         w = Tensor(rng.standard_normal((4, 3, kernel)).astype(dtype))
         b = Tensor(rng.standard_normal(4).astype(dtype)) if t != 4 else None
-        got = upsample_conv1d(x, w, b, factor, dilation).data
+        got = conv1d(x, w, b, dilation, factor).data
         want = conv1d(nearest_upsample(x, factor), w, b, dilation=dilation).data
         assert got.dtype == want.dtype == dtype and got.shape == want.shape
         assert rel_err(got, want) <= UPSAMPLE_RTOL[dtype], (dilation, kernel, t, batch)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_upsample_conv_gradients_match_conv_of_the_upsample(dtype):
-    rng = np.random.default_rng(86)
-    for factor, dilation, batch in [(5, 1, ()), (2, 3, (3,)), (3, 1, (2,)), (1, 2, ())]:
-        x = rng.standard_normal((*batch, 3, 6)).astype(dtype)
-        w, b = rng.standard_normal((4, 3, 3)).astype(dtype), rng.standard_normal(4).astype(dtype)
-        g = Tensor(rng.standard_normal((*batch, 4, 6 * factor)).astype(dtype))
-        grads = []
-        for op in (lambda x, w, b: upsample_conv1d(x, w, b, factor, dilation),
-                   lambda x, w, b: conv1d(nearest_upsample(x, factor), w, b, dilation=dilation)):
-            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
-            tsum(mul(op(*leaves), g)).backward()
-            grads.append([leaf.grad for leaf in leaves])
-        for got, want in zip(*grads):
-            assert got.dtype == dtype and rel_err(got, want) <= UPSAMPLE_RTOL[dtype]
-
-
 def test_upsample_conv_fd_grads():
     x, w, b = leaf((2, 5), 87), leaf((3, 2, 3), 88), leaf((3,), 89)
-    fd_check(lambda x, w, b: mean_abs(upsample_conv1d(x, w, b, 3, 1)), [x, w, b])
+    fd_check(lambda x, w, b: mean_abs(conv1d(x, w, b, factor=3)), [x, w, b])
     x, w = leaf((2, 2, 4), 90), leaf((3, 2, 5), 91)
-    fd_check(lambda x, w: mean_abs(upsample_conv1d(x, w, None, 2, 3)), [x, w])
+    fd_check(lambda x, w: mean_abs(conv1d(x, w, dilation=3, factor=2)), [x, w])
 
 
 def test_upsample_conv_rejects_bad_operands():
     x, w = Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="factor must be >= 1"):
+        conv1d(x, w, factor=0)
     with pytest.raises(ValueError):
-        upsample_conv1d(x, w, None, 0)
+        conv1d(x, Tensor(np.zeros((3, 1, 3))), factor=2)
     with pytest.raises(ValueError):
-        upsample_conv1d(x, Tensor(np.zeros((3, 1, 3))), None, 2)
-    with pytest.raises(ValueError):
-        upsample_conv1d(x, w, Tensor(np.zeros(2)), 2)
+        conv1d(x, w, Tensor(np.zeros(2)), factor=2)
 
 
 # -- column tiles: a long conv builds its column matrix one run of steps at a time ---------
@@ -515,16 +497,26 @@ def test_the_plan_is_the_old_taps_groups_and_tiles(factor, dtype):
             want = oracles.upsample_plan(t, kernel, factor, dilation)
             assert len(plan) == len(want)
             for got, (phases, offsets, merge, taps) in zip(plan, want):
+                phases = tuple(range(factor)[phases])
                 assert got[:2] == (phases, len(offsets)) and got[3] == taps
                 assert (got[2] is None if merge is None else
                         got[2].dtype == merge.dtype and np.array_equal(got[2], merge))
-                assert got[4] == oracles.tiles(x, len(offsets), offsets, taps, tile_bytes)
+                runs = got[4]
+                assert [run[:3] for run in runs] == list(
+                    oracles.tiles(x, len(offsets), offsets, taps, tile_bytes))
+                for start, stop, _, outs in runs:  # each phase's output steps of the run
+                    assert len(outs) == len(phases)
+                    for r, out in zip(phases, outs):
+                        steps = np.arange(t * factor)[out]
+                        assert np.array_equal(steps, factor * np.arange(start, stop) + r)
             if factor == 1:
                 taps = oracles.conv_taps(t, kernel, dilation)
-                assert plan == ((slice(0, 1), kernel, None, taps, oracles.tiles(
-                    x, kernel, oracles.offsets(kernel, dilation), taps, tile_bytes)),)
+                runs = oracles.tiles(x, kernel, oracles.offsets(kernel, dilation), taps, tile_bytes)
+                assert plan == (((0,), kernel, None, taps,
+                                 tuple((*run, (slice(run[0], run[1], 1),)) for run in runs)),)
             untiled = T._plan(t, kernel, dilation, factor, 0, 0)
-            assert [group[4] for group in untiled] == [((0, t, group[3]),) for group in plan]
+            assert [[run[:3] for run in group[4]] for group in untiled] == [
+                [(0, t, group[3])] for group in plan]
 
 
 def within_rounding_of_the_oracle(got, x, w, b, dilation, terms):
@@ -587,12 +579,60 @@ def test_tiled_upsample_conv_matches_the_oracle(factor, dtype, small_tiles):
             x = rng.standard_normal((*batch, 3, t)).astype(dtype)
             w = rng.standard_normal((2, 3, kernel)).astype(dtype)
             b = rng.standard_normal(2).astype(dtype) if t % 2 else None
-            got = upsample_conv1d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
-                                  factor, dilation).data
+            got = conv1d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                         dilation, factor).data
             assert got.dtype == dtype and got.shape == (*batch, 2, t * factor)
             within_rounding_of_the_oracle(got, np.repeat(x, factor, axis=-1), w, b, dilation,
                                           3 * kernel + kernel + 1)
     assert 0 < max(small_tiles) <= 4096
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("factor", [1, 2, 3, 5])
+def test_conv1d_is_the_op_it_replaced(factor, dtype, small_tiles):
+    """Kernels 1/3/5, dilations 1-8, lengths of 1, 5, 17, 40, a tile - 1, a
+    tile, a tile + 1 and 3.5 tiles, one item and a batch, with and without
+    bias.  The forward is the old op's byte for byte: the plain column conv
+    at factor 1, the polyphase upsampling conv above it.  At factor 1 the
+    gradients are the old conv's bytes too.  Above it, each gradient entry
+    is within the rounding bound of its own sum, ``terms * eps * sum of
+    |products|``, of the gradient of the conv of the upsample, which sums
+    the same products in another order: ``c_out * kernel * factor`` of them
+    for an input sample, one per output step of the batch for a weight or
+    bias entry."""
+    rng = np.random.default_rng(180 + factor)
+    eps = np.finfo(dtype).eps
+    for kernel, dilation, batch, bias in itertools.product(
+            (1, 3, 5), range(1, 9), ((), (2,)), (False, True)):
+        tile = tile_steps(3, kernel, dtype)
+        for t in (1, 5, 17, 40, tile - 1, tile, tile + 1, 7 * tile // 2):
+            x = rng.standard_normal((*batch, 3, t)).astype(dtype)
+            w = rng.standard_normal((2, 3, kernel)).astype(dtype)
+            b = rng.standard_normal(2).astype(dtype) if bias else None
+            g = rng.standard_normal((*batch, 2, t * factor)).astype(dtype)
+            got, got_grads = conv_grads(
+                lambda *leaves: conv1d(*leaves, dilation=dilation, factor=factor), x, w, b, g)
+            case = (kernel, dilation, batch, bias, t)
+            if factor == 1:
+                want, want_grads = conv_grads(
+                    lambda *leaves: oracles.column_conv1d(*leaves, dilation=dilation), x, w, b, g)
+                for a, b_ in zip((got, *got_grads), (want, *want_grads)):
+                    assert a.dtype == b_.dtype == dtype and a.tobytes() == b_.tobytes(), case
+                continue
+            old = oracles.upsample_conv1d(Tensor(x), Tensor(w), None if b is None else Tensor(b),
+                                          factor, dilation).data
+            assert got.dtype == old.dtype == dtype and got.tobytes() == old.tobytes(), case
+
+            def upsampled(x, *params):
+                return conv1d(nearest_upsample(x, factor), *params, dilation=dilation)
+
+            _, want_grads = conv_grads(upsampled, x, w, b, g)
+            _, sums = conv_grads(upsampled, abs(x), abs(w), None if b is None else abs(b), abs(g))
+            steps = math.prod(batch) * t * factor
+            for a, b_, s, terms in zip(got_grads, want_grads, sums,
+                                       (w.shape[0] * kernel * factor, steps, steps)):
+                assert a.dtype == b_.dtype == dtype and a.shape == b_.shape
+                assert np.all(np.abs(a - b_) <= terms * eps * s), case
 
 
 def test_a_batch_is_tiled_as_its_items_are(small_tiles):
@@ -602,7 +642,7 @@ def test_a_batch_is_tiled_as_its_items_are(small_tiles):
     rng = np.random.default_rng(142)
     x, w = rng.standard_normal((4, 3, 700)), Tensor(rng.standard_normal((2, 3, 3)))
     for run in (lambda x: conv1d(x, w, None, dilation=2),
-                lambda x: upsample_conv1d(x, w, None, 3)):
+                lambda x: conv1d(x, w, factor=3)):
         run(Tensor(x[0]))
         one = list(small_tiles)
         small_tiles.clear()
@@ -639,7 +679,7 @@ def test_a_long_conv_works_in_one_tile_of_columns():
     assert traced_workspace(lambda: conv1d(x, w, None, dilation=2)) <= T.COLUMN_TILE_BYTES + slack
     # two merged taps per phase: each tile's GEMM product is half its columns
     x = Tensor(rng.standard_normal((16, 20000)))
-    workspace = traced_workspace(lambda: upsample_conv1d(x, w, None, 2))
+    workspace = traced_workspace(lambda: conv1d(x, w, factor=2))
     assert workspace <= 1.5 * T.COLUMN_TILE_BYTES + slack
 
 
@@ -658,11 +698,13 @@ def counted_columns(monkeypatch):
     return built
 
 
-def kept_and_rebuilt(run, x, w, b, monkeypatch):
-    """``conv_grads`` of ``run`` as it is, with the number of column matrices
-    it built, and with every conv backward rebuilding its columns."""
-    g = np.linspace(-1.0, 1.0, w.shape[0] * x.shape[-1] * math.prod(x.shape[:-2]))
-    g = g.reshape(*x.shape[:-2], w.shape[0], x.shape[-1]).astype(x.dtype)
+def kept_and_rebuilt(run, x, w, b, monkeypatch, factor=1):
+    """``conv_grads`` of ``run``, which gives ``factor`` outputs per input
+    step, as it is, with the number of column matrices it built, and with
+    every conv backward rebuilding its columns."""
+    t_out = factor * x.shape[-1]
+    g = np.linspace(-1.0, 1.0, w.shape[0] * t_out * math.prod(x.shape[:-2]))
+    g = g.reshape(*x.shape[:-2], w.shape[0], t_out).astype(x.dtype)
     with monkeypatch.context() as m:
         built = counted_columns(m)
         out, grads = conv_grads(run, x, w, b, g)
@@ -677,17 +719,19 @@ def kept_and_rebuilt(run, x, w, b, monkeypatch):
 @pytest.mark.parametrize("batch", [(), (2,)], ids=["2-D", "3-D"])
 def test_conv_backward_on_the_kept_columns_equals_the_rebuild(batch, kernel, dtype,
                                                               monkeypatch):
-    """The forward's column matrix gives backward the rebuild's bytes, for
-    every dilation 1-8 and signals shorter than, near and past the reach of
-    the outer taps; backward builds no second matrix."""
+    """The forward's column matrices give backward the rebuild's bytes, for
+    every dilation 1-8, factors 1/2/3/5 and signals shorter than, near and
+    past the reach of the outer taps; backward builds no second matrix: one
+    per phase group in all."""
     rng = np.random.default_rng(150 + kernel)
-    for dilation, t in itertools.product(range(1, 9), (1, 5, 17, 40)):
+    for dilation, t, factor in itertools.product(range(1, 9), (1, 5, 17, 40), (1, 2, 3, 5)):
         x = rng.standard_normal((*batch, 3, t)).astype(dtype)
         w = rng.standard_normal((4, 3, kernel)).astype(dtype)
         b = rng.standard_normal(4).astype(dtype)
         kept, rebuilt, built = kept_and_rebuilt(
-            lambda *leaves: conv1d(*leaves, dilation=dilation), x, w, b, monkeypatch)
-        assert built == 1
+            lambda *leaves: conv1d(*leaves, dilation=dilation, factor=factor), x, w, b,
+            monkeypatch, factor)
+        assert built == len(T._plan(t, kernel, dilation, factor, 0, 0))
         for got, want in zip(kept, rebuilt):
             assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
@@ -720,7 +764,7 @@ def handing_over_graph(x, p, q, w1, w2, b1, b2, w3, v):
     u = affine_leaky_relu(a, film, 0.2)
     d = sub(add(u, u), a)
     e = add(add(d, x), add(p, q))
-    up = upsample_conv1d(add_channel_bias(e, v), w3, None, 2)
+    up = conv1d(add_channel_bias(e, v), w3, factor=2)
     h = nearest_upsample(downsample(up, 2), 2)
     return mean_abs(sub(scale(mul(h, h), 0.5), up))
 
@@ -831,17 +875,20 @@ def test_leaky_grad_is_the_select_byte_for_byte(dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("factor", [1, 2, 3, 5])
 def test_phase_sum_is_the_reduction_but_for_negative_zero_runs(factor, dtype):
-    """The slice sum gives numpy's reduction byte for byte, except that a
-    run of -0.0 alone sums to -0.0, where the reduction, starting from
-    +0.0, gives +0.0; that exception is written into the expected sum."""
+    """The slice sum of all phases, or of the last half of them, gives
+    numpy's reduction byte for byte, except that a run of -0.0 alone sums
+    to -0.0, where the reduction, starting from +0.0, gives +0.0; that
+    exception is written into the expected sum."""
     rng = np.random.default_rng(151 + factor)
-    for shape in ((3, 7 * factor), (2, 3, 7 * factor)):
+    for shape, phases in itertools.product(((3, 7 * factor), (2, 3, 7 * factor)),
+                                           (range(factor), range(factor // 2, factor))):
         g = with_special_values(rng, shape, dtype)
         g[..., 0, :2 * factor] = -0.0  # two runs of -0.0 alone
+        picked = g.reshape(*g.shape[:-1], -1, factor)[..., phases]
         with np.errstate(invalid="ignore"):
-            got = T._phase_sum(g, factor)
-            want = oracles.phase_sum(g, factor)
-        runs = negative_zeros(g.reshape(*g.shape[:-1], -1, factor)).all(axis=-1)
+            got = T._phase_sum(g, factor, tuple(phases))
+            want = oracles.phase_sum(picked.reshape(*g.shape[:-1], -1), len(phases))
+        runs = negative_zeros(picked).all(axis=-1)
         assert runs.any() and not np.signbit(want[runs]).any()
         want[runs] = -0.0
         assert got.dtype == dtype
