@@ -21,6 +21,7 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .data import generate_corpus, load_corpus
 from .dsp import (
+    WAV_MAX_SAMPLES,
     MelConfig,
     Waveform,
     WavFormatError,
@@ -501,6 +502,9 @@ def cmd_make_corpus(args) -> int:
     if not 1 <= args.duration * rate < math.inf:
         raise UsageError(f"--duration must be finite and >= one sample ({1 / rate:g} s), "
                          f"got {args.duration}")
+    if int(args.duration * rate) > WAV_MAX_SAMPLES:  # before the directory and the signals
+        raise UsageError(f"--duration must be at most {WAV_MAX_SAMPLES} samples at {rate} Hz, "
+                         f"the most a 16-bit mono WAV holds, got {args.duration}")
     paths = generate_corpus(
         _resolve(args.out, "GRADVOC_DATA_ROOT"),
         n_utterances=args.count,

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MCD_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
+WAV_MAX_SAMPLES = (2**32 - 1 - 36) // 2  # 16-bit mono: RIFF's 32-bit size counts 36 + 2 each
 
 # pitch tracker (track_pitch) and FFE constants
 PITCH_FRAME_MS = 25.0

@@ -13,6 +13,12 @@ its backward both walk.  The computation graph is the implicit tape of
 parent links recorded on each result; ``backward`` replays it in reverse
 topological order.
 
+An op's backward closure takes its result's gradient g and returns its
+operands' gradients in its parents' order, None where it computes none.
+Only ``Tensor.backward`` adds them into ``.grad``: a first gradient stays
+uncopied when it has memory of its own, apart from g's, or is g on g's first
+taker; a slice of g, or g again, is copied, so no gradients share memory.
+
 A tensor is tracked when its ``requires_grad`` is set: leaves set it by
 request, and an operation's result sets it, and records its parents, when
 any operand is tracked.  Untracked results keep no tape.
@@ -34,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -88,14 +95,13 @@ class Tensor:
         return self.data.dtype
 
     def backward(self):
-        """Populate ``grad`` on every reachable leaf with requires_grad.
+        """Add into ``grad`` on every reachable leaf with requires_grad.
 
         Must be called on a scalar (size-1) result, once per graph.  The
         graph is taken apart as it is replayed: once a node has passed its
         gradient on, its ``grad`` is None and it holds no parents and no
         closure, so each intermediate and the arrays its closure saved are
-        freed as soon as the caller holds no reference to them.  Leaves keep
-        their gradients.
+        freed as soon as the caller drops them.  Leaves keep their gradients.
         """
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {self.shape}")
@@ -103,27 +109,28 @@ class Tensor:
             raise RuntimeError("backward already ran on this graph; rebuild it")
         self._done = True
 
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        order, seen, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                for parent in node._parents:  # one already seen is skipped when popped
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for i in reversed(range(len(order))):
-            node, order[i] = order[i], None  # the list does not keep it alive
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()  # the list does not keep it alive
+            g = node.grad
+            if node._backward is not None and g is not None:
+                mem = g if g.base is None else g.base  # the memory g lives in
+                for parent, pg in zip(node._parents, node._backward(g), strict=True):
+                    if pg is not None and parent.requires_grad:
+                        _accumulate(parent, pg, pg is g or (pg is not mem and pg.base is not mem))
+                        if pg is g:
+                            g = None  # the first taker has it
                 node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
@@ -146,17 +153,10 @@ def _result(data, parents, backward):
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
-    """Add ``g`` to the gradient of ``t``.  A ``fresh`` g is an array the
-    caller has just built and hands over: when ``t`` has no gradient yet and
-    g is in its dtype, g becomes that gradient, uncopied.  Any other first
-    gradient is copied, since the caller may pass the same g on elsewhere
-    (``add`` gives one g to both operands) or g may be a view of another
-    gradient."""
-    if not t.requires_grad:
-        return
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool):
+    """Add ``g`` to t's gradient; an ``owned`` g of t's dtype is kept as its first."""
     if t.grad is None:
-        t.grad = g if fresh and g.dtype == t.data.dtype else g.astype(t.data.dtype)
+        t.grad = g if owned and g.dtype == t.data.dtype else g.astype(t.data.dtype)
     else:
         t.grad += g
 
@@ -166,8 +166,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        return g, g
 
     return _result(a.data + b.data, (a, b), backward)
 
@@ -177,8 +176,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g, fresh=True)
+        return g, -g
 
     return _result(a.data - b.data, (a, b), backward)
 
@@ -188,8 +186,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        _accumulate(a, g * b.data, fresh=True)
-        _accumulate(b, g * a.data, fresh=True)
+        return g * b.data, g * a.data
 
     return _result(a.data * b.data, (a, b), backward)
 
@@ -198,7 +195,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
-        _accumulate(a, g * c, fresh=True)
+        return (g * c,)
 
     return _result(a.data * c, (a,), backward)
 
@@ -210,8 +207,7 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
         raise ValueError(f"channel mismatch: {x.shape} vs {v.shape}")
 
     def backward(g):
-        _accumulate(x, g)
-        _accumulate(v, g.sum(axis=-1), fresh=True)
+        return g, g.sum(axis=-1)
 
     return _result(x.data + v.data[..., None], (x, v), backward)
 
@@ -323,13 +319,13 @@ def _conv_shapes(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, 
 
 def _conv_backward(g, x: np.ndarray, weight: Tensor, merge, taps, input_grad: bool,
                    col: np.ndarray | None = None):
-    """Accumulate the weight gradient of one phase group of the conv of
-    ``x``, whose phases' output gradients sum to ``g``, and return the
-    group's part of the gradient of x when ``input_grad`` holds.  ``merge``
-    and ``taps`` are the group's (see ``_plan``): the gradient of the merged
-    taps times mergeᵀ is the weight's, and x's is the tap sum over the
-    merged taps.  ``col`` is x's whole column matrix over the merged taps
-    when the forward kept it; else it is rebuilt from ``x``."""
+    """The parts ``(gx, gw)`` of one phase group of the conv of ``x``, whose
+    phases' output gradients sum to ``g``, in the gradients of x (None
+    unless ``input_grad`` holds) and of the weight.  ``merge`` and ``taps``
+    are the group's (see ``_plan``): the gradient of the merged taps times
+    mergeᵀ is the weight's, and x's is the tap sum over the merged taps.
+    ``col`` is x's whole column matrix over the merged taps when the forward
+    kept it; else it is rebuilt from ``x``."""
     c_out, c_in, _ = weight.shape
     w = weight.data if merge is None else weight.data @ merge
     n_taps = w.shape[-1]
@@ -337,11 +333,12 @@ def _conv_backward(g, x: np.ndarray, weight: Tensor, merge, taps, input_grad: bo
     if col is None:
         col = _columns(x, n_taps, taps, x.shape[-1])
     gw = (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(c_out, c_in, n_taps)
-    _accumulate(weight, gw if merge is None else gw @ merge.T, fresh=True)
+    gw = gw if merge is None else gw @ merge.T
     if not input_grad:
-        return None
+        return None, gw
     w2 = w.reshape(c_out, c_in * n_taps)
-    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, n_taps, g.shape[-1]), taps, x.dtype)
+    gx = _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, n_taps, g.shape[-1]), taps, x.dtype)
+    return gx, gw
 
 
 def _tap_sum(gcol: np.ndarray, taps, dtype) -> np.ndarray:
@@ -382,9 +379,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
     group's tiles), and each run's GEMM writes its slice of the output.
 
     Backward walks the same groups, each on the sum of its phases' output
-    gradients (one phase's is a view).  A group's matrix built whole stays
-    on the tape for backward; a tiled one is rebuilt whole there, so a long
-    conv holds no more than its input until backward reaches it.
+    gradients (one phase's is a view), and sums their parts of the gradients
+    of x and of the weight.  A group's matrix built whole stays on the tape
+    for backward; a tiled one is rebuilt whole there, so a long conv holds
+    no more than its input until backward reaches it.
     """
     c_out, c_in, kernel = _conv_shapes(x, weight, bias, dilation, factor)
     t = x.data.shape[-1]
@@ -405,13 +403,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
         out += bias.data[:, None]
 
     def backward(g):
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(*range(g.ndim - 2), -1)), fresh=True)
+        gx = gw = None
         for (phases, _, merge, taps, _), col in zip(plan, cols):
-            gx = _conv_backward(_phase_sum(g, factor, phases), x.data, weight, merge, taps,
-                                x.requires_grad, col)
-            if gx is not None:
-                _accumulate(x, gx, fresh=True)
+            part_x, part_w = _conv_backward(_phase_sum(g, factor, phases), x.data, weight, merge,
+                                            taps, x.requires_grad, col)
+            gx = part_x if gx is None else np.add(gx, part_x, out=gx)
+            gw = part_w if gw is None else np.add(gw, part_w, out=gw)
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(*range(g.ndim - 2), -1)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward)
@@ -440,8 +438,8 @@ def nearest_upsample(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ValueError("factor must be >= 1")
 
-    def backward(g):  # one phase is a view of g, which x must not keep
-        _accumulate(x, _phase_sum(g, factor), fresh=factor > 1)
+    def backward(g):
+        return (_phase_sum(g, factor),)
 
     return _result(np.repeat(x.data, factor, axis=-1), (x,), backward)
 
@@ -457,7 +455,7 @@ def downsample(x: Tensor, factor: int) -> Tensor:
     def backward(g):
         gx = np.zeros_like(x.data)
         gx[..., ::factor] = g
-        _accumulate(x, gx, fresh=True)
+        return (gx,)
 
     return _result(np.ascontiguousarray(x.data[..., ::factor]), (x,), backward)
 
@@ -483,7 +481,7 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
         raise ValueError("slope must be in (0, 1)")
 
     def backward(g):
-        _accumulate(x, _leaky_grad(g, x.data, slope), fresh=True)
+        return (_leaky_grad(g, x.data, slope),)
 
     out = slope * x.data
     return _result(np.maximum(x.data, out, out=out), (x,), backward)
@@ -509,8 +507,7 @@ def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
 
     def backward(g):  # the output is positive exactly where the affine map is
         g = _leaky_grad(g, out, slope)
-        _accumulate(film, np.concatenate([g * x.data, g], axis=-2), fresh=True)
-        _accumulate(x, g * gamma, fresh=True)
+        return g * gamma, np.concatenate([g * x.data, g], axis=-2)
 
     return _result(out, (x, film), backward)
 
@@ -520,20 +517,17 @@ def concat(tensors) -> Tensor:
     tensors = tuple(tensors)
 
     def backward(g):
-        start = 0
-        for t in tensors:
-            _accumulate(t, g[start:start + len(t.data)])
-            start += len(t.data)
+        stops = itertools.accumulate(len(t.data) for t in tensors)
+        return [g[stop - len(t.data):stop] for t, stop in zip(tensors, stops)]
 
     return _result(np.concatenate([t.data for t in tensors]), tensors, backward)
 
 
 def mean_abs(x: Tensor) -> Tensor:
     """Scalar mean of absolute values (L1 reduction)."""
-    n = x.data.size
 
     def backward(g):
-        _accumulate(x, (float(g) / n) * np.sign(x.data), fresh=True)
+        return ((float(g) / x.data.size) * np.sign(x.data),)
 
     return _result(np.mean(np.abs(x.data)), (x,), backward)
 

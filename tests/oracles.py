@@ -29,7 +29,7 @@ from gradvoc.dsp import (
 )
 from gradvoc import tensor as T
 from gradvoc.diffusion import forward_diffuse
-from gradvoc.tensor import Tensor, _accumulate, _columns, _result, _tap_sum, _taps
+from gradvoc.tensor import Tensor, _columns, _result, _tap_sum, _taps
 from gradvoc.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -93,7 +93,7 @@ def tsum(x: Tensor) -> Tensor:
     """Scalar sum of all elements, with its gradient."""
 
     def backward(g):
-        _accumulate(x, np.full_like(x.data, float(g)))
+        return (np.full_like(x.data, float(g)),)
 
     return _result(np.sum(x.data), (x,), backward)
 
@@ -105,7 +105,7 @@ def decimate(x: Tensor, factor: int) -> Tensor:
     def backward(g):
         gx = np.zeros_like(x.data)
         gx[..., ::factor] = g
-        _accumulate(x, gx)
+        return (gx,)
 
     return _result(x.data[..., ::factor], (x,), backward)
 
@@ -128,16 +128,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, dilation: int 
         out = out + bias.data[:, None]
 
     def backward(g):
-        _accumulate(weight, np.tensordot(g, patches, axes=([1], [2])))
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=1))
+        gx = None
         if x.requires_grad:
             col = np.tensordot(weight.data, g, axes=([0], [0]))  # (C_in, K, T)
             gxp = np.zeros_like(xp)
             for k in range(kernel):
                 start = k * dilation
                 gxp[:, start:start + t_in] += col[:, k, :]
-            _accumulate(x, gxp[:, pad_left : pad_left + t_in])
+            gx = gxp[:, pad_left : pad_left + t_in]
+        gw = np.tensordot(g, patches, axes=([1], [2]))
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=1))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
@@ -192,22 +192,22 @@ def upsample_plan(t_in: int, kernel: int, factor: int, dilation: int) -> tuple:
 
 
 def column_conv_backward(g, x, weight, bias, taps, input_grad, col=None):
-    """The backward of ``column_conv1d``: accumulate the weight and bias
-    gradients of the conv of ``x`` whose output has gradient ``g``, and
-    return the gradient of ``x`` when ``input_grad`` holds.  ``col`` is x's
-    whole column matrix when the forward kept it; else it is rebuilt."""
+    """The backward of ``column_conv1d``: the gradients of the conv of ``x``
+    whose output has gradient ``g``, in its parents' order: x's (None unless
+    ``input_grad`` holds), the weight's and the bias's, if it has one.
+    ``col`` is x's whole column matrix when the forward kept it; else it is
+    rebuilt."""
     c_out, c_in, kernel = weight.shape
     batch_axes = tuple(range(g.ndim - 2))
     if col is None:
         col = _columns(x, kernel, taps, x.shape[-1])
-    _accumulate(weight, (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape),
-                fresh=True)
-    if bias is not None:
-        _accumulate(bias, g.sum(axis=(*batch_axes, -1)), fresh=True)
-    if not input_grad:
-        return None
-    w2 = weight.data.reshape(c_out, c_in * kernel)
-    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, g.shape[-1]), taps, x.dtype)
+    gw = (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(weight.shape)
+    gx = None
+    if input_grad:
+        w2 = weight.data.reshape(c_out, c_in * kernel)
+        gcol = (w2.T @ g).reshape(*g.shape[:-2], c_in, kernel, g.shape[-1])
+        gx = _tap_sum(gcol, taps, x.dtype)
+    return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(*batch_axes, -1)))
 
 
 def column_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -234,9 +234,7 @@ def column_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         out += bias.data[:, None]
 
     def backward(g):
-        gx = column_conv_backward(g, x.data, weight, bias, taps, x.requires_grad, col)
-        if gx is not None:
-            _accumulate(x, gx, fresh=True)
+        return column_conv_backward(g, x.data, weight, bias, taps, x.requires_grad, col)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out.astype(x.data.dtype, copy=False), parents, backward)
@@ -267,10 +265,10 @@ def upsample_conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, factor: int,
 
     def backward(g):
         up = np.repeat(x.data, factor, axis=-1)
-        gx = column_conv_backward(g, up, weight, bias, conv_taps(t_in * factor, kernel, dilation),
-                                  x.requires_grad)
-        if gx is not None:
-            _accumulate(x, T._phase_sum(gx, factor), fresh=True)
+        gx, *rest = column_conv_backward(g, up, weight, bias,
+                                         conv_taps(t_in * factor, kernel, dilation),
+                                         x.requires_grad)
+        return (None if gx is None else T._phase_sum(gx, factor), *rest)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward)
@@ -296,10 +294,8 @@ def tap_scatter(gcol: np.ndarray, taps, dtype) -> np.ndarray:
     return gx
 
 
-def accumulate_copying(t: Tensor, g: np.ndarray, fresh: bool = False):
-    """``tensor._accumulate`` that copies every first gradient, fresh or not."""
-    if not t.requires_grad:
-        return
+def accumulate_copying(t: Tensor, g: np.ndarray, owned: bool):
+    """``tensor._accumulate`` that copies every first gradient, owned or not."""
     if t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
     else:
@@ -315,11 +311,12 @@ def conv_backward_rebuilt(g, x, weight, merge, taps, input_grad, col=None):
     batch_axes = tuple(range(g.ndim - 2))
     col = _columns(x, n_taps, taps, x.shape[-1])
     gw = (g @ col.swapaxes(-1, -2)).sum(axis=batch_axes).reshape(c_out, c_in, n_taps)
-    _accumulate(weight, gw if merge is None else gw @ merge.T)
+    gw = gw if merge is None else gw @ merge.T
     if not input_grad:
-        return None
+        return None, gw
     w2 = w.reshape(c_out, c_in * n_taps)
-    return _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, n_taps, g.shape[-1]), taps, x.dtype)
+    gx = _tap_sum((w2.T @ g).reshape(*g.shape[:-2], c_in, n_taps, g.shape[-1]), taps, x.dtype)
+    return gx, gw
 
 
 def loop_batch_loss(model, batch, config, rng) -> Tensor:

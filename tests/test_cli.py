@@ -26,7 +26,8 @@ from gradvoc.cli import (
 from gradvoc.checkpoint import load_tensors, save_tensors
 from gradvoc.data import generate_corpus
 from gradvoc.dsp import (
-    MelConfig, MelSpectrogram, Waveform, mel_spectrogram, save_mel, wav_read, wav_write,
+    WAV_MAX_SAMPLES, MelConfig, MelSpectrogram, Waveform, mel_spectrogram, save_mel, wav_read,
+    wav_write,
 )
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.schedule import kl_terminal_diagnostic, linear_schedule
@@ -1076,4 +1077,22 @@ def test_make_corpus_with_no_samples_is_usage_error(duration, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err == (f"error: --duration must be finite and >= one sample (0.00025 s), "
                    f"got {float(duration)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", ["1e300", repr((WAV_MAX_SAMPLES + 1.5) / 4000)],
+                         ids=["1e300", "one-sample-past"])
+def test_make_corpus_longer_than_a_wav_holds_is_usage_error(duration, tmp_path, capsys,
+                                                             monkeypatch):
+    """A 16-bit mono WAV's 32-bit RIFF size field caps it at 2**31 - 19
+    samples; a longer duration is refused before any signal is made."""
+    assert WAV_MAX_SAMPLES == (2**32 - 1 - 36) // 2
+    assert int(float(duration) * 4000) > WAV_MAX_SAMPLES
+    monkeypatch.setattr(gradvoc.cli, "generate_corpus", lambda *a, **k: pytest.fail("generated"))
+    out = tmp_path / "c"
+    code = main(["make-corpus", "--out", str(out), "--duration", duration])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --duration must be at most {WAV_MAX_SAMPLES} samples at 4000 Hz, "
+        f"the most a 16-bit mono WAV holds, got {float(duration)}\n")
     assert not out.exists()

@@ -794,6 +794,61 @@ def test_handed_over_gradients_alias_nothing_and_equal_the_copies(batch, dtype, 
         assert got.grad.dtype == dtype and got.grad.tobytes() == want.grad.tobytes()
 
 
+# graphs of x = add(p, q) that pass x to one op twice, or to an add and a
+# conv, whose part of x's gradient backward adds into the one the add gave x
+REUSING = {
+    "add": lambda x, p, w, b, v: [add(x, x)],
+    "sub": lambda x, p, w, b, v: [sub(x, x)],
+    "mul": lambda x, p, w, b, v: [mul(x, x)],
+    "concat": lambda x, p, w, b, v: [concat([x, x])],
+    "add_channel_bias": lambda x, p, w, b, v: [add(add_channel_bias(x, v), x)],
+    **{f"conv1d-{f}": lambda x, p, w, b, v, f=f: [add(x, p),
+                                                  conv1d(x, w, b, dilation=2, factor=f)]
+       for f in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("graph", REUSING)
+def test_a_reused_operand_gets_the_copies_gradients_and_no_alias(graph, dtype, monkeypatch):
+    """Each leaf's gradient is the bytes of the backward that copies every
+    first gradient, and shares memory with no other gradient or data."""
+    rng = np.random.default_rng(180)
+    arrays = [rng.standard_normal(shape).astype(dtype)
+              for shape in [(2, 3, 8), (2, 3, 8), (4, 3, 3), (4,), (2, 3)]]
+
+    def run():
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        p, q, w, b, v = leaves
+        loss = None
+        for out in REUSING[graph](add(p, q), p, w, b, v):
+            weights = Tensor(np.linspace(-2.0, 3.0, out.data.size, dtype=dtype).reshape(out.shape))
+            term = mean_abs(mul(out, weights))
+            loss = term if loss is None else add(loss, term)
+        loss.backward()
+        return [leaf for leaf in leaves if leaf.grad is not None]  # v only where it is read
+
+    leaves = run()
+    assert len(leaves) >= 2  # p and q
+    for one, other in itertools.combinations(leaves, 2):
+        assert not np.shares_memory(one.grad, other.grad)
+    for one, other in itertools.product(leaves, leaves):
+        assert not np.shares_memory(one.grad, other.data)
+    with monkeypatch.context() as m:
+        m.setattr(T, "_accumulate", oracles.accumulate_copying)
+        copied = run()
+    for got, want in zip(leaves, copied):
+        assert got.grad.dtype == dtype and got.grad.tobytes() == want.grad.tobytes()
+
+
+@pytest.mark.parametrize("returned", [1, 3], ids=["too-few", "too-many"])
+def test_a_closure_returning_the_wrong_number_of_gradients_raises(returned):
+    a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    out = T._result(a.data + b.data, (a, b), lambda g: (g, g, g)[:returned])
+    with pytest.raises(ValueError, match="zip"):
+        mean_abs(out).backward()
+
+
 def composed_affine_leaky_relu(x, gamma, xi):
     return leaky_relu(add(mul(gamma, x), xi), 0.2)
 
