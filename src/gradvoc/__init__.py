@@ -3,7 +3,9 @@
 A small waveform generator conditioned on mel spectrograms: closed-form
 forward noising, a learned noise predictor trained with continuous
 noise-level conditioning, an ancestral reverse sampler, and the objective
-metrics (LS-MSE, MCD, FFE) used to compare schedules.
+metrics (LS-MSE, MCD, FFE) used to compare schedules.  The package root
+exports nothing; import the submodules (``gradvoc.net``, ``gradvoc.sample``,
+``gradvoc.train``, ``gradvoc.cli`` and the rest) for their names.
 
 Importing the package pins glibc's heap policy for the process: blocks
 under 32 MiB come from the heap, and up to 256 MiB of freed memory at its
@@ -14,56 +16,6 @@ does nothing.
 
 import ctypes as _ctypes
 import os as _os
-
-from .schedule import (
-    NoiseSchedule,
-    ScheduleError,
-    linear_schedule,
-    fibonacci_schedule,
-    manual_schedule,
-    default_training_prior,
-    sample_noise_level,
-    kl_terminal_diagnostic,
-    parse_schedule_spec,
-    schedule_to_text,
-    schedule_from_text,
-)
-from .diffusion import forward_diffuse
-from .tensor import Tensor
-from .dsp import (
-    Waveform,
-    MelConfig,
-    MelSpectrogram,
-    WavFormatError,
-    mel_spectrogram,
-    mel_filterbank,
-    metric_mels,
-    mfcc,
-    ls_mse,
-    mcd,
-    ffe,
-    track_pitch,
-    wav_read,
-    wav_write,
-    save_mel,
-    load_mel,
-)
-from .net import ModelConfig, DenoiserModel, positional_encoding
-from .sample import SynthRequest, SamplerError, sigma, reverse_step, synthesize
-from .train import (
-    TrainConfig,
-    TrainState,
-    TrainError,
-    make_batch,
-    train_step,
-    step_rng,
-    run_training,
-    save_state,
-    load_state,
-)
-from .data import sine_utterance, generate_corpus, load_corpus
-
-__version__ = "0.1.0"
 
 
 def _pin_heap() -> None:

@@ -255,11 +255,16 @@ def _check_schedule_compat(trained: NoiseSchedule | None, requested):
         )
 
 
+def _check_out(out) -> None:
+    """Refuse an ``--out`` that names no file in an existing directory, so a
+    command fails before its work rather than after it."""
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise DataError(f"--out {out}: not a file name in an existing directory")
+
+
 def cmd_synth(args) -> int:
     # refuse destinations that cannot be written before the chain runs
-    out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():
-        raise DataError(f"--out {out}: not a file name in an existing directory")
+    _check_out(args.out)
     inter = args.emit_intermediates
     if inter is not None:
         nearest = next(p for p in (Path(inter), *Path(inter).parents) if p.exists())
@@ -316,6 +321,7 @@ def _score_schedule(model, schedule, mels, targets, seed) -> float:
 
 
 def cmd_sweep(args) -> int:
+    _check_out(args.out)
     state, mel_cfg = _load_checkpoint(args.checkpoint)
     if state.config.discrete_schedule is not None:
         raise UsageError(
@@ -408,6 +414,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     ref_dir = _resolve(args.ref_dir, "GRADVOC_DATA_ROOT")
     hyp_dir = _resolve(args.hyp_dir, "GRADVOC_DATA_ROOT")
     refs = {p.name: p for p in sorted(Path(ref_dir).glob("*.wav"))}
@@ -458,6 +465,7 @@ def _metric_mel_config(sample_rate: int) -> MelConfig:
 
 
 def cmd_inspect_schedule(args) -> int:
+    _check_out(args.out)
     schedule = resolve_schedule(args.schedule)
     if args.y0:
         y0 = wav_read(args.y0).samples
@@ -604,7 +612,7 @@ def main(argv=None) -> int:
     except (DataError, WavFormatError, CheckpointError, OSError, TrainDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SamplerError, TrainError, FloatingPointError) as exc:
+    except (SamplerError, TrainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MCD_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
+MFCC_COEFFS = 13  # c0..c12, the cepstra MCD compares
 WAV_MAX_SAMPLES = (2**32 - 1 - 36) // 2  # 16-bit mono: RIFF's 32-bit size counts 36 + 2 each
 
 # pitch tracker (track_pitch) and FFE constants
@@ -238,11 +239,11 @@ def _dct_matrix(n: int, n_coeffs: int) -> np.ndarray:
     return matrix
 
 
-def mfcc(mel: MelSpectrogram, n_coeffs: int = 13) -> np.ndarray:
-    """Cepstral coefficients c0..c(n_coeffs-1), (n_coeffs x frames): the
+def mfcc(mel: MelSpectrogram) -> np.ndarray:
+    """Cepstral coefficients c0..c12, (``MFCC_COEFFS`` x frames): the
     orthonormal DCT-II over the log-mel bins (all of them when there are
-    fewer than ``n_coeffs``)."""
-    return _dct_matrix(mel.values.shape[0], n_coeffs) @ mel.values
+    fewer)."""
+    return _dct_matrix(mel.values.shape[0], MFCC_COEFFS) @ mel.values
 
 
 def _metric_pair(y_ref: Waveform, y_hyp: Waveform, hop: int):

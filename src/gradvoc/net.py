@@ -53,7 +53,6 @@ __all__ = [
 # Fixed by the architecture rather than configured.
 DBLOCK_DILATIONS = (1, 2, 4)
 POSITIONAL_SCALE = 5000.0
-LEAKY_SLOPE = 0.2  # value inherited from the GAN generator lineage
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class ModelConfig:
     the reversed tail of the UBlock factors and channels, so that every FiLM
     sees temporally aligned features.  Every DBlock uses the dilations
     ``DBLOCK_DILATIONS``, the noise embedding sits at ``POSITIONAL_SCALE``
-    times the noise level, and every leaky ReLU has slope ``LEAKY_SLOPE``.
+    times the noise level, and every leaky ReLU has slope ``tensor.LEAKY_SLOPE``.
     """
 
     upsample_factors: tuple = (5, 5, 3, 2, 2)
@@ -141,8 +140,8 @@ class ModelConfig:
         )
 
 
-def positional_encoding(sqrt_alpha_bar, dim: int, scale: float) -> np.ndarray:
-    """Sinusoidal embedding of the noise level at position scale * sqrt_alpha_bar.
+def positional_encoding(sqrt_alpha_bar, dim: int) -> np.ndarray:
+    """Sinusoidal embedding of the noise level at position POSITIONAL_SCALE * sqrt_alpha_bar.
 
     First dim/2 entries are sines, the rest cosines, with the usual geometric
     frequency ladder.  A float level gives a (dim,) vector; B levels give
@@ -150,14 +149,12 @@ def positional_encoding(sqrt_alpha_bar, dim: int, scale: float) -> np.ndarray:
     """
     if dim % 2 != 0:
         raise ValueError("embedding dimension must be even")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
     level = np.asarray(sqrt_alpha_bar, dtype=np.float64)
     if not np.all((0.0 < level) & (level <= 1.0)):
         raise ValueError(f"sqrt_alpha_bar must be in (0, 1], got {sqrt_alpha_bar}")
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * (2.0 / dim) * np.arange(half))
-    angles = scale * level[..., None] * freqs
+    angles = POSITIONAL_SCALE * level[..., None] * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
@@ -220,7 +217,7 @@ class FiLM(Module):
         self.xi_conv = Conv1d(c_out, c_out, 3)
 
     def __call__(self, features: Tensor, noise_embedding: Tensor) -> Tensor:
-        h = T.leaky_relu(self.input_conv(features), LEAKY_SLOPE)
+        h = T.leaky_relu(self.input_conv(features))
         h = T.add_channel_bias(h, noise_embedding)
         g, x = self.gamma_conv, self.xi_conv
         return T.conv1d(h, T.concat([g.weight, x.weight]), T.concat([g.bias, x.bias]))
@@ -252,13 +249,13 @@ class UBlock(Module):
 
     def __call__(self, x: Tensor, film: Tensor) -> Tensor:
         skip = self.skip(x)  # kept at the input rate until the add
-        h = self.main1(T.leaky_relu(x, LEAKY_SLOPE), self.factor)
-        h = T.affine_leaky_relu(h, film, LEAKY_SLOPE)
+        h = self.main1(T.leaky_relu(x), self.factor)
+        h = T.affine_leaky_relu(h, film)
         h = self.main2(h)
         first = T.add(T.nearest_upsample(skip, self.factor), h)
-        h = T.affine_leaky_relu(first, film, LEAKY_SLOPE)
+        h = T.affine_leaky_relu(first, film)
         h = self.res2a(h)
-        h = T.affine_leaky_relu(h, film, LEAKY_SLOPE)
+        h = T.affine_leaky_relu(h, film)
         h = self.res2b(h)
         return T.add(first, h)
 
@@ -279,9 +276,9 @@ class DBlock(Module):
     def __call__(self, y: Tensor) -> Tensor:
         h = T.downsample(y, self.factor)
         skip = self.skip(h)
-        h = self.main1(T.leaky_relu(h, LEAKY_SLOPE))
-        h = self.main2(T.leaky_relu(h, LEAKY_SLOPE))
-        h = self.main3(T.leaky_relu(h, LEAKY_SLOPE))
+        h = self.main1(T.leaky_relu(h))
+        h = self.main2(T.leaky_relu(h))
+        h = self.main3(T.leaky_relu(h))
         return T.add(skip, h)
 
 
@@ -347,9 +344,7 @@ class DenoiserModel(Module):
 
         u = self.mel_conv(Tensor(x))
         for j, (ublock, film) in enumerate(zip(self.ublocks, self.films)):
-            emb = positional_encoding(
-                sqrt_alpha_bar, self.config.ublock_channels[j], POSITIONAL_SCALE
-            ).astype(dtype)
+            emb = positional_encoding(sqrt_alpha_bar, self.config.ublock_channels[j]).astype(dtype)
             # FiLM j reads DBlock-chain output n_up-1-j, always the last one
             # left, which is freed once read (a tape still holds it).  Its own
             # output is held until the next FiLM replaces it: freeing it before
@@ -363,13 +358,10 @@ class DenoiserModel(Module):
         """Inference: ``forward`` under ``tensor.no_grad``, as a plain 1-D array.
 
         Records no tape, so each activation is freed as soon as no later layer
-        needs it; the values are those of the tracked ``forward``.  Raises
-        FloatingPointError if any output sample is not finite.
+        needs it; the values are those of the tracked ``forward``.
         """
         with T.no_grad():
             out = self.forward(y_noisy, mel, sqrt_alpha_bar).data[0]
-            if not np.all(np.isfinite(out)):
-                raise FloatingPointError("non-finite network output")
         return out.copy()
 
     def output_length(self, mel) -> int:

@@ -85,8 +85,9 @@ def reverse_chain(request: SynthRequest):
     """Yield y_N (standard normal noise), then one iterate per reverse step to y_0.
 
     Deterministic given the seed; the yielded arrays are the chain's state and
-    must not be written to.  A chain that diverges raises SamplerError naming
-    the step, after the iterates before it, without numpy overflow warnings.
+    must not be written to.  A chain that diverges, whether the network's
+    output or the iterate is not finite, raises SamplerError naming the step,
+    after the iterates before it, without numpy overflow warnings.
     """
     schedule = request.inference_schedule
     mel = np.asarray(request.mel, dtype=np.float64)
@@ -101,10 +102,9 @@ def reverse_chain(request: SynthRequest):
         where = f"at reverse step n={n} (sqrt_alpha_bar={sqrt_abar:.6g})"
         # never yield inside errstate: the caller would run under it while suspended
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                eps = np.asarray(model.predict(y, mel, sqrt_abar), dtype=np.float64)
-            except FloatingPointError as exc:  # the network's non-finite output
-                raise SamplerError(f"{exc} {where}") from exc
+            eps = np.asarray(model.predict(y, mel, sqrt_abar), dtype=np.float64)
+            if not np.all(np.isfinite(eps)):
+                raise SamplerError(f"non-finite network output {where}")
             z = rng.standard_normal(length) if n > 1 else None
             y = reverse_step(y, eps, schedule, n, z)
         if not np.all(np.isfinite(y)):

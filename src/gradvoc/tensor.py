@@ -66,6 +66,8 @@ __all__ = [
 _CONV_KERNEL_SIZES = (1, 3, 5)
 # the most bytes of column matrix a conv builds at once per item; see ``_plan``
 COLUMN_TILE_BYTES = 2 << 20
+# every leaky ReLU's slope, fixed by the architecture (from the GAN generator lineage)
+LEAKY_SLOPE = 0.2
 # values per block of affine_leaky_relu's in-place activation
 _LEAKY_BLOCK = 1 << 16
 _TRACKING = contextvars.ContextVar("gradvoc_tracking", default=True)
@@ -109,16 +111,19 @@ class Tensor:
             raise RuntimeError("backward already ran on this graph; rebuild it")
         self._done = True
 
+        # the nodes with a closure, parents first; a leaf replays nothing
         order, seen, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
-            elif id(node) not in seen:
-                seen.add(id(node))
+            elif node not in seen:
+                seen.add(node)
                 stack.append((node, True))
                 for parent in node._parents:  # one already seen is skipped when popped
-                    stack.append((parent, False))
+                    if parent._backward is not None:
+                        stack.append((parent, False))
+        del seen  # it holds every node, which the replay frees one by one
 
         self.grad = np.ones_like(self.data)
         while order:
@@ -176,7 +181,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        return g, -g
+        return g, (-g if b.requires_grad else None)
 
     return _result(a.data - b.data, (a, b), backward)
 
@@ -207,7 +212,7 @@ def add_channel_bias(x: Tensor, v: Tensor) -> Tensor:
         raise ValueError(f"channel mismatch: {x.shape} vs {v.shape}")
 
     def backward(g):
-        return g, g.sum(axis=-1)
+        return g, (g.sum(axis=-1) if v.requires_grad else None)
 
     return _result(x.data + v.data[..., None], (x, v), backward)
 
@@ -460,42 +465,39 @@ def downsample(x: Tensor, factor: int) -> Tensor:
     return _result(np.ascontiguousarray(x.data[..., ::factor]), (x,), backward)
 
 
-def _leaky_grad(g: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
+def _leaky_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``g`` times the leaky ReLU's slope at ``x``: 1 where x > 0, else
-    ``slope`` (also at 0, the subgradient taken there, and at nan).
+    ``LEAKY_SLOPE`` (also at 0, the subgradient taken there, and at nan).
 
     The factor is the 0/1 mask in x's dtype raised by ``maximum`` to the
     slope, a Python float that takes that dtype.  ``maximum`` returns one
     of its operands, so the factor is exactly 1 or the slope in that dtype,
-    as ``np.where(x > 0, 1, slope)`` is, and its product with g is the same
+    as ``np.where(x > 0, 1, LEAKY_SLOPE)`` is, and its product with g is the same
     bytes, nan and infinities included.  A select runs several times
     slower on a random sign pattern."""
     factor = (x > 0.0).astype(x.dtype)
-    np.maximum(factor, slope, out=factor)
+    np.maximum(factor, LEAKY_SLOPE, out=factor)
     factor *= g
     return factor
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    if not (0.0 < slope < 1.0):
-        raise ValueError("slope must be in (0, 1)")
+def leaky_relu(x: Tensor) -> Tensor:
+    """``max(x, LEAKY_SLOPE * x)``."""
 
     def backward(g):
-        return (_leaky_grad(g, x.data, slope),)
+        return (_leaky_grad(g, x.data),)
 
-    out = slope * x.data
+    out = LEAKY_SLOPE * x.data
     return _result(np.maximum(x.data, out, out=out), (x,), backward)
 
 
-def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
-    """``leaky_relu(gamma * x + xi, slope)`` in the output's own memory, by
+def affine_leaky_relu(x: Tensor, film: Tensor) -> Tensor:
+    """``leaky_relu(gamma * x + xi)`` in the output's own memory, by
     the composed ops' float arithmetic; gamma and xi are the first and second
     channel halves of ``film``, (..., 2C, T) for x (..., C, T)."""
     c = x.shape[-2]
     if film.shape != (*x.shape[:-2], 2 * c, x.shape[-1]):
         raise ValueError(f"film shape {film.shape} does not hold two halves of {x.shape}")
-    if not (0.0 < slope < 1.0):
-        raise ValueError("slope must be in (0, 1)")
 
     gamma = film.data[..., :c, :]
     out = np.multiply(gamma, x.data, order="C")
@@ -503,10 +505,10 @@ def affine_leaky_relu(x: Tensor, film: Tensor, slope: float = 0.2) -> Tensor:
     flat = out.reshape(-1)  # a view: out is contiguous
     for start in range(0, flat.size, _LEAKY_BLOCK):  # no temporary the size of out
         block = flat[start:start + _LEAKY_BLOCK]
-        np.maximum(block, slope * block, out=block)
+        np.maximum(block, LEAKY_SLOPE * block, out=block)
 
     def backward(g):  # the output is positive exactly where the affine map is
-        g = _leaky_grad(g, out, slope)
+        g = _leaky_grad(g, out)
         return g * gamma, np.concatenate([g * x.data, g], axis=-2)
 
     return _result(out, (x, film), backward)

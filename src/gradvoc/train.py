@@ -34,7 +34,7 @@ from .checkpoint import CheckpointError, load_tensors, save_tensors
 from .diffusion import forward_diffuse
 from .dsp import MelConfig, Waveform, log_mel
 from .dsp import mel_spectrogram  # noqa: F401  a name perfbench's traced run wraps here
-from .net import DBLOCK_DILATIONS, LEAKY_SLOPE, POSITIONAL_SCALE, DenoiserModel, ModelConfig
+from .net import DBLOCK_DILATIONS, POSITIONAL_SCALE, DenoiserModel, ModelConfig
 from .schedule import (
     NoiseSchedule,
     default_training_prior,
@@ -244,10 +244,15 @@ def _batch_loss(model: DenoiserModel, batch, config: TrainConfig, rng) -> Tensor
     return loss
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in the reverse chain
 def train_step(
     state: TrainState, batch, rng: np.random.Generator
 ) -> tuple[TrainState, float]:
-    """One optimization step; returns the updated state and the batch loss."""
+    """One optimization step; returns the updated state and the batch loss.
+
+    A non-finite loss or gradient norm raises TrainError before any weight or
+    moment changes, and a diverging step emits no numpy warning.
+    """
     config = state.config
     store = state.flat_store()
     store.grad.fill(0)
@@ -261,6 +266,8 @@ def train_step(
     for span in store.spans:
         sq += float(squares[span].sum())
     norm = math.sqrt(sq)  # a Python float: Adam runs in the store's dtype, clipped or not
+    if not math.isfinite(norm):
+        raise TrainError(f"non-finite gradient norm at step {state.step + 1}")
     clip = min(1.0, CLIP_NORM / norm) if norm > CLIP_NORM else 1.0
 
     state.step += 1
@@ -363,7 +370,7 @@ def save_state(path, state: TrainState, mel_cfg: MelConfig) -> None:
 _RETIRED = {
     ModelConfig: {"dblock_channels": None, "dblock_factors": None,
                   "dblock_dilations": DBLOCK_DILATIONS, "positional_scale": POSITIONAL_SCALE,
-                  "leaky_slope": LEAKY_SLOPE},
+                  "leaky_slope": T.LEAKY_SLOPE},
     TrainConfig: {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS,
                   "clip_norm": CLIP_NORM},
 }

@@ -181,7 +181,7 @@ def test_criterion_5_gradient_correctness():
     fd_scalar(lambda: T.mean_abs(T.sub(T.scale(x, 1.3), y2)), [x, y2], 1e-4)
     v = mk((2,))
     fd_scalar(lambda: T.mean_abs(T.add_channel_bias(x, v)), [x, v], 1e-4)
-    fd_scalar(lambda: T.mean_abs(T.leaky_relu(x, 0.2)), [x], 1e-4)
+    fd_scalar(lambda: T.mean_abs(T.leaky_relu(x)), [x], 1e-4)
     fd_scalar(lambda: T.mean_abs(T.nearest_upsample(x, 3)), [x], 1e-4)
     fd_scalar(lambda: T.mean_abs(T.downsample(x, 2)), [x], 1e-4)
     w, b = mk((3, 2, 3)), mk((3,))
@@ -191,7 +191,7 @@ def test_criterion_5_gradient_correctness():
     w, b = mk((3, 2, 3), fused), mk((3,), fused)
     fd_scalar(lambda: T.mean_abs(T.conv1d(x, w, b, factor=3)), [x, w, b], 1e-4)
     film = mk((4, 8), fused)  # gamma stacked on xi
-    fd_scalar(lambda: T.mean_abs(T.affine_leaky_relu(x, film, 0.2)), [x, film], 1e-4)
+    fd_scalar(lambda: T.mean_abs(T.affine_leaky_relu(x, film)), [x, film], 1e-4)
     fd_scalar(lambda: T.mean_abs(T.mul(T.concat([x, y2]), T.concat([y2, x]))), [x, y2], 1e-4)
 
     # the check itself fails on a gradient of the wrong sign or twice the size
@@ -246,7 +246,7 @@ def test_criterion_6_toy_training_convergence(trained_toy, held_set, toy_mel_con
                     schedule, held_set, toy_mel_config, clip=True,
                 )
             break
-        except (FloatingPointError, RuntimeError):
+        except RuntimeError:  # SamplerError
             continue
     assert untrained is not None, "no untrained initialization synthesized finitely"
     assert trained < untrained

@@ -176,6 +176,12 @@ def mel_with(value):
     return values
 
 
+def out_in_no_dir(tmp):
+    return ["--out", str(tmp / "nodir" / "x.csv")]
+
+
+OUT_IN_NO_DIR = "nodir/x.csv: not a file name in an existing directory"
+
 # each builds (argv, text the one error line must contain) from the untrained
 # toy checkpoint, the held-out corpus directory and a scratch directory
 DATA_ERRORS = {
@@ -212,6 +218,17 @@ DATA_ERRORS = {
         "empty.wav: a WAV of no samples"),
     "candidates-dir": lambda ckpt, held, tmp: (
         sweep_argv(ckpt, held, "--candidates-file", str(tmp)), "candidates file"),
+    # --out is checked before any work, not when the output is written
+    "synth-out-no-dir": lambda ckpt, held, tmp: (
+        synth_argv(ckpt, sorted(held.glob("*.wav"))[0], tmp) + out_in_no_dir(tmp),
+        OUT_IN_NO_DIR),
+    "sweep-out-no-dir": lambda ckpt, held, tmp: (
+        sweep_argv(ckpt, held, *out_in_no_dir(tmp)), OUT_IN_NO_DIR),
+    "eval-out-no-dir": lambda ckpt, held, tmp: (
+        ["eval", "--ref-dir", str(held), "--hyp-dir", str(held), *out_in_no_dir(tmp)],
+        OUT_IN_NO_DIR),
+    "inspect-out-no-dir": lambda ckpt, held, tmp: (
+        ["inspect-schedule", "manual6", *out_in_no_dir(tmp)], OUT_IN_NO_DIR),
 }
 
 
@@ -223,6 +240,13 @@ def test_bad_data_is_one_line_data_error(case, untrained_ckpt, corpus_dirs, tmp_
     assert code == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
+
+
+def test_sweep_checks_its_out_before_it_synthesizes(untrained_ckpt, corpus_dirs, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(gradvoc.cli, "synthesize", lambda *a, **k: pytest.fail("synthesized"))
+    argv = sweep_argv(untrained_ckpt, corpus_dirs[1], *out_in_no_dir(tmp_path))
+    assert main(argv) == EXIT_DATA
 
 
 @pytest.mark.parametrize("step", [-3, True, 2.5, "4"])
@@ -699,6 +723,17 @@ def test_train_command_and_loss_log(corpus_dirs, tmp_path):
     assert len(lines) == 4
 
 
+def test_diverging_training_is_one_line_numeric_error(corpus_dirs, tmp_path, capsys):
+    """A learning rate that throws the weights far off makes a later step's
+    forward overflow: the run exits 3 with one line, and no numpy warning,
+    an error under this suite's filter, escapes on the way."""
+    run = "learning_rate = 1e6\nmax_steps = 4\nbatch_size = 4\n"
+    code = main(train_argv(tmp_path, corpus_dirs[0], run))
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("error: non-finite ") and err.count("\n") == 1
+
+
 def test_a_loss_log_gets_its_header_exactly_when_it_is_empty(corpus_dirs, tmp_path):
     """A fresh run appending to a log of rows used to write a second header
     among them, and a resumed run into a new log wrote rows with none."""
@@ -867,12 +902,12 @@ def test_bad_destination_fails_before_synthesis(case, untrained_ckpt, corpus_dir
 
 @pytest.mark.parametrize("command", ["eval", "inspect-schedule"])
 def test_unwritable_output_is_one_line_data_error(command, corpus_dirs, tmp_path, capsys):
-    """An OSError other than a missing file also maps to exit 2 and one line."""
+    """A directory as ``--out`` is refused with exit 2 and one line."""
     argv = {
         "eval": ["eval", "--ref-dir", str(corpus_dirs[1]), "--hyp-dir", str(corpus_dirs[1])],
         "inspect-schedule": ["inspect-schedule", "manual6"],
     }[command]
-    code = main(argv + ["--out", str(tmp_path)])  # a directory: IsADirectoryError
+    code = main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -21,9 +21,10 @@ from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.train import TrainConfig, TrainState, train_step
 
 # measured with Python 3.11 and numpy 2.4: 680 calls per forward when pinned
-# (710 since), 2428 per step (2453 since)
+# (710 today), and 1910 per step, whose backward walks only the nodes it
+# replays (pushing every leaf too, it took 2453)
 FORWARD_CALLS = 680
-STEP_CALLS = 2428
+STEP_CALLS = 1910
 SLACK = 1.1
 # column matrices per toy step: one per phase group of each conv, whose
 # backward reuses it: one for each of the 19 plain convs and two for each of

@@ -17,6 +17,7 @@ from gradvoc.net import (
     DenoiserModel,
     FiLM,
     ModelConfig,
+    POSITIONAL_SCALE,
     UBlock,
     init_weights,
     positional_encoding,
@@ -51,13 +52,13 @@ def make_identity(conv: Conv1d):
 
 
 def test_encoding_origin_limit():
-    emb = positional_encoding(1e-300, 8, scale=5000.0)
+    emb = positional_encoding(1e-300, 8)
     assert np.allclose(emb[:4], 0.0, atol=1e-12)
     assert np.allclose(emb[4:], 1.0, atol=1e-12)
 
 
 def test_encoding_at_unit_level():
-    emb = positional_encoding(1.0, 128, scale=5000.0)
+    emb = positional_encoding(1.0, 128)
     assert np.all(np.isfinite(emb))
     assert np.all(np.abs(emb) <= 1.0)
     # the highest-frequency component sits exactly at position 5000
@@ -66,21 +67,21 @@ def test_encoding_at_unit_level():
 
 
 def test_encoding_lipschitz_smoothness():
-    dim, scale = 16, 5000.0
+    dim, scale = 16, POSITIONAL_SCALE
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * (2.0 / dim) * np.arange(half))
     bound = scale * float(np.linalg.norm(freqs))
     levels = np.linspace(0.3, 0.3001, 50)
-    embs = np.array([positional_encoding(v, dim, scale) for v in levels])
+    embs = np.array([positional_encoding(v, dim) for v in levels])
     dists = np.linalg.norm(np.diff(embs, axis=0), axis=1)
     assert np.all(dists <= bound * (levels[1] - levels[0]) * (1 + 1e-6))
 
 
 def test_encoding_rejects_bad_args():
     with pytest.raises(ValueError):
-        positional_encoding(0.5, 7, 5000.0)
+        positional_encoding(0.5, 7)
     with pytest.raises(ValueError):
-        positional_encoding(1.5, 8, 5000.0)
+        positional_encoding(1.5, 8)
 
 
 # -- FiLM ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ def test_film_gamma_and_xi_are_the_two_convs_of_the_features(dtype):
         e = Tensor(rng.standard_normal((*batch, c_out)).astype(dtype))
         out = film(f, e).data
         gamma, xi = out[..., :c_out, :], out[..., c_out:, :]
-        h = T.add_channel_bias(T.leaky_relu(film.input_conv(f), 0.2), e)
+        h = T.add_channel_bias(T.leaky_relu(film.input_conv(f)), e)
         for got, want in ((gamma, film.gamma_conv(h).data), (xi, film.xi_conv(h).data)):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             if exact:
@@ -189,8 +190,8 @@ def test_neutral_affine_is_identity():
     """The fused FiLM affine map and leaky ReLU, with gamma = 1 and xi = 0,
     is exactly the leaky ReLU."""
     x = Tensor(np.random.default_rng(2).standard_normal((4, 9)))
-    out = T.affine_leaky_relu(x, neutral_film(4, 9), 0.2)
-    assert np.array_equal(out.data, T.leaky_relu(x, 0.2).data)
+    out = T.affine_leaky_relu(x, neutral_film(4, 9))
+    assert np.array_equal(out.data, T.leaky_relu(x).data)
 
 
 # -- UBlock -------------------------------------------------------------------------
@@ -493,8 +494,7 @@ def test_failed_predict_leaves_training_tracked():
         model.predict(y, bad_mel, 0.5)
     bias = model.post_conv.bias
     saved, bias.data = bias.data, np.full_like(bias.data, np.nan)
-    with pytest.raises(FloatingPointError, match="non-finite network output"):
-        model.predict(y, mel, 0.5)
+    assert np.isnan(model.predict(y, mel, 0.5)).all()  # refused by the sampler, not here
     bias.data = saved
     loss, grads = step(model)
     assert loss == fresh_loss
@@ -620,10 +620,10 @@ def test_batched_model_finite_difference():
 
 def test_batched_embedding_rows_are_single_embeddings():
     levels = np.array([0.01, 0.5, 1.0])
-    rows = positional_encoding(levels, 16, 5000.0)
+    rows = positional_encoding(levels, 16)
     assert rows.shape == (3, 16)
     for row, level in zip(rows, levels):
-        assert row.tobytes() == positional_encoding(float(level), 16, 5000.0).tobytes()
+        assert row.tobytes() == positional_encoding(float(level), 16).tobytes()
 
 
 def test_large_config_alignment():

@@ -236,6 +236,31 @@ def test_non_finite_mel_item_is_refused_before_the_step(train_set, toy_mel_confi
     assert all(np.array_equal(p.data, before[k]) for k, p in state.model.parameters().items())
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_gradient_is_refused_before_adam(bad, train_set, toy_mel_config,
+                                                     monkeypatch):
+    """A finite loss whose gradient holds an inf or nan stops the step before
+    Adam: weights, moments and the step count stay byte for byte as they
+    were, so no checkpoint can hold what the update would have made."""
+    state, _ = run_steps(fresh_state(seed=0), train_set, toy_mel_config, 1)
+    store = state.flat_store()
+    before = [a.tobytes() for a in (store.values, store.m, store.v)]
+    backward = Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        store.grad[5] = bad
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    rng = step_rng(state.config.seed, 2)
+    batch = make_batch(train_set, rng, 2, SEGMENT, toy_mel_config)
+    with pytest.raises(TrainError, match="non-finite gradient norm at step 2$"):
+        train_step(state, batch, rng)
+    assert state.step == 1
+    assert [a.tobytes() for a in (store.values, store.m, store.v)] == before
+    assert state.flat_store() is store
+
+
 # -- objective floors ----------------------------------------------------------------
 
 
