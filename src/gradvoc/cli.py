@@ -40,10 +40,8 @@ from .schedule import (
     NoiseSchedule,
     ScheduleError,
     kl_terminal_diagnostic,
-    linear_schedule,
-    fibonacci_schedule,
     manual_schedule,
-    parse_schedule_spec,
+    resolve_schedule,
 )
 from .train import (
     TrainConfig,
@@ -67,14 +65,6 @@ EXIT_NUMERIC = 3
 # impulse is ~0.04 nats and its first beta is 1e-4
 KL_PER_DIM_WARN = 1.0
 FIRST_BETA_WARN = 1e-3
-
-SCHEDULE_PRESETS = {
-    "linear1000": lambda: linear_schedule(1e-4, 0.005, 1000),
-    "linear50": lambda: linear_schedule(1e-4, 0.05, 50),
-    "fibonacci25": lambda: fibonacci_schedule(25),
-    # untuned starting point spanning the sweep grid; refine with `sweep`
-    "manual6": lambda: manual_schedule([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1]),
-}
 
 MEL_PROFILES = {
     "full": MelConfig,
@@ -115,13 +105,6 @@ def _resolve(path: str, env_var: str) -> Path:
     if root and not p.is_absolute():
         return Path(root) / p
     return p
-
-
-def resolve_schedule(spec: str) -> NoiseSchedule:
-    preset = SCHEDULE_PRESETS.get(spec.strip().lower())
-    if preset is not None:
-        return preset()
-    return parse_schedule_spec(spec)
 
 
 # -- config file ----------------------------------------------------------------
@@ -294,30 +277,16 @@ def cmd_synth(args) -> int:
     request = SynthRequest(
         mel=mel.values, inference_schedule=schedule, model=state.model, seed=args.seed
     )
-    if inter is None:
-        waveform = synthesize(request)
-    else:  # write each iterate as soon as it exists, so a divergence keeps those before
+    if inter is not None:
         Path(inter).mkdir(parents=True, exist_ok=True)
-        for i, waveform in enumerate(reverse_chain(request)):
+    # write each iterate as soon as it exists, so a divergence keeps those before
+    for i, waveform in enumerate(reverse_chain(request)):
+        if inter is not None:
             wav_write(Path(inter) / f"iter{len(schedule) - i:03d}.wav",
                       Waveform(waveform, mel_cfg.sample_rate))
     wav_write(args.out, Waveform(waveform, mel_cfg.sample_rate))
     print(f"wrote {args.out} ({len(waveform)} samples, {len(schedule)} iterations)")
     return EXIT_OK
-
-
-def _score_schedule(model, schedule, mels, targets, seed) -> float:
-    scores = []
-    for i, (mel, ref_mel) in enumerate(zip(mels, targets)):
-        hyp = synthesize(
-            SynthRequest(
-                mel=mel, inference_schedule=schedule, model=model, seed=seed + i
-            )
-        )
-        metric = ref_mel.config
-        hyp_mel = mel_spectrogram(Waveform(hyp, metric.sample_rate), metric)
-        scores.append(ls_mse(ref_mel, hyp_mel))
-    return float(np.mean(scores))
 
 
 def cmd_sweep(args) -> int:
@@ -343,7 +312,21 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise DataError(f"{validation_dir}: {exc}") from exc
 
-    rng = np.random.default_rng(args.seed)
+    scored: dict[tuple, float] = {}  # every schedule scored, in the order first scored
+
+    def score(betas: tuple) -> float:
+        """The mean LS-MSE of ``betas`` over the validation set, synthesized once."""
+        if betas not in scored:
+            schedule = manual_schedule(betas)
+            scores = []
+            for i, (mel, ref_mel) in enumerate(zip(mels, targets)):
+                hyp = synthesize(SynthRequest(mel=mel, inference_schedule=schedule,
+                                              model=state.model, seed=args.seed + i))
+                hyp_mel = mel_spectrogram(Waveform(hyp, metric.sample_rate), metric)
+                scores.append(ls_mse(ref_mel, hyp_mel))
+            scored[betas] = float(np.mean(scores))
+        return scored[betas]
+
     if args.candidates_file:
         lines = _read_text(args.candidates_file, "candidates file").splitlines()
         candidates = [
@@ -353,6 +336,8 @@ def cmd_sweep(args) -> int:
         ]
         if not candidates:
             raise UsageError(f"{args.candidates_file}: no candidate schedules")
+        for cand in candidates:
+            score(cand)
     else:
         n, grid = args.iterations, len(SWEEP_GRID)
         distinct = math.comb(grid + n - 1, n)
@@ -361,40 +346,18 @@ def cmd_sweep(args) -> int:
                 f"--budget {args.budget} exceeds the {distinct} distinct "
                 f"{n}-step schedules on the sweep grid"
             )
-        seen = set()
-        candidates = []
-        while len(candidates) < args.budget:  # non-decreasing schedules from the grid
-            cand = tuple(sorted(float(rng.choice(SWEEP_GRID)) for _ in range(n)))
-            if cand not in seen:
-                seen.add(cand)
-                candidates.append(cand)
-
-    scored: dict[tuple, float] = {}
-
-    def score(betas: tuple) -> float:
-        if betas not in scored:
-            scored[betas] = _score_schedule(
-                state.model, manual_schedule(betas), mels, targets, args.seed
-            )
-        return scored[betas]
-
-    for cand in candidates:
-        score(cand)
+        rng = np.random.default_rng(args.seed)
+        while len(scored) < args.budget:  # distinct non-decreasing schedules from the grid
+            score(tuple(sorted(float(rng.choice(SWEEP_GRID)) for _ in range(n))))
 
     if not args.candidates_file and args.refine_passes > 0:
         best = min(scored, key=lambda b: (scored[b], b))
         for _ in range(args.refine_passes):
             improved = False
-            for pos in range(len(best)):
-                for value in SWEEP_GRID:
-                    trial = list(best)
-                    trial[pos] = value
-                    trial = tuple(trial)
-                    if list(trial) != sorted(trial):
-                        continue
-                    if score(trial) < scored[best]:
-                        best = trial
-                        improved = True
+            for pos, value in itertools.product(range(len(best)), SWEEP_GRID):
+                trial = (*best[:pos], value, *best[pos + 1:])
+                if list(trial) == sorted(trial) and score(trial) < scored[best]:
+                    best, improved = trial, True
             if not improved:
                 break
 

@@ -45,6 +45,9 @@ __all__ = [
 MCD_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
 MFCC_COEFFS = 13  # c0..c12, the cepstra MCD compares
 WAV_MAX_SAMPLES = (2**32 - 1 - 36) // 2  # 16-bit mono: RIFF's 32-bit size counts 36 + 2 each
+# largest FFT an analysis may ask for, 32 times the 24 kHz profile's 2048: a
+# 128-bin filterbank of it holds 32 MiB, and it is refused before anything is built
+MAX_N_FFT = 65536
 
 # pitch tracker (track_pitch) and FFE constants
 PITCH_FRAME_MS = 25.0
@@ -105,6 +108,12 @@ class MelConfig:
     log_floor: float = 1e-5
 
     def __post_init__(self):
+        for key in ("sample_rate", "win_length", "hop_length", "n_fft", "n_mels"):
+            value = getattr(self, key)
+            if type(value) is not int:  # bool is not int here
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if self.n_fft > MAX_N_FFT:
+            raise ValueError(f"n_fft must be at most {MAX_N_FFT}, got {self.n_fft}")
         if self.win_length > self.n_fft:
             raise ValueError("window must not exceed the FFT size")
         if self.fmax > self.sample_rate / 2:

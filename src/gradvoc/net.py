@@ -361,8 +361,7 @@ class DenoiserModel(Module):
         needs it; the values are those of the tracked ``forward``.
         """
         with T.no_grad():
-            out = self.forward(y_noisy, mel, sqrt_alpha_bar).data[0]
-        return out.copy()
+            return self.forward(y_noisy, mel, sqrt_alpha_bar).data[0]
 
     def output_length(self, mel) -> int:
         """Waveform samples produced for a (mel bins, frames) conditioning."""

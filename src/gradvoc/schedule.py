@@ -23,7 +23,8 @@ __all__ = [
     "default_training_prior",
     "sample_noise_level",
     "kl_terminal_diagnostic",
-    "parse_schedule_spec",
+    "PRESETS",
+    "resolve_schedule",
     "schedule_to_text",
     "schedule_from_text",
 ]
@@ -204,16 +205,28 @@ def schedule_from_text(text: str) -> NoiseSchedule:
     return NoiseSchedule(np.asarray(betas, dtype=np.float64))
 
 
-def parse_schedule_spec(spec: str) -> NoiseSchedule:
-    """Parse a command-line schedule spec.
+# named schedules, each a spec in the grammar ``resolve_schedule`` reads
+PRESETS = {
+    "linear1000": "linear(1e-4,0.005,1000)",
+    "linear50": "linear(1e-4,0.05,50)",
+    "fibonacci25": "fibonacci(25)",
+    # untuned starting point spanning the sweep grid; refine with `sweep`
+    "manual6": "manual(1e-6,1e-5,1e-4,1e-3,1e-2,1e-1)",
+}
+
+
+def resolve_schedule(spec: str) -> NoiseSchedule:
+    """Resolve a command-line schedule spec.
 
     Accepted forms:
+      - a ``PRESETS`` name, in any case
       - ``linear(beta_start,beta_end,n)``
       - ``fibonacci(n)``
       - ``manual(b1,b2,...)`` or a bare comma-separated beta list
       - ``@path`` to load a serialized schedule file
     """
     spec = spec.strip()
+    spec = PRESETS.get(spec.lower(), spec)
     if spec.startswith("@"):
         try:
             with open(spec[1:], "r", encoding="ascii") as fh:

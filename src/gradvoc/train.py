@@ -55,6 +55,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 1.0
+# largest batch a config may ask for, sixteen times the paper's 256: refused
+# before ``make_batch`` allocates its crops
+MAX_BATCH_SIZE = 4096
 
 
 class TrainError(RuntimeError):
@@ -81,11 +84,13 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        for key, least in (("batch_size", 1), ("segment_samples", 1), ("max_steps", 0),
-                           ("seed", 0), ("checkpoint_every", 0)):
+        for key, least, most in (("batch_size", 1, MAX_BATCH_SIZE),
+                                 ("segment_samples", 1, math.inf), ("max_steps", 0, math.inf),
+                                 ("seed", 0, math.inf), ("checkpoint_every", 0, math.inf)):
             value = getattr(self, key)
-            if value < least:
-                raise TrainConfigError(f"{key} must be >= {least}, got {value}")
+            if type(value) is not int or not least <= value <= most:  # bool is not int here
+                raise TrainConfigError(f"{key} must be an integer in [{least}, {most}], "
+                                       f"got {value!r}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
 
@@ -118,13 +123,14 @@ def check_train_config(model_cfg: ModelConfig, config: TrainConfig, mel_cfg: Mel
 class _FlatStore:
     """The values, gradients and Adam moments of every parameter, one
     contiguous vector each, laid out in walk order.  Each parameter's ``data``
-    and ``grad`` are reshaped views into the first two, so backward adds into
+    and ``grad`` are reshaped views into the first two, and its entries in
+    the moment dicts become views into the last two, so backward adds into
     the store and the optimizer step runs on whole vectors."""
 
     def __init__(self, params: dict[str, Tensor], adam_m: dict, adam_v: dict, dtype):
         size = sum(p.data.size for p in params.values())
         self.values, self.grad, self.m, self.v = (np.zeros(size, dtype) for _ in range(4))
-        self.spans, self.views, self.adam_m, self.adam_v = [], [], {}, {}
+        self.spans, self.views = [], []
         start = 0
         for name, p in params.items():
             span = slice(start, start + p.data.size)
@@ -137,9 +143,9 @@ class _FlatStore:
             if name in adam_v:
                 v[...] = adam_v[name]
             p.data, p.grad = data, grad
+            adam_m[name], adam_v[name] = m, v
             self.spans.append(span)
             self.views.append((p, data, grad))
-            self.adam_m[name], self.adam_v[name] = m, v
 
     def stale(self) -> bool:
         """True once some parameter's data or grad is no longer its view."""
@@ -168,7 +174,6 @@ class TrainState:
         if self._store is None or self._store.stale():
             self._store = _FlatStore(self.model.parameters(), self.adam_m, self.adam_v,
                                      self.model.config.np_dtype)
-            self.adam_m, self.adam_v = self._store.adam_m, self._store.adam_v
         return self._store
 
 
@@ -192,9 +197,10 @@ def make_batch(
     batch_size: int,
     segment_samples: int,
     mel_cfg: MelConfig,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Uniformly crop mel-frame-aligned segments and their ground-truth mels,
-    the mels from one ``log_mel`` of the stacked crops.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly crop mel-frame-aligned segments: the crops (batch_size,
+    segment_samples) and their ground-truth mels (batch_size, bins, frames),
+    from one ``log_mel`` of the crops.
 
     Utterances shorter than one segment are skipped with a warning; a drawn
     utterance at another rate than ``mel_cfg``'s raises ValueError.
@@ -212,7 +218,7 @@ def make_batch(
         max_frame_offset = (len(utt) - segment_samples) // hop
         offset = hop * int(rng.integers(max_frame_offset + 1))
         crop[:] = utt.samples[offset : offset + segment_samples]
-    return list(zip(crops, log_mel(crops, mel_cfg)))
+    return crops, log_mel(crops, mel_cfg)
 
 
 def _draw_noise_level(config: TrainConfig, rng: np.random.Generator) -> float:
@@ -223,19 +229,18 @@ def _draw_noise_level(config: TrainConfig, rng: np.random.Generator) -> float:
 
 
 def _batch_loss(model: DenoiserModel, batch, config: TrainConfig, rng) -> Tensor:
-    """Build the loss graph for one batch: the mean L1 distance over every
-    sample of every item, from one forward of the stacked batch.
+    """Build the loss graph for one ``make_batch`` batch: the mean L1 distance
+    over every sample of every item, from one forward of the batch.
 
     Each item draws its noise level and then its noise, in batch order.
     """
-    levels, noise = [], []
-    for y0, _ in batch:
-        levels.append(_draw_noise_level(config, rng))
-        noise.append(rng.standard_normal(len(y0)))
-    levels = np.array(levels)
-    eps = np.stack(noise)
-    y_noisy = forward_diffuse(np.stack([y0 for y0, _ in batch]), levels[:, None], eps)
-    pred = model.forward(y_noisy, np.stack([mel for _, mel in batch]), levels)
+    crops, mels = batch
+    levels, eps = np.empty(len(crops)), np.empty(crops.shape)
+    for i in range(len(crops)):
+        levels[i] = _draw_noise_level(config, rng)
+        eps[i] = rng.standard_normal(crops.shape[1])
+    y_noisy = forward_diffuse(crops, levels[:, None], eps)
+    pred = model.forward(y_noisy, mels, levels)
     diff = T.sub(pred, Tensor(eps[:, None, :].astype(model.config.np_dtype)))
     loss = T.mean_abs(diff)
     if not np.isfinite(loss.data):
@@ -257,7 +262,10 @@ def train_step(
     store = state.flat_store()
     store.grad.fill(0)
 
-    loss = _batch_loss(state.model, batch, config, rng)
+    try:
+        loss = _batch_loss(state.model, batch, config, rng)
+    except TrainError as exc:  # name the step, as the gradient-norm error does
+        raise TrainError(f"{exc} of step {state.step + 1}") from None
     loss.backward()
 
     # global-norm clip in float64, summed per parameter in walk order, then adam

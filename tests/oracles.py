@@ -322,7 +322,7 @@ def conv_backward_rebuilt(g, x, weight, merge, taps, input_grad, col=None):
 def loop_batch_loss(model, batch, config, rng) -> Tensor:
     """The batch loss as one forward and one mean per item, then their mean."""
     per_item = []
-    for idx, (y0, mel) in enumerate(batch):
+    for idx, (y0, mel) in enumerate(zip(*batch)):
         sqrt_abar = _draw_noise_level(config, rng)
         eps = rng.standard_normal(len(y0))
         y_noisy = forward_diffuse(y0, sqrt_abar, eps)

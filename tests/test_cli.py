@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, exit codes, and file outputs."""
 
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -732,6 +733,18 @@ def test_diverging_training_is_one_line_numeric_error(corpus_dirs, tmp_path, cap
     err = capsys.readouterr().err
     assert code == EXIT_NUMERIC
     assert err.startswith("error: non-finite ") and err.count("\n") == 1
+
+
+def test_a_diverging_run_names_the_step_its_loss_failed_at(corpus_dirs, tmp_path, capsys):
+    """The non-finite loss names its batch item and its step, the one after
+    the last step the loss log holds."""
+    log = tmp_path / "loss.csv"
+    run = f"learning_rate = 1e6\nmax_steps = 5\nbatch_size = 4\nloss_log = {log}\n"
+    code = main(train_argv(tmp_path, corpus_dirs[0], run))
+    err = capsys.readouterr().err
+    step = len(log.read_text().splitlines())  # the header and one row per step done
+    assert code == EXIT_NUMERIC
+    assert re.fullmatch(rf"error: non-finite loss at batch index \d of step {step}\n", err), err
 
 
 def test_a_loss_log_gets_its_header_exactly_when_it_is_empty(corpus_dirs, tmp_path):

@@ -20,11 +20,13 @@ from gradvoc.dsp import MelConfig, Waveform, mel_spectrogram
 from gradvoc.net import DenoiserModel, ModelConfig
 from gradvoc.train import TrainConfig, TrainState, train_step
 
-# measured with Python 3.11 and numpy 2.4: 680 calls per forward when pinned
-# (710 today), and 1910 per step, whose backward walks only the nodes it
+# measured with Python 3.11 and numpy 2.4 when each was pinned: 680 calls per
+# forward, which has made 710 since conv1d took the upsample factor, and 1857
+# per step of batch 4, whose batch is the arrays the forward takes (1910 when
+# it was a list of pairs to stack) and whose backward walks only the nodes it
 # replays (pushing every leaf too, it took 2453)
 FORWARD_CALLS = 680
-STEP_CALLS = 1910
+STEP_CALLS = 1857
 SLACK = 1.1
 # column matrices per toy step: one per phase group of each conv, whose
 # backward reuses it: one for each of the 19 plain convs and two for each of
@@ -56,7 +58,7 @@ def toy_inputs():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(256)
     mel = mel_spectrogram(Waveform(y, 4000), MelConfig.toy()).values
-    batch = [(rng.standard_normal(256), mel) for _ in range(4)]
+    batch = (rng.standard_normal((4, 256)), np.stack([mel] * 4))
     return y, mel, batch
 
 

@@ -479,7 +479,7 @@ def test_predict_records_no_tape(monkeypatch):
 def test_failed_predict_leaves_training_tracked():
     """A predict that raises inside the untracked mode still restores tracking."""
     y, mel = toy_input(6)
-    batch = [(y, mel)]
+    batch = (y[None], mel[None])
 
     def step(model):
         state = TrainState(model=model, config=TrainConfig())

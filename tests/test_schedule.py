@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gradvoc.cli
 from gradvoc.checkpoint import load_tensors
-from gradvoc.cli import SCHEDULE_PRESETS, resolve_schedule
 from gradvoc.sample import sigma
 from gradvoc.schedule import (
+    PRESETS,
     NoiseSchedule,
     ScheduleError,
     default_training_prior,
@@ -19,7 +20,7 @@ from gradvoc.schedule import (
     kl_terminal_diagnostic,
     linear_schedule,
     manual_schedule,
-    parse_schedule_spec,
+    resolve_schedule,
     sample_noise_level,
     schedule_from_text,
     schedule_to_text,
@@ -110,9 +111,22 @@ def test_every_schedule_the_repo_uses_builds():
     candidates = Path(__file__).parent.parent / "perfbench" / "candidates.txt"
     specs = [line for line in candidates.read_text().splitlines()
              if line.strip() and not line.startswith("#")]
-    schedules = [resolve_schedule(spec) for spec in [*SCHEDULE_PRESETS, *specs]]
+    schedules = [resolve_schedule(spec) for spec in [*PRESETS, *specs]]
     for s in [*schedules, default_training_prior()]:
         assert s.ell[-1] > 0 and np.all(np.diff(s.ell) < 0)
+
+
+def test_presets_are_specs_of_the_schedules_they_name():
+    """Each preset's spec text parses to the betas of the constructor call it
+    names, byte for byte, in any case; the CLI resolves with the same function."""
+    want = {"linear1000": linear_schedule(1e-4, 0.005, 1000),
+            "linear50": linear_schedule(1e-4, 0.05, 50), "fibonacci25": fibonacci_schedule(25),
+            "manual6": manual_schedule([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])}
+    assert list(PRESETS) == list(want)
+    for name, schedule in want.items():
+        for spelled in (name, f" {name.upper()} "):
+            assert resolve_schedule(spelled).betas.tobytes() == schedule.betas.tobytes()
+    assert gradvoc.cli.resolve_schedule is resolve_schedule
 
 
 def test_derived_quantities_definitions():
@@ -223,20 +237,20 @@ def test_text_round_trip():
 
 
 def test_parse_spec_forms(tmp_path):
-    assert len(parse_schedule_spec("linear(1e-4,0.05,50)")) == 50
-    assert len(parse_schedule_spec("fibonacci(25)")) == 25
-    assert parse_schedule_spec("manual(0.1,0.2)").betas.tolist() == [0.1, 0.2]
-    assert parse_schedule_spec("0.1,0.2,0.3").betas.tolist() == [0.1, 0.2, 0.3]
+    assert len(resolve_schedule("linear(1e-4,0.05,50)")) == 50
+    assert len(resolve_schedule("fibonacci(25)")) == 25
+    assert resolve_schedule("manual(0.1,0.2)").betas.tolist() == [0.1, 0.2]
+    assert resolve_schedule("0.1,0.2,0.3").betas.tolist() == [0.1, 0.2, 0.3]
     p = tmp_path / "s.txt"
     p.write_text(schedule_to_text(fibonacci_schedule(6)))
-    assert np.array_equal(parse_schedule_spec(f"@{p}").betas,
+    assert np.array_equal(resolve_schedule(f"@{p}").betas,
                           fibonacci_schedule(6).betas)
 
 
 def test_parse_spec_rejects_garbage():
     for bad in ("linear(1,2)", "unknown(3)", "", "manual()"):
         with pytest.raises(ScheduleError):
-            parse_schedule_spec(bad)
+            resolve_schedule(bad)
 
 
 def test_text_holds_only_beta_lines():
@@ -261,7 +275,7 @@ def test_text_with_kind_and_params_lines_still_reads():
 )
 def test_oversized_specs_are_schedule_errors(spec):
     with pytest.raises(ScheduleError):
-        parse_schedule_spec(spec)
+        resolve_schedule(spec)
 
 
 @pytest.mark.parametrize(
@@ -273,12 +287,12 @@ def test_unreadable_schedule_file_is_schedule_error(content, tmp_path):
         path = tmp_path / "s.txt"
         path.write_bytes(content)
     with pytest.raises(ScheduleError):
-        parse_schedule_spec(f"@{path}")
+        resolve_schedule(f"@{path}")
 
 
 def test_missing_schedule_file_is_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
-        parse_schedule_spec(f"@{tmp_path / 'none.txt'}")
+        resolve_schedule(f"@{tmp_path / 'none.txt'}")
 
 
 # step counts stay small: an unbounded recurrence would take the machine's memory
@@ -297,7 +311,7 @@ def test_any_inline_spec_parses_or_raises_schedule_error(spec):
     if spec.strip().startswith("@"):
         return
     try:
-        schedule = parse_schedule_spec(spec)
+        schedule = resolve_schedule(spec)
     except ScheduleError:
         return
     # a schedule that builds is usable: each step's noise and the terminal KL are finite
@@ -314,6 +328,6 @@ def test_any_schedule_file_parses_or_raises_schedule_error(tmp_path_factory, con
     path = tmp_path_factory.getbasetemp() / "fuzz-schedule.txt"
     path.write_bytes(content)
     try:
-        parse_schedule_spec(f"@{path}")
+        resolve_schedule(f"@{path}")
     except ScheduleError:
         pass

@@ -51,18 +51,18 @@ def fresh_state(seed=0, **overrides):
 
 def test_batch_repeats_single_full_length_utterance(train_set, toy_mel_config):
     utt = train_set[0]
-    batch = make_batch([utt], np.random.default_rng(0), 3, len(utt), toy_mel_config)
-    assert len(batch) == 3
-    for y0, mel in batch:
+    crops, mels = make_batch([utt], np.random.default_rng(0), 3, len(utt), toy_mel_config)
+    assert crops.shape == (3, len(utt))
+    assert mels.shape == (3, 8, len(utt) // toy_mel_config.hop_length)
+    for y0 in crops:
         assert np.array_equal(y0, utt.samples)
-        assert mel.shape == (8, len(utt) // toy_mel_config.hop_length)
 
 
 def test_batch_crops_are_hop_aligned(train_set, toy_mel_config):
     utt = train_set[0]
     batch = make_batch([utt], np.random.default_rng(1), 8, SEGMENT, toy_mel_config)
     hop = toy_mel_config.hop_length
-    for y0, mel in batch:
+    for y0, mel in zip(*batch):
         hits = [
             off for off in range(0, len(utt) - SEGMENT + 1)
             if np.array_equal(utt.samples[off : off + SEGMENT], y0)
@@ -103,9 +103,9 @@ def test_batch_mels_are_each_crops_own_analysis(cfg, segment):
     rng = np.random.default_rng(5)
     lengths = (segment, 2 * segment + 3 * cfg.hop_length, 3 * segment)
     corpus = [Waveform(0.3 * rng.standard_normal(n), cfg.sample_rate) for n in lengths]
-    batch = make_batch(corpus, np.random.default_rng(6), 4, segment, cfg)
-    assert len(batch) == 4
-    for y0, mel in batch:
+    crops, mels = make_batch(corpus, np.random.default_rng(6), 4, segment, cfg)
+    assert len(crops) == len(mels) == 4
+    for y0, mel in zip(crops, mels):
         want = mel_spectrogram(Waveform(y0, cfg.sample_rate), cfg).values
         assert mel.dtype == want.dtype and mel.shape == want.shape
         assert mel.tobytes() == want.tobytes()
@@ -157,7 +157,7 @@ def test_short_utterances_skipped_with_warning(train_set, toy_mel_config, caplog
         batch = make_batch(
             [short, train_set[0]], np.random.default_rng(0), 4, SEGMENT, toy_mel_config
         )
-    assert len(batch) == 4
+    assert [len(part) for part in batch] == [4, 4]
     assert any("skipping" in rec.message for rec in caplog.records)
     with pytest.raises(TrainError):
         make_batch([short], np.random.default_rng(0), 2, SEGMENT, toy_mel_config)
@@ -216,22 +216,20 @@ def test_non_finite_item_names_its_batch_index(train_set, toy_mel_config, monkey
 
     monkeypatch.setattr(state.model, "forward", diverged)
     before = {k: p.data.copy() for k, p in state.model.parameters().items()}
-    with pytest.raises(TrainError, match="non-finite loss at batch index 2$"):
+    with pytest.raises(TrainError, match="non-finite loss at batch index 2 of step 1$"):
         train_step(state, batch, np.random.default_rng(9))
     assert state.step == 0
     assert all(np.array_equal(p.data, before[k]) for k, p in state.model.parameters().items())
 
 
 def test_non_finite_mel_item_is_refused_before_the_step(train_set, toy_mel_config):
-    batch = make_batch(train_set, np.random.default_rng(8), 4, SEGMENT, toy_mel_config)
-    y0, mel = batch[2]
-    mel = mel.copy()
-    mel[1, 3] = np.nan
-    batch[2] = (y0, mel)
+    crops, mels = make_batch(train_set, np.random.default_rng(8), 4, SEGMENT, toy_mel_config)
+    mels = mels.copy()
+    mels[2, 1, 3] = np.nan
     state = fresh_state(seed=0)
     before = {k: p.data.copy() for k, p in state.model.parameters().items()}
     with pytest.raises(ValueError, match="non-finite mel"):
-        train_step(state, batch, np.random.default_rng(9))
+        train_step(state, (crops, mels), np.random.default_rng(9))
     assert state.step == 0
     assert all(np.array_equal(p.data, before[k]) for k, p in state.model.parameters().items())
 
