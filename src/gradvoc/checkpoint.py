@@ -21,10 +21,11 @@ import math
 import os
 import stat
 import struct
+import sys
 
 import numpy as np
 
-__all__ = ["save_tensors", "load_tensors", "CheckpointError"]
+__all__ = ["save_tensors", "load_tensors", "CheckpointError", "is_int", "is_real"]
 
 _MAGIC = b"GVMODEL1\n"
 _HEAD = len(_MAGIC) + 8  # the magic line and the manifest length
@@ -34,6 +35,18 @@ _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8"), "<i8": np.dtype("<i8"
 
 class CheckpointError(ValueError):
     """Malformed or corrupted checkpoint archive."""
+
+
+def is_int(value, least=0, most=sys.maxsize) -> bool:
+    """Whether a number read from a file is an int (never a bool) in [least,
+    most]; the default ``most`` is the largest size or index."""
+    return type(value) is int and least <= value <= most
+
+
+def is_real(value, least=-sys.float_info.max, most=sys.float_info.max) -> bool:
+    """Whether a number read from a file is an int or float (never a bool) in
+    the finite [least, most]: never nan, an infinity or an int past float64."""
+    return type(value) in (int, float) and least <= value <= most
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None):
@@ -73,10 +86,6 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
         fh.write(payload)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a tensor archive, verifying the manifest checksum and bounds.
 
@@ -84,21 +93,22 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     array is a view into it, so every array of an archive keeps the whole
     buffer alive.  An entry is copied only where a view cannot serve: a byte
     order other than the machine's, or an offset that is not a multiple of
-    its item size.  A source that is not a regular file, such as a pipe, is
-    read whole first and then copied into that buffer.
+    its item size.  A source that is not a regular file, such as a pipe, has
+    its header read and checked first, then the rest read whole and copied
+    into that buffer.
     """
     with open(path, "rb") as file:
         fh, info = file, os.fstat(file.fileno())
-        size = info.st_size
-        if not stat.S_ISREG(info.st_mode):  # a pipe has no size: read it whole first
-            fh = io.BytesIO(file.read())
-            size = len(fh.getbuffer())
-        header = fh.read(_HEAD)
+        header = file.read(_HEAD)
         if header[: len(_MAGIC)] != _MAGIC:
             raise CheckpointError(f"{path}: not a tensor archive (bad magic)")
         if len(header) < _HEAD:
             raise CheckpointError(f"{path}: truncated header")
         (mlen,) = struct.unpack("<Q", header[len(_MAGIC) :])
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size: read the rest whole
+            fh = io.BytesIO(file.read())
+            size = _HEAD + len(fh.getbuffer())
         if mlen > size - _HEAD:
             raise CheckpointError(f"{path}: truncated manifest")
         manifest_raw = fh.read(mlen)
@@ -138,9 +148,9 @@ def _entry_array(where: str, entry: dict, payload: np.ndarray) -> np.ndarray:
     dtype = _DTYPES.get(code) if isinstance(code, str) else None
     if dtype is None:
         raise CheckpointError(f"{where}: unknown dtype {code!r}")
-    if not (isinstance(shape, list) and all(_is_count(d) for d in shape)):
+    if not (isinstance(shape, list) and all(is_int(d) for d in shape)):
         raise CheckpointError(f"{where}: bad shape {shape!r}")
-    if not (_is_count(offset) and _is_count(nbytes)) or offset + nbytes > len(payload):
+    if not (is_int(offset) and is_int(nbytes)) or offset + nbytes > len(payload):
         raise CheckpointError(f"{where}: entry lies outside the payload")
     if nbytes != math.prod(shape) * dtype.itemsize:
         raise CheckpointError(f"{where}: {nbytes} bytes cannot hold shape {shape}")

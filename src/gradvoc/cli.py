@@ -41,6 +41,7 @@ from .schedule import (
     ScheduleError,
     kl_terminal_diagnostic,
     manual_schedule,
+    read_text,
     resolve_schedule,
 )
 from .train import (
@@ -111,10 +112,11 @@ def _resolve(path: str, env_var: str) -> Path:
 
 
 def _read_text(path, what: str) -> str:
-    """The text of ``path``: a file that cannot be read is a data error, and
-    bytes that are not text a usage error."""
+    """The text of ``path``: a file that cannot be read, or is longer than
+    ``MAX_TEXT_BYTES``, is a data error, and bytes that are not text a usage
+    error."""
     try:
-        return Path(path).read_text()
+        return read_text(path, "utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -17,10 +17,11 @@ import math
 import wave
 from dataclasses import asdict, dataclass, replace
 from functools import cache, cached_property, lru_cache
+from sys import maxsize
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_tensors, save_tensors
+from .checkpoint import CheckpointError, is_int, is_real, load_tensors, save_tensors
 
 __all__ = [
     "Waveform",
@@ -45,6 +46,7 @@ __all__ = [
 MCD_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
 MFCC_COEFFS = 13  # c0..c12, the cepstra MCD compares
 WAV_MAX_SAMPLES = (2**32 - 1 - 36) // 2  # 16-bit mono: RIFF's 32-bit size counts 36 + 2 each
+WAV_MAX_RATE = 2**32 - 1  # the RIFF header's 32-bit sample rate field
 # largest FFT an analysis may ask for, 32 times the 24 kHz profile's 2048: a
 # 128-bin filterbank of it holds 32 MiB, and it is refused before anything is built
 MAX_N_FFT = 65536
@@ -77,8 +79,8 @@ class Waveform:
             raise ValueError("waveform must be 1-D")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        if not is_int(self.sample_rate, 1):
+            raise ValueError(f"sample rate must be a positive integer, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self):
@@ -108,24 +110,17 @@ class MelConfig:
     log_floor: float = 1e-5
 
     def __post_init__(self):
-        for key in ("sample_rate", "win_length", "hop_length", "n_fft", "n_mels"):
+        for key, most in (("sample_rate", WAV_MAX_RATE), ("n_fft", MAX_N_FFT),
+                          ("win_length", self.n_fft), ("hop_length", maxsize),
+                          ("n_mels", maxsize)):
             value = getattr(self, key)
-            if type(value) is not int:  # bool is not int here
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.n_fft > MAX_N_FFT:
-            raise ValueError(f"n_fft must be at most {MAX_N_FFT}, got {self.n_fft}")
-        if self.win_length > self.n_fft:
-            raise ValueError("window must not exceed the FFT size")
-        if self.fmax > self.sample_rate / 2:
-            raise ValueError("fmax above Nyquist")
-        if self.hop_length < 1 or self.win_length < 1:
-            raise ValueError("window and hop must be positive")
-        if self.n_mels < 1:
-            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
-        if not 0.0 <= self.fmin < self.fmax:
-            raise ValueError(f"fmin {self.fmin} must be in [0, fmax {self.fmax})")
-        if not 0.0 < self.log_floor < math.inf:
-            raise ValueError(f"log_floor must be positive and finite, got {self.log_floor}")
+            if not is_int(value, 1, most):
+                raise ValueError(f"{key} must be an integer in [1, {most}], got {value!r}")
+        if not (is_real(self.fmin, 0.0) and is_real(self.fmax, most=self.sample_rate / 2)
+                and self.fmin < self.fmax):
+            raise ValueError(f"need 0 <= fmin < fmax <= Nyquist, got {self.fmin!r}, {self.fmax!r}")
+        if not (is_real(self.log_floor) and self.log_floor > 0.0):
+            raise ValueError(f"log_floor must be positive and finite, got {self.log_floor!r}")
 
     @classmethod
     def toy(cls) -> "MelConfig":

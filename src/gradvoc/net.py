@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import is_int
 from .tensor import Tensor
 
 __all__ = [
@@ -90,7 +91,7 @@ class ModelConfig:
         sizes = (*self.upsample_factors, *(d for ds in self.ublock_dilations for d in ds),
                  *self.ublock_channels, self.mel_bins, self.pre_conv_channels,
                  self.mel_conv_channels)
-        if not all(isinstance(v, int) and v >= 1 for v in sizes):
+        if not all(is_int(v, 1) for v in sizes):
             raise ValueError("factors, dilations, channels and mel bins must be integers >= 1")
         if any(c % 2 for c in self.ublock_channels):  # each is a noise-embedding width
             raise ValueError(f"UBlock channels must be even, got {self.ublock_channels}")

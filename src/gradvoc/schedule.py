@@ -10,6 +10,7 @@ network precision; alpha_bar products underflow in float32 for long schedules.
 
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ __all__ = [
     "sample_noise_level",
     "kl_terminal_diagnostic",
     "PRESETS",
+    "read_text",
     "resolve_schedule",
     "schedule_to_text",
     "schedule_from_text",
@@ -37,6 +39,11 @@ class ScheduleError(ValueError):
 # Longest linear schedule accepted; the paper's longest is the 1000-step
 # training prior, and each array of a 10**6-step schedule holds 8 MB.
 MAX_STEPS = 10**6
+# Most bytes a text file may hold (a schedule file, a train config, a list of
+# candidate schedules): a MAX_STEPS-step ``schedule_to_text`` file, each of
+# whose `beta = <repr>` lines takes at most 32.  Longer is refused, so an
+# endless file such as /dev/zero ends in an error, not out of memory.
+MAX_TEXT_BYTES = 32 * MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,6 @@ def linear_schedule(beta_start: float, beta_end: float, n: int) -> NoiseSchedule
     ``n == 1`` degenerates to the single entry ``beta_start``; ``n`` above
     ``MAX_STEPS`` is rejected before anything is allocated.
     """
-    if not (math.isfinite(beta_start) and math.isfinite(beta_end)):
-        raise ScheduleError("endpoints must be finite")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ScheduleError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
@@ -215,6 +220,16 @@ PRESETS = {
 }
 
 
+def read_text(path, encoding: str) -> str:
+    """The text of ``path``, read up to ``MAX_TEXT_BYTES``: a longer file
+    raises OSError (EFBIG), and bytes that do not decode UnicodeDecodeError."""
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_TEXT_BYTES + 1)
+    if len(raw) > MAX_TEXT_BYTES:
+        raise OSError(errno.EFBIG, f"longer than {MAX_TEXT_BYTES} bytes", str(path))
+    return raw.decode(encoding)
+
+
 def resolve_schedule(spec: str) -> NoiseSchedule:
     """Resolve a command-line schedule spec.
 
@@ -229,11 +244,10 @@ def resolve_schedule(spec: str) -> NoiseSchedule:
     spec = PRESETS.get(spec.lower(), spec)
     if spec.startswith("@"):
         try:
-            with open(spec[1:], "r", encoding="ascii") as fh:
-                text = fh.read()
+            text = read_text(spec[1:], "ascii")
         except FileNotFoundError:
             raise  # a missing file is a data error, not a malformed spec
-        except (OSError, ValueError) as exc:  # a directory, a null byte, non-ASCII
+        except (OSError, ValueError) as exc:  # a directory, a null byte, too long, non-ASCII
             raise ScheduleError(f"cannot read schedule file {spec[1:]!r}: {exc}") from exc
         return schedule_from_text(text)
     try:

@@ -26,11 +26,12 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from sys import maxsize
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import CheckpointError, load_tensors, save_tensors
+from .checkpoint import CheckpointError, is_int, is_real, load_tensors, save_tensors
 from .diffusion import forward_diffuse
 from .dsp import MelConfig, Waveform, log_mel
 from .dsp import mel_spectrogram  # noqa: F401  a name perfbench's traced run wraps here
@@ -85,14 +86,15 @@ class TrainConfig:
 
     def __post_init__(self):
         for key, least, most in (("batch_size", 1, MAX_BATCH_SIZE),
-                                 ("segment_samples", 1, math.inf), ("max_steps", 0, math.inf),
-                                 ("seed", 0, math.inf), ("checkpoint_every", 0, math.inf)):
+                                 ("segment_samples", 1, maxsize), ("max_steps", 0, maxsize),
+                                 ("seed", 0, maxsize), ("checkpoint_every", 0, maxsize)):
             value = getattr(self, key)
-            if type(value) is not int or not least <= value <= most:  # bool is not int here
+            if not is_int(value, least, most):
                 raise TrainConfigError(f"{key} must be an integer in [{least}, {most}], "
                                        f"got {value!r}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise TrainConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+        if not (is_real(self.learning_rate) and self.learning_rate > 0.0):
+            raise TrainConfigError(f"learning_rate must be a positive finite number, "
+                                   f"got {self.learning_rate!r}")
 
 
 def check_mel_config(model_cfg: ModelConfig, mel_cfg: MelConfig) -> None:
@@ -427,7 +429,7 @@ def load_state(path) -> tuple[TrainState, MelConfig]:
             discrete_schedule=None if discrete is None else schedule_from_text(discrete),
         )
         step = meta["step"]
-        if type(step) is not int or step < 0:  # bool is not int here
+        if not is_int(step):
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
         mel_cfg = MelConfig(**meta["mel_config"])
         check_mel_config(model.config, mel_cfg)

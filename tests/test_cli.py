@@ -188,6 +188,11 @@ OUT_IN_NO_DIR = "nodir/x.csv: not a file name in an existing directory"
 DATA_ERRORS = {
     "eval-length": lambda ckpt, held, tmp: (eval_argv(tmp, 300, 4000), "a.wav"),
     "eval-rate": lambda ckpt, held, tmp: (eval_argv(tmp, 2400, 24000), "a.wav"),
+    "eval-no-profile": lambda ckpt, held, tmp: (
+        ["eval", "--ref-dir", str(write_tone(tmp / "a" / "a.wav", 800, 8000).parent),
+         "--hyp-dir", str(tmp / "a")], "no metric mel profile for sample rate 8000"),
+    # the scratch directory holds only the config
+    "train-no-wavs": lambda ckpt, held, tmp: (train_argv(tmp, tmp), "no WAV files in"),
     "train-rate": lambda ckpt, held, tmp: (
         train_argv(tmp, write_tone(tmp / "data" / "a.wav", 2400, 24000).parent),
         "sample rate"),
@@ -243,6 +248,41 @@ def test_bad_data_is_one_line_data_error(case, untrained_ckpt, corpus_dirs, tmp_
     assert expected in err
 
 
+def config_argv(tmp_path, text):
+    (tmp_path / "train.cfg").write_text(text)
+    return ["train", str(tmp_path / "train.cfg")]
+
+
+def discrete_ckpt(tmp_path):
+    config = TrainConfig(segment_samples=SEGMENT, discrete_schedule=resolve_schedule("manual6"))
+    state = TrainState(model=DenoiserModel(ModelConfig.toy(), seed=0), config=config)
+    save_state(tmp_path / "discrete.ckpt", state, mel_cfg=MelConfig.toy())
+    return tmp_path / "discrete.ckpt"
+
+
+# as DATA_ERRORS, each refused with exit 1
+USAGE_ERRORS = {
+    "synth-input-type": lambda ckpt, held, tmp: (
+        synth_argv(ckpt, tmp / "x.txt", tmp), "unsupported input type '.txt'"),
+    "sweep-discrete": lambda ckpt, held, tmp: (
+        sweep_argv(discrete_ckpt(tmp), held), "sweep requires a continuous-mode checkpoint"),
+    "train-empty-key": lambda ckpt, held, tmp: (
+        config_argv(tmp, f"data_dir = {held}\n = 5\n"), "train.cfg:2: empty key"),
+    "train-no-data-dir": lambda ckpt, held, tmp: (
+        config_argv(tmp, "max_steps = 1\n"), "train.cfg: missing required key 'data_dir'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_bad_usage_is_one_line_usage_error(case, untrained_ckpt, corpus_dirs, tmp_path, capsys):
+    argv, expected = USAGE_ERRORS[case](untrained_ckpt, corpus_dirs[1], tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
 def test_sweep_checks_its_out_before_it_synthesizes(untrained_ckpt, corpus_dirs, tmp_path,
                                                     monkeypatch):
     monkeypatch.setattr(gradvoc.cli, "synthesize", lambda *a, **k: pytest.fail("synthesized"))
@@ -284,7 +324,7 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra, expected",
-    [("learning_rte = 5\n", "'learning_rte'"),
+    [("learning_rte = 5\n", "'learning_rte'"), ("model = huge\n", "'huge'"),
      # the model picks its mel analysis, and discrete_schedule the conditioning
      ("mel = toy\n", "'mel'"), ("conditioning = continuous\n", "'conditioning'"),
      # the resumed checkpoint brings its model and seed
@@ -1026,6 +1066,18 @@ def test_sweep_random_candidates_non_decreasing(toy_checkpoint, corpus_dirs, tmp
     assert scores == sorted(scores)
 
 
+def test_a_refine_pass_without_a_gain_ends_the_search(toy_checkpoint, corpus_dirs, tmp_path):
+    """One position: the first pass takes the grid's best 1-step schedule,
+    so the second finds no gain and stops; every grid value was scored once."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--checkpoint", str(toy_checkpoint),
+                 "--validation-dir", str(first_wavs(corpus_dirs[1], tmp_path)),
+                 "--iterations", "1", "--budget", "1", "--refine-passes", "2",
+                 "--out", str(out)]) == EXIT_OK
+    rows = [row.split(",") for row in out.read_text().splitlines()[2:]]
+    assert sorted(float(betas) for _, _, betas in rows) == list(gradvoc.cli.SWEEP_GRID)
+
+
 def test_inspect_schedule_fibonacci_rows(tmp_path):
     out = tmp_path / "f.csv"
     assert main(["inspect-schedule", "fibonacci25", "--out", str(out)]) == EXIT_OK
@@ -1091,6 +1143,14 @@ def test_inspect_schedule_warnings(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning" not in captured.err
     assert "# warning" not in captured.out
+
+
+def test_inspect_schedule_warns_of_a_large_first_beta(capsys):
+    """The chain ends near noise (terminal KL per dimension 0.025), but its
+    first step skips the fine-grained regime."""
+    assert main(["inspect-schedule", "manual(0.01,0.5,0.9)"]) == EXIT_OK
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning:" in line]
+    assert len(warnings) == 1 and warnings[0].startswith("warning: condition-2 violation: ")
 
 
 def test_make_corpus(tmp_path):

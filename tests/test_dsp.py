@@ -188,14 +188,15 @@ def test_window_is_built_once_per_config_and_read_only():
                                     {"log_floor": 0.0}, {"log_floor": float("nan")},
                                     {"n_fft": 2048.0}, {"win_length": True},
                                     {"hop_length": 300.0}, {"n_mels": 128.0},
-                                    {"sample_rate": "24000"}, {"n_fft": 2**40}],
+                                    {"sample_rate": "24000"}, {"n_fft": 2**40},
+                                    {"sample_rate": 0}],
                          ids=["no-bins", "negative-fmin", "fmin-at-fmax", "zero-floor",
                               "nan-floor", "float-fft", "bool-window", "float-hop",
-                              "float-bins", "str-rate", "huge-fft"])
+                              "float-bins", "str-rate", "huge-fft", "zero-rate"])
 def test_mel_config_rejects_values_it_cannot_analyse_with(change):
     """Each integer field must hold an int, and the FFT size is bounded; so
     a config is refused before its analysis allocates anything."""
-    with pytest.raises(ValueError, match=f"^{next(iter(change))} must be |^fmin|^log_floor"):
+    with pytest.raises(ValueError, match=f"^{next(iter(change))} must be |fmin < fmax|^log_floor"):
         MelConfig(**change)
 
 
